@@ -50,14 +50,11 @@ from kacmix.laws import (
     MixtureSpec,
     SymmetricK,
     SymmetricKMomentum,
-    apply_law,
-    apply_on_master,
     check_h2_involution,
     check_h3_symmetry,
     h1_max_error,
-    sample_angle,
 )
-from kacmix.meanfield import MeanFieldEnsemble, meanfield_run, meanfield_step
+from kacmix.meanfield import meanfield_run
 from kacmix.observables import (
     BoxFactor,
     CosineFactor,
@@ -82,7 +79,6 @@ from kacmix.simulator import (
     SimConfig,
     TwoPointInitial,
     UniformBoxInitial,
-    estimate_observable,
     initial_from_tag,
     replica_rng,
     run,

@@ -32,6 +32,7 @@ from .simulator import (
     MasterState,
     ObservableObserver,
     SimConfig,
+    _replica_mean_stderr,
     run,
 )
 
@@ -218,10 +219,8 @@ def run_chaos_sweep(
     ref_raw = ref.raw[0]  # (replicas, n_times, n_factors)
 
     def ref_estimate(fi: int, ti: int, s: int) -> Tuple[float, float]:
-        vals = ref_raw[:, ti, fi] ** s
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size >= 2 else 0.0
-        return mean, se
+        mean, se = _replica_mean_stderr(ref_raw[:, ti, fi] ** s)
+        return float(mean), float(se)
 
     all_specs = [specs[(fi, s)] for fi in range(len(factors)) for s in s_vals]
     rows: List[ChaosRow] = []

@@ -34,11 +34,7 @@ from .laws import (
     h1_max_error,
 )
 from .meanfield import meanfield_run
-from .picard import (
-    gaussian_grid_density,
-    picard_solve_toy,
-    uniform_grid_density,
-)
+from .picard import gaussian_grid_density, picard_evolve_toy, uniform_grid_density
 from .runio import (
     chaos_summary,
     run_result_header,
@@ -191,26 +187,14 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
 
     if mf.solver in ("picard", "both"):
         kernel = _pure_toy_kernel(cfg)
-        f = _picard_initial(cfg, mf.grid)
-        # The fixed-point sweep only contracts on a short horizon, so longer
-        # requests are integrated as repeated short solves, each restarting
-        # from the previous density.
-        guard = 0.125
-        remaining = float(mf.t_end)
-        while remaining > 0.0:
-            dt = min(remaining, 0.8 * guard)
-            res = picard_solve_toy(
-                kernel,
-                f,
-                t_end=dt,
-                n_iter=mf.grid.n_iter,
-                n_theta=mf.grid.n_theta,
-                n_time=mf.grid.n_time,
-                t_guard=guard,
-            )
-            f = res.density
-            remaining -= dt
-        density = f
+        density = picard_evolve_toy(
+            kernel,
+            _picard_initial(cfg, mf.grid),
+            mf.t_end,
+            n_iter=mf.grid.n_iter,
+            n_theta=mf.grid.n_theta,
+            n_time=mf.grid.n_time,
+        )
         for name, value in (
             ("mass", density.mass()),
             ("m2", density.moment(2)),

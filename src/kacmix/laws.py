@@ -32,9 +32,6 @@ __all__ = [
     "SymmetricK",
     "SymmetricKMomentum",
     "MixtureSpec",
-    "sample_angle",
-    "apply_law",
-    "apply_on_master",
     "h1_max_error",
     "check_h2_involution",
     "check_h3_symmetry",
@@ -382,43 +379,6 @@ class MixtureSpec:
             if u < edge:
                 return pos + 1
         return len(self.laws)
-
-
-def sample_angle(law: CollisionLaw, rng: np.random.Generator, size: Optional[int] = None):
-    """Draw `size` scattering parameters (one when size is None) for `law`."""
-    return law.sample_angle(rng, size)
-
-
-def apply_law(law: CollisionLaw, angle, group: np.ndarray) -> np.ndarray:
-    """Transform a velocity group (or a batch of groups) under `law`."""
-    return law.apply(angle, group)
-
-
-def apply_on_master(
-    law: CollisionLaw,
-    angle,
-    indices: Sequence[int],
-    state: np.ndarray,
-    inplace: bool = False,
-) -> np.ndarray:
-    """Apply `law` to the rows of an (N, d) master vector selected by `indices`.
-
-    The sub-vector is extracted in the given index order, transformed, and
-    written back to the same positions; every other row is left bit-identical.
-    The order is deliberately not normalized here: callers supply uniformly
-    arranged tuples, and slot order matters pointwise even though it is
-    irrelevant in distribution.
-    """
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.shape[0] != law.order:
-        raise ValueError(f"{law.tag}: expected {law.order} indices, got shape {idx.shape}")
-    if np.unique(idx).size != idx.size:
-        raise ValueError(f"{law.tag}: collision indices must be pairwise distinct: {indices}")
-    out = state if inplace else np.array(state, copy=True)
-    if idx.min() < 0 or idx.max() >= out.shape[0]:
-        raise ValueError(f"{law.tag}: collision index out of range for N={out.shape[0]}")
-    out[idx] = law.apply(angle, out[idx])
-    return out
 
 
 # ---------------------------------------------------------------------------

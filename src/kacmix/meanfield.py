@@ -17,63 +17,16 @@ ensemble's mean energy a martingale, which is the main drift diagnostic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .laws import MixtureSpec
-from .simulator import (
-    InitialLaw,
-    MasterState,
-    Observer,
-    RunResult,
-    _drive,
-    _ordered_distinct,
-    _parallel_map_replicas,
-    _reduce_payloads,
-    _validate_observer_times,
-    replica_rng,
-)
+from .simulator import InitialLaw, Observer, RunResult, SimConfig, _ordered_distinct, _run_replicas
 
 __all__ = [
-    "MeanFieldEnsemble",
-    "meanfield_step",
     "meanfield_run",
 ]
-
-
-@dataclass
-class MeanFieldEnsemble:
-    """An n-particle empirical stand-in for the one-particle law f(t)."""
-
-    particles: np.ndarray
-    time: float = 0.0
-    event_count: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.particles.shape[0]
-
-    def copy(self) -> "MeanFieldEnsemble":
-        return MeanFieldEnsemble(self.particles.copy(), self.time, self.event_count)
-
-    def mean_energy(self) -> float:
-        v = self.particles
-        return float((v * v).sum() / v.shape[0])
-
-
-def _ordered_distinct_excluding(
-    rng: np.random.Generator, n: int, k: int, excluded: int
-) -> List[int]:
-    """A uniform ordered k-tuple of distinct indices, none equal to `excluded`."""
-    picked: List[int] = []
-    while len(picked) < k:
-        c = int(rng.integers(0, n))
-        if c != excluded and c not in picked:
-            picked.append(c)
-    return picked
 
 
 def _mf_collide(particles: np.ndarray, mixture: MixtureSpec, rng: np.random.Generator) -> None:
@@ -83,52 +36,11 @@ def _mf_collide(particles: np.ndarray, mixture: MixtureSpec, rng: np.random.Gene
     k = mixture.order_from_uniform_sizebiased(rng.random())
     law = mixture.laws[k - 1]
     slot = int(rng.integers(0, k))
-    partners = _ordered_distinct_excluding(rng, n, k - 1, jumper)
-    group_idx = partners[:slot] + [jumper] + partners[slot:]
+    group_idx = _ordered_distinct(rng, n, k, [jumper])
+    group_idx.insert(slot, group_idx.pop(0))  # move the jumper from the front to its slot
     omega = law.sample_angle(rng)
     out = law.apply(omega, particles[group_idx])
     particles[jumper] = out[slot]
-
-
-def meanfield_step(
-    ens: MeanFieldEnsemble, mixture: MixtureSpec, rng: np.random.Generator
-) -> MeanFieldEnsemble:
-    """Advance the ensemble by exactly one jump event (in place).
-
-    Time advances by an Exp(n*alpha) waiting time; exactly one particle's
-    velocity changes.
-    """
-    n = ens.particles.shape[0]
-    if n < mixture.m:
-        raise ValueError(f"mean-field step: n >= M required (M={mixture.m}, got n={n})")
-    ens.time += rng.exponential(1.0 / (n * mixture.alpha))
-    _mf_collide(ens.particles, mixture, rng)
-    ens.event_count += 1
-    return ens
-
-
-def _mf_block(args):
-    (mixture, initial, n, t_end, seed, observers, keep_final), replicas = args
-    out = []
-    for r in replicas:
-        rng = replica_rng(seed, r)
-        particles = np.asarray(initial.sample(rng, n, mixture.dim), dtype=float)
-        state = MasterState(particles, 0.0, 0)
-        readings = _drive(
-            state,
-            rate=n * mixture.alpha,
-            collide=lambda st, g: _mf_collide_state(st, mixture, g),
-            rng=rng,
-            t_end=t_end,
-            observers=observers,
-        )
-        out.append((r, readings, state if keep_final else None))
-    return out
-
-
-def _mf_collide_state(state: MasterState, mixture: MixtureSpec, rng: np.random.Generator) -> None:
-    _mf_collide(state.velocities, mixture, rng)
-    state.collision_count += 1
 
 
 def meanfield_run(
@@ -147,34 +59,15 @@ def meanfield_run(
 
     The result has the same shape as the N-particle driver's output (solver
     tag "meanfield"), so the two can be differenced row by row in
-    convergence studies.  Replica substreams and merge order follow the same
-    determinism contract.
+    convergence studies.  Both run on the same replica driver, so substreams
+    and merge order follow the same determinism contract.
     """
     if n < mixture.m:
         raise ValueError(f"mean-field run: n >= M required (M={mixture.m}, got n={n})")
-    if not (t_end >= 0.0 and math.isfinite(t_end)):
-        raise ValueError(f"mean-field run: t_end must be finite and >= 0, got {t_end}")
-    if replicas < 1:
-        raise ValueError(f"mean-field run: replicas must be >= 1, got {replicas}")
-    if not isinstance(initial, InitialLaw):
-        raise ValueError("mean-field run: initial must be an InitialLaw")
-    observers = list(observers)
-    _validate_observer_times(observers, t_end)
-    payloads = _parallel_map_replicas(
-        _mf_block,
-        (mixture, initial, n, t_end, seed, observers, keep_final),
-        replicas,
-        workers,
+    config = SimConfig(
+        N=n, mixture=mixture, t_end=t_end, seed=seed, replicas=replicas, initial=initial
     )
-    series, finals, raw = _reduce_payloads(observers, payloads, keep_final, keep_raw)
-    return RunResult(
-        solver="meanfield",
-        N=n,
-        d=mixture.dim,
-        replicas=replicas,
-        seed=seed,
-        t_end=t_end,
-        series=series,
-        final_states=finals,
-        raw=raw,
+    rate = n * mixture.alpha
+    return _run_replicas(
+        "meanfield", config, rate, _mf_collide, observers, workers, keep_final, keep_raw
     )

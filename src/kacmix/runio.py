@@ -27,7 +27,6 @@ __all__ = [
     "write_csv",
     "run_result_header",
     "run_result_rows",
-    "write_run_csv",
     "write_density_csv",
     "write_hierarchy_constants_csv",
     "write_hierarchy_horizon_csv",
@@ -70,14 +69,6 @@ def run_result_rows(result: RunResult, include_solver: bool = False) -> Iterable
     for t, name, mean, stderr in result.rows():
         row = (t, name, mean, stderr, result.N, result.replicas, result.seed)
         yield row + ((result.solver,) if include_solver else ())
-
-
-def write_run_csv(path, results, include_solver: bool = False) -> int:
-    """Dump one or more ensemble results into a single observable table."""
-    if isinstance(results, RunResult):
-        results = [results]
-    rows = (row for res in results for row in run_result_rows(res, include_solver))
-    return write_csv(path, run_result_header(include_solver), rows)
 
 
 def write_density_csv(path, density: GridDensity) -> int:

@@ -24,7 +24,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .accumulators import MOMENT_CHANNELS, ChannelAccumulator, moment_channels
 from .laws import MixtureSpec
 from .observables import ObservableSpec
 
@@ -40,10 +39,10 @@ __all__ = [
     "ObservableObserver",
     "ObserverSeries",
     "RunResult",
-    "EstimateResult",
+    "MOMENT_CHANNELS",
+    "moment_channels",
     "step",
     "run",
-    "estimate_observable",
     "observable_on_state",
     "replica_rng",
 ]
@@ -234,14 +233,18 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_distinct(rng: np.random.Generator, n: int, k: int) -> List[int]:
+def _ordered_distinct(
+    rng: np.random.Generator, n: int, k: int, picked: Optional[List[int]] = None
+) -> List[int]:
     """A uniformly random ordered k-tuple of distinct indices in range(n).
 
     Rejection sampling; for the k << n regime of collision draws this costs
     about k scalar draws.  The result is uniform over all n!/(n-k)! ordered
-    tuples, which is the index distribution of the jump process.
+    tuples, which is the index distribution of the jump process.  Indices
+    already in `picked` open the tuple and are never drawn again, so the
+    remaining entries are uniform over tuples that avoid them.
     """
-    picked: List[int] = []
+    picked = [] if picked is None else picked
     while len(picked) < k:
         c = int(rng.integers(0, n))
         if c not in picked:
@@ -249,14 +252,13 @@ def _ordered_distinct(rng: np.random.Generator, n: int, k: int) -> List[int]:
     return picked
 
 
-def _collide(state: MasterState, mixture: MixtureSpec, rng: np.random.Generator) -> None:
-    """Apply one collision event in place (order, indices, angle, transform)."""
+def _kac_collide(velocities: np.ndarray, mixture: MixtureSpec, rng: np.random.Generator) -> None:
+    """Apply one N-particle collision event in place (order, indices, angle, transform)."""
     k = mixture.order_from_uniform(rng.random())
     law = mixture.laws[k - 1]
-    idx = _ordered_distinct(rng, state.velocities.shape[0], k)
+    idx = _ordered_distinct(rng, velocities.shape[0], k)
     omega = law.sample_angle(rng)
-    state.velocities[idx] = law.apply(omega, state.velocities[idx])
-    state.collision_count += 1
+    velocities[idx] = law.apply(omega, velocities[idx])
 
 
 def step(
@@ -277,7 +279,8 @@ def step(
     if n < mixture.m:
         raise ValueError(f"step: N >= M required (M={mixture.m}, got N={n})")
     st.time += rng.exponential(1.0 / n)
-    _collide(st, mixture, rng)
+    _kac_collide(st.velocities, mixture, rng)
+    st.collision_count += 1
     return st
 
 
@@ -311,6 +314,50 @@ class Observer:
 
     def collect(self, velocities: np.ndarray, events: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+
+MOMENT_CHANNELS: Tuple[str, ...] = (
+    "m1",
+    "m2",
+    "m3",
+    "m4",
+    "energy",
+    "pair_vv",
+    "pair_v2v2",
+    "events",
+)
+
+
+def moment_channels(velocities: np.ndarray, events: int) -> np.ndarray:
+    """Standard scalar readings of one (N, d) state, in MOMENT_CHANNELS order.
+
+    m1..m4 are coordinate moments averaged over all N*d components, energy is
+    the mean squared speed per particle, and the pair channels are averages
+    over ordered distinct pairs (exactly the quantities whose N -> infinity
+    behavior the chaos diagnostics track).  For N = 1 the pair channels are
+    reported as 0 since there are no pairs.
+    """
+    v = np.asarray(velocities, dtype=float)
+    if v.ndim != 2:
+        raise ValueError(f"moment channels: expected (N, d) velocities, got shape {v.shape}")
+    n = v.shape[0]
+    flat = v.ravel()
+    m1 = flat.mean()
+    sq = flat * flat
+    m2 = sq.mean()
+    m3 = (sq * flat).mean()
+    m4 = (sq * sq).mean()
+    speed_sq = (v * v).sum(axis=1)
+    energy = speed_sq.mean()
+    if n >= 2:
+        col_sums = v.sum(axis=0)
+        pair_vv = (float(col_sums @ col_sums) - speed_sq.sum()) / (n * (n - 1))
+        total_sq = speed_sq.sum()
+        pair_v2v2 = (total_sq * total_sq - float(speed_sq @ speed_sq)) / (n * (n - 1))
+    else:
+        pair_vv = 0.0
+        pair_v2v2 = 0.0
+    return np.array([m1, m2, m3, m4, energy, pair_vv, pair_v2v2, float(events)])
 
 
 class MomentObserver(Observer):
@@ -425,7 +472,8 @@ def observable_on_state(
 def _drive(
     state: MasterState,
     rate: float,
-    collide: Callable[[MasterState, np.random.Generator], None],
+    collide: Callable[[np.ndarray, MixtureSpec, np.random.Generator], None],
+    mixture: MixtureSpec,
     rng: np.random.Generator,
     t_end: float,
     observers: Sequence[Observer],
@@ -436,8 +484,8 @@ def _drive(
     exponentials.  A sample at time tau reads the state after the last event
     at or before tau (right continuity): all samples strictly before the next
     event time are flushed before that event is applied, which also handles
-    tau = 0 and tau = t_end.  `collide` must apply one event in place and
-    advance `collision_count`.
+    tau = 0 and tau = t_end.  `collide` applies one event to the velocities
+    in place.
     """
     schedule = sorted(
         (t, oi, ti)
@@ -458,29 +506,42 @@ def _drive(
             ptr += 1
         if t_next > t_end:
             break
-        collide(state, rng)
+        collide(state.velocities, mixture, rng)
+        state.collision_count += 1
         state.time = t_next
     state.time = t_end
     return readings
 
 
-def _parallel_map_replicas(block_fn, common, n_replicas: int, workers: int) -> List[tuple]:
-    """Run block_fn over replica indices, possibly in worker processes.
+def _replica_block(args) -> List[tuple]:
+    """Run one block of replicas: a `(replica, readings, final state)` per replica."""
+    (config, rate, collide, observers, keep_final), replicas = args
+    out = []
+    for r in replicas:
+        rng = replica_rng(config.seed, r)
+        velocities = np.asarray(config.initial.sample(rng, config.N, config.d), dtype=float)
+        state = MasterState(velocities)
+        readings = _drive(state, rate, collide, config.mixture, rng, config.t_end, observers)
+        out.append((r, readings, state if keep_final else None))
+    return out
 
-    `block_fn((common, indices))` must return a list of `(replica, *payload)`
-    tuples.  Payloads are reassembled in replica order, so the final result
-    does not depend on how many workers executed the blocks.
+
+def _parallel_map_replicas(common, n_replicas: int, workers: int) -> List[tuple]:
+    """Run `_replica_block` over replica indices, possibly in worker processes.
+
+    Payloads are reassembled in replica order, so the final result does not
+    depend on how many workers executed the blocks.
     """
     out: List = [None] * n_replicas
     w = max(1, int(workers))
     if w == 1 or n_replicas == 1:
-        for item in block_fn((common, list(range(n_replicas)))):
+        for item in _replica_block((common, list(range(n_replicas)))):
             out[item[0]] = item[1:]
     else:
         blocks = [list(range(i, n_replicas, w)) for i in range(w)]
         blocks = [b for b in blocks if b]
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            for result in pool.map(block_fn, [(common, b) for b in blocks]):
+            for result in pool.map(_replica_block, [(common, b) for b in blocks]):
                 for item in result:
                     out[item[0]] = item[1:]
     return out
@@ -491,21 +552,34 @@ def _parallel_map_replicas(block_fn, common, n_replicas: int, workers: int) -> L
 # ---------------------------------------------------------------------------
 
 
+def _replica_mean_stderr(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean over the leading replica axis and its standard error (0 for one replica)."""
+    n = values.shape[0]
+    mean = values.mean(axis=0)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=0, ddof=1) / math.sqrt(n)
+
+
 @dataclass
 class ObserverSeries:
-    """Per-time replica statistics for one observer's channels."""
+    """One observer's readings, shape (replicas, n_times, n_channels), in replica order."""
 
     times: Tuple[float, ...]
     names: Tuple[str, ...]
-    accumulators: List[ChannelAccumulator]
+    values: np.ndarray
+
+    def _channel(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"observer series: no channel named {name!r}") from None
 
     def mean(self, name: str) -> np.ndarray:
-        c = self.accumulators[0].channel(name)
-        return np.array([acc.mean()[c] for acc in self.accumulators])
+        return self.values.mean(axis=0)[:, self._channel(name)]
 
     def stderr(self, name: str) -> np.ndarray:
-        c = self.accumulators[0].channel(name)
-        return np.array([acc.stderr()[c] for acc in self.accumulators])
+        return _replica_mean_stderr(self.values)[1][:, self._channel(name)]
 
 
 @dataclass
@@ -513,7 +587,7 @@ class RunResult:
     """Merged output of an ensemble run.
 
     `series[i]` matches `observers[i]` passed to the driver.  `raw[i]`, kept
-    on request, holds the unreduced readings with shape
+    on request, is `series[i].values`: the unreduced readings with shape
     (replicas, n_times, n_channels); convergence diagnostics need them for
     replica-level products and covariances.  Rows flatten the series into
     (time, channel id, mean, stderr) records for tabular output.
@@ -531,55 +605,19 @@ class RunResult:
 
     def rows(self) -> Iterator[Tuple[float, str, float, float]]:
         for ser in self.series:
+            means, errs = _replica_mean_stderr(ser.values)
             for ti, t in enumerate(ser.times):
-                acc = ser.accumulators[ti]
-                means = acc.mean()
-                errs = acc.stderr()
                 for ci, name in enumerate(ser.names):
-                    yield (t, name, float(means[ci]), float(errs[ci]))
-
-    def series_for(self, name: str) -> ObserverSeries:
-        """The first series containing a channel with the given name."""
-        for ser in self.series:
-            if name in ser.names:
-                return ser
-        raise KeyError(f"run result: no observer channel named {name!r}")
+                    yield (t, name, float(means[ti, ci]), float(errs[ti, ci]))
 
 
-def _reduce_payloads(
-    observers: Sequence[Observer],
-    payloads: Sequence[tuple],
-    keep_final: bool,
-    keep_raw: bool,
-):
-    """Merge per-replica (readings, final) payloads in replica order."""
+def _reduce_payloads(observers: Sequence[Observer], payloads: Sequence[tuple]):
+    """Stack per-replica (readings, final) payloads in replica order."""
     series = tuple(
-        ObserverSeries(
-            times=obs.times,
-            names=obs.channel_names,
-            accumulators=[ChannelAccumulator(obs.channel_names) for _ in obs.times],
-        )
-        for obs in observers
+        ObserverSeries(obs.times, obs.channel_names, np.stack([p[0][oi] for p in payloads]))
+        for oi, obs in enumerate(observers)
     )
-    n_replicas = len(payloads)
-    raw = (
-        [
-            np.empty((n_replicas, len(obs.times), len(obs.channel_names)))
-            for obs in observers
-        ]
-        if keep_raw
-        else None
-    )
-    finals: Optional[List[MasterState]] = [] if keep_final else None
-    for r, (readings, final) in enumerate(payloads):
-        for oi, ser in enumerate(series):
-            for ti in range(len(ser.times)):
-                ser.accumulators[ti].add(readings[oi][ti])
-            if keep_raw:
-                raw[oi][r] = readings[oi]
-        if keep_final:
-            finals.append(final)
-    return series, finals, raw
+    return series, [p[1] for p in payloads]
 
 
 # ---------------------------------------------------------------------------
@@ -587,35 +625,45 @@ def _reduce_payloads(
 # ---------------------------------------------------------------------------
 
 
-def _validate_observer_times(observers: Sequence[Observer], t_end: float) -> None:
+def _run_replicas(
+    solver: str,
+    config: SimConfig,
+    rate: float,
+    collide: Callable[[np.ndarray, MixtureSpec, np.random.Generator], None],
+    observers: Sequence[Observer],
+    workers: int,
+    keep_final: bool,
+    keep_raw: bool,
+) -> RunResult:
+    """The replica driver behind `run` and `meanfield_run`.
+
+    Each replica draws its initial state and its events from its own
+    substream (seed, replica index) and jumps at total `rate`, applying
+    `collide` at each event.  `collide` must be a module-level function so
+    that worker processes can unpickle it.
+    """
+    observers = list(observers)
     for obs in observers:
         for t in obs.times:
-            if t > t_end:
+            if t > config.t_end:
                 raise ValueError(
-                    f"configuration error: observer time {t} outside [0, t_end={t_end}]"
+                    f"configuration error: observer time {t} outside [0, t_end={config.t_end}]"
                 )
-
-
-def _sim_block(args):
-    (config, observers, keep_final), replicas = args
-    out = []
-    for r in replicas:
-        rng = replica_rng(config.seed, r)
-        velocities = np.asarray(
-            config.initial.sample(rng, config.N, config.mixture.dim), dtype=float
-        )
-        state = MasterState(velocities, 0.0, 0)
-        mixture = config.mixture
-        readings = _drive(
-            state,
-            rate=float(config.N),
-            collide=lambda st, g: _collide(st, mixture, g),
-            rng=rng,
-            t_end=config.t_end,
-            observers=observers,
-        )
-        out.append((r, readings, state if keep_final else None))
-    return out
+    payloads = _parallel_map_replicas(
+        (config, rate, collide, observers, keep_final), config.replicas, workers
+    )
+    series, finals = _reduce_payloads(observers, payloads)
+    return RunResult(
+        solver=solver,
+        N=config.N,
+        d=config.d,
+        replicas=config.replicas,
+        seed=config.seed,
+        t_end=config.t_end,
+        series=series,
+        final_states=finals if keep_final else None,
+        raw=[ser.values for ser in series] if keep_raw else None,
+    )
 
 
 def run(
@@ -631,59 +679,6 @@ def run(
     a deterministic function of the configuration alone: worker count only
     changes wall-clock time.  Partial results are merged in replica order.
     """
-    observers = list(observers)
-    _validate_observer_times(observers, config.t_end)
-    payloads = _parallel_map_replicas(
-        _sim_block, (config, observers, keep_final), config.replicas, workers
+    return _run_replicas(
+        "kac", config, float(config.N), _kac_collide, observers, workers, keep_final, keep_raw
     )
-    series, finals, raw = _reduce_payloads(observers, payloads, keep_final, keep_raw)
-    return RunResult(
-        solver="kac",
-        N=config.N,
-        d=config.mixture.dim,
-        replicas=config.replicas,
-        seed=config.seed,
-        t_end=config.t_end,
-        series=series,
-        final_states=finals,
-        raw=raw,
-    )
-
-
-# ---------------------------------------------------------------------------
-# ensemble estimation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    """A replica-averaged observable estimate."""
-
-    mean: float
-    stderr: float
-    n_replicas: int
-    values: Tuple[float, ...]
-
-
-def estimate_observable(
-    samples: Sequence[MasterState],
-    spec: ObservableSpec,
-    mode: str = "first",
-    rng: Optional[np.random.Generator] = None,
-) -> EstimateResult:
-    """Estimate a marginal observable pairing from an ensemble of states.
-
-    One reading per replica (see `observable_on_state` for the slot modes),
-    averaged across replicas; the standard error is the replica-level sample
-    deviation of the mean (zero when there is a single replica).
-    """
-    states = list(samples)
-    if len(states) == 0:
-        raise ValueError("observable estimate: empty ensemble")
-    vals = np.array(
-        [observable_on_state(st.velocities, spec, mode, rng) for st in states]
-    )
-    n = vals.size
-    mean = float(vals.mean())
-    err = float(vals.std(ddof=1) / math.sqrt(n)) if n >= 2 else 0.0
-    return EstimateResult(mean=mean, stderr=err, n_replicas=n, values=tuple(vals))

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from kacmix.laws import KacToy, MixtureSpec, SymmetricK
-from kacmix.meanfield import MeanFieldEnsemble, meanfield_run, meanfield_step
+from kacmix.laws import CollisionLaw, KacToy, MixtureSpec, SymmetricK
+from kacmix.meanfield import _mf_collide, meanfield_run
 from kacmix.simulator import (
     MomentObserver,
     TwoPointInitial,
@@ -33,12 +33,58 @@ def m4_closed_form(m2_0, m4_0, t):
 
 def test_one_event_updates_exactly_one_particle():
     rng = replica_rng(0, 0)
-    ens = MeanFieldEnsemble(rng.standard_normal((20, 1)))
-    before = ens.particles.copy()
-    meanfield_step(ens, TRIPLE_MIX, rng)
-    changed = np.flatnonzero(np.any(ens.particles != before, axis=1))
+    particles = rng.standard_normal((20, 1))
+    before = particles.copy()
+    _mf_collide(particles, TRIPLE_MIX, rng)
+    changed = np.flatnonzero(np.any(particles != before, axis=1))
     assert changed.size == 1
-    assert ens.event_count == 1
+
+
+class _GroupRecorder(CollisionLaw):
+    """Order-3 law in d = 1 that records each group it is applied to and shifts it."""
+
+    def __init__(self):
+        self.groups = []
+
+    @property
+    def order(self):
+        return 3
+
+    @property
+    def dim(self):
+        return 1
+
+    def sample_angle(self, rng, size=None):
+        return 0.0
+
+    def apply(self, angle, group):
+        self.groups.append(group[:, 0].copy())
+        return group + 0.5
+
+
+def test_partners_exclude_jumper_and_are_uniform():
+    """(jumper, ordered partner pair) is uniform over all 4*3*2 tuples; the slot is uniform."""
+    recorder = _GroupRecorder()
+    mixture = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), recorder), (0.0, 0.0, 1.0))
+    rng = np.random.default_rng(27)
+    n, n_draws = 4, 12_000
+    tuples, slots = {}, [0, 0, 0]
+    for _ in range(n_draws):
+        particles = np.arange(n, dtype=float)[:, None]  # velocity = index
+        _mf_collide(particles, mixture, rng)
+        jumper = int(np.flatnonzero(particles[:, 0] != np.arange(n))[0])
+        group = [int(x) for x in recorder.groups[-1]]
+        slot = group.index(jumper)
+        partners = tuple(group[:slot] + group[slot + 1 :])
+        assert jumper not in partners and len(set(partners)) == 2
+        tuples[(jumper,) + partners] = tuples.get((jumper,) + partners, 0) + 1
+        slots[slot] += 1
+    assert len(tuples) == 24
+    expected = n_draws / 24
+    for key, c in tuples.items():
+        assert abs(c - expected) <= 5 * math.sqrt(expected), (key, c)
+    for c in slots:
+        assert abs(c - n_draws / 3) <= 5 * math.sqrt(n_draws / 3), slots
 
 
 def test_event_rate_is_n_alpha():

@@ -11,14 +11,19 @@ Unit tests run on reduced grids to stay fast; the acceptance suite exercises
 the default resolution.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from kacmix import picard
 from kacmix.picard import (
     ALPHA_TOY,
     GridDensity,
     gain_toy,
     gaussian_grid_density,
+    picard_evolve_toy,
     picard_solve_toy,
     uniform_grid_density,
 )
@@ -153,6 +158,35 @@ def test_kernels_differ_on_asymmetric_data():
     gc = gain_toy(f0, kernel="raised_cosine", n_theta=32)
     gap = np.max(np.abs(np.asarray(gc.values) - np.asarray(gu.values)))
     assert gap > 1e-3, gap
+
+
+# ---------------------------------------------------------------------------
+# horizons beyond the guard
+# ---------------------------------------------------------------------------
+
+
+def test_evolve_across_substeps_matches_closed_form():
+    """Two restarted solves of 0.1 follow the m4 relaxation from uniform data."""
+    f0 = uniform_grid_density(math.sqrt(3.0), n_v=97)
+    t = 0.2
+    f = picard_evolve_toy("uniform", f0, t_end=t, n_iter=6, n_theta=32, n_time=16)
+    target = m4_closed_form(f0.moment(2), f0.moment(4), t)
+    assert abs(f.moment(4) - target) <= 0.03, (f.moment(4), target)
+
+
+@pytest.mark.parametrize("t_end, n_solves", [(0.0, 0), (0.4, 4), (1.0, 10)])
+def test_evolve_substep_count(monkeypatch, t_end, n_solves):
+    """Sub-steps are counted robustly: no trailing solve over a rounding remainder."""
+    lengths = []
+
+    def counting_solve(kernel, f, t_end, **grid):
+        lengths.append(t_end)
+        return SimpleNamespace(density=f)
+
+    monkeypatch.setattr(picard, "picard_solve_toy", counting_solve)
+    f0 = small_gaussian(n_v=33)
+    assert picard_evolve_toy("uniform", f0, t_end) is f0
+    assert lengths == [0.1] * n_solves
 
 
 # ---------------------------------------------------------------------------

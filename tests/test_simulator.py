@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK
 from kacmix.observables import ObservableSpec, TanhFactor
 from kacmix.simulator import (
+    MOMENT_CHANNELS,
     DeterministicInitial,
     GaussianInitial,
     MasterState,
@@ -20,8 +21,8 @@ from kacmix.simulator import (
     TwoPointInitial,
     UniformBoxInitial,
     _ordered_distinct,
-    estimate_observable,
     initial_from_tag,
+    moment_channels,
     observable_on_state,
     replica_rng,
     run,
@@ -213,6 +214,70 @@ def test_final_state_time_is_t_end():
     assert result.final_states[0].time == 0.7
 
 
+def test_moment_channels_values():
+    velocities = np.array([[1.0, 0.0], [0.0, -1.0]])  # N=2, d=2
+    vals = moment_channels(velocities, events=7)
+    named = dict(zip(MOMENT_CHANNELS, vals))
+    coords = np.array([1.0, 0.0, 0.0, -1.0])
+    assert named["m1"] == pytest.approx(coords.mean())
+    assert named["m2"] == pytest.approx(np.mean(coords**2))
+    assert named["m3"] == pytest.approx(np.mean(coords**3))
+    assert named["m4"] == pytest.approx(np.mean(coords**4))
+    assert named["energy"] == pytest.approx(1.0)  # mean |v_i|^2 = (1 + 1)/2
+    # pair channels: sum v_i = (1, -1); |sum|^2 = 2; sum |v_i|^2 = 2
+    assert named["pair_vv"] == pytest.approx((2.0 - 2.0) / (2 * 1))
+    assert named["events"] == 7.0
+
+
+def test_moment_channels_single_particle_pairs_are_zero():
+    vals = moment_channels(np.array([[3.0]]), events=0)
+    named = dict(zip(MOMENT_CHANNELS, vals))
+    assert named["pair_vv"] == 0.0
+    assert named["pair_v2v2"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# replica statistics
+# ---------------------------------------------------------------------------
+
+
+def test_mean_and_stderr_match_numpy():
+    """Series statistics are the numpy mean and ddof=1 stderr over the replica axis."""
+    replicas = 7
+    cfg = SimConfig(N=20, mixture=TRIPLE_MIX, t_end=0.5, seed=14, replicas=replicas)
+    result = run(cfg, [MomentObserver([0.0, 0.25, 0.5])], keep_raw=True)
+    series, raw = result.series[0], result.raw[0]
+    assert raw.shape == (replicas, 3, len(MOMENT_CHANNELS))
+    for ci, name in enumerate(series.names):
+        assert np.array_equal(series.mean(name), raw.mean(0)[:, ci])
+        assert np.array_equal(
+            series.stderr(name), raw.std(0, ddof=1)[:, ci] / math.sqrt(replicas)
+        )
+
+
+def test_channel_lookup():
+    """Channels are read by name; an unknown name is a KeyError."""
+    cfg = SimConfig(N=20, mixture=TOY_MIX, t_end=0.5, seed=16, replicas=3)
+    result = run(cfg, [MomentObserver([0.5])], keep_raw=True)
+    series, raw = result.series[0], result.raw[0]
+    assert series.names == MOMENT_CHANNELS
+    m4 = MOMENT_CHANNELS.index("m4")
+    assert np.array_equal(series.mean("m4"), raw.mean(0)[:, m4])
+    with pytest.raises(KeyError, match="m6"):
+        series.mean("m6")
+    with pytest.raises(KeyError, match="m6"):
+        series.stderr("m6")
+
+
+def test_single_replica_has_zero_stderr():
+    cfg = SimConfig(N=20, mixture=TOY_MIX, t_end=0.5, seed=15, replicas=1)
+    result = run(cfg, [MomentObserver([0.0, 0.5])])
+    series = result.series[0]
+    for name in series.names:
+        assert np.array_equal(series.stderr(name), [0.0, 0.0])
+    assert all(row[3] == 0.0 for row in result.rows())
+
+
 # ---------------------------------------------------------------------------
 # marginal estimators
 # ---------------------------------------------------------------------------
@@ -241,21 +306,19 @@ def test_estimator_modes_agree_for_exchangeable_states():
     cfg = SimConfig(N=30, mixture=TOY_MIX, t_end=0.5, seed=12, replicas=400)
     result = run(cfg, [MomentObserver([0.5])], keep_final=True)
     spec = ObservableSpec((TanhFactor(), TanhFactor()))
-    first = estimate_observable(result.final_states, spec, mode="first")
-    rand = estimate_observable(
-        result.final_states, spec, mode="random", rng=np.random.default_rng(13)
-    )
-    alls = estimate_observable(result.final_states, spec, mode="all")
-    assert abs(first.mean - alls.mean) <= 3 * (first.stderr + alls.stderr)
-    assert abs(rand.mean - alls.mean) <= 3 * (rand.stderr + alls.stderr)
-    assert alls.stderr < first.stderr  # averaging over slots reduces noise
 
+    def estimate(mode, rng=None):
+        vals = np.array(
+            [observable_on_state(st.velocities, spec, mode, rng) for st in result.final_states]
+        )
+        return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
-def test_estimate_observable_single_replica():
-    state = MasterState(np.array([[0.3], [0.9]]))
-    est = estimate_observable([state], ObservableSpec((TanhFactor(),)), mode="first")
-    assert est.mean == pytest.approx(math.tanh(0.3))
-    assert est.stderr == 0.0 and est.n_replicas == 1
+    first_mean, first_se = estimate("first")
+    rand_mean, rand_se = estimate("random", np.random.default_rng(13))
+    all_mean, all_se = estimate("all")
+    assert abs(first_mean - all_mean) <= 3 * (first_se + all_se)
+    assert abs(rand_mean - all_mean) <= 3 * (rand_se + all_se)
+    assert all_se < first_se  # averaging over slots reduces noise
 
 
 def test_observable_order_larger_than_state_rejected():
