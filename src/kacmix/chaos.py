@@ -18,7 +18,7 @@ noise the fitted slope flattens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +33,7 @@ from .simulator import (
     ObservableObserver,
     SimConfig,
     _replica_mean_stderr,
+    engine_metrics,
     run,
 )
 
@@ -99,11 +100,14 @@ class SlopeFit:
 
 @dataclass
 class ChaosReport:
+    """The sweep's cells and slope fits; `engine` holds `engine_metrics` of its runs."""
+
     rows: Tuple[ChaosRow, ...]
     slopes: Tuple[SlopeFit, ...]
     seed: int
     n_ref: int
     ref_replicas: int
+    engine: dict = field(default_factory=dict)
 
     @property
     def pass_fraction(self) -> float:
@@ -225,6 +229,7 @@ def run_chaos_sweep(
     all_specs = [specs[(fi, s)] for fi in range(len(factors)) for s in s_vals]
     rows: List[ChaosRow] = []
     deltas: dict = {}
+    runs = [ref]
     for gi, n in enumerate(n_grid):
         config = SimConfig(
             N=n,
@@ -235,6 +240,7 @@ def run_chaos_sweep(
             initial=initial,
         )
         result = run(config, [ObservableObserver(times, all_specs, mode=mode)], workers=workers)
+        runs.append(result)
         ser = result.series[0]
         for fi in range(len(factors)):
             for s in s_vals:
@@ -273,6 +279,7 @@ def run_chaos_sweep(
         seed=seed,
         n_ref=n_ref,
         ref_replicas=budget.ref_replicas,
+        engine=engine_metrics(runs),
     )
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,6 +55,7 @@ from .simulator import (
     ObservableObserver,
     SimConfig,
     UniformBoxInitial,
+    engine_metrics,
     replica_rng,
     run,
 )
@@ -135,6 +137,7 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
         seed=cfg.seed,
         config=cfg.raw,
         row_counts={"simulate.csv": len(rows)},
+        metrics={"workers": workers, "solvers": engine_metrics([result])},
     )
     write_csv(out / "simulate.csv", run_result_header(), rows)
     return 0
@@ -171,6 +174,7 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
     initial = cfg.initial if cfg.initial is not None else GaussianInitial()
     rows: List[tuple] = []
     density = None
+    solvers: dict = {}
 
     if mf.solver in ("meanfield", "both"):
         result = meanfield_run(
@@ -184,9 +188,11 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
             workers=workers,
         )
         rows.extend(run_result_rows(result, include_solver=True))
+        solvers.update(engine_metrics([result]))
 
     if mf.solver in ("picard", "both"):
         kernel = _pure_toy_kernel(cfg)
+        start = time.perf_counter()
         density = picard_evolve_toy(
             kernel,
             _picard_initial(cfg, mf.grid),
@@ -195,6 +201,7 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
             n_theta=mf.grid.n_theta,
             n_time=mf.grid.n_time,
         )
+        solvers["picard"] = {"engine_s": time.perf_counter() - start}
         for name, value in (
             ("mass", density.mass()),
             ("m2", density.moment(2)),
@@ -213,6 +220,7 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
         seed=cfg.seed,
         config=cfg.raw,
         row_counts=counts,
+        metrics={"workers": workers, "solvers": solvers},
     )
     write_csv(out / "boltzmann.csv", run_result_header(include_solver=True), rows)
     if density is not None:
@@ -277,6 +285,7 @@ def cmd_chaos(cfg: RunConfig, workers: int) -> int:
         seed=cfg.seed,
         config=cfg.raw,
         row_counts={"chaos.csv": len(report.rows), "chaos_summary.json": 1},
+        metrics={"workers": workers, "solvers": report.engine},
     )
     write_chaos_csv(out / "chaos.csv", report)
     write_json(out / "chaos_summary.json", chaos_summary(report))

@@ -54,13 +54,11 @@ def _unit_vectors(rng: np.random.Generator, n: int, size) -> np.ndarray:
     """
     batch = 1 if size is None else int(size)
     out = rng.standard_normal((batch, n))
-    norms = np.linalg.norm(out, axis=1)
-    while True:
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    while (norms < _SPHERE_REDRAW_EPS).any():
         bad = np.flatnonzero(norms < _SPHERE_REDRAW_EPS)
-        if bad.size == 0:
-            break
         out[bad] = rng.standard_normal((bad.size, n))
-        norms[bad] = np.linalg.norm(out[bad], axis=1)
+        norms[bad] = np.sqrt(np.einsum("ij,ij->i", out[bad], out[bad]))
     out /= norms[:, None]
     return out[0] if size is None else out
 
@@ -210,7 +208,7 @@ class KacToy(CollisionLaw):
         v1, v2 = g[..., 0, 0], g[..., 1, 0]
         out = np.empty_like(g)
         out[..., 0, 0] = c * v1 + s * v2
-        out[..., 1, 0] = -s * v1 + c * v2
+        out[..., 1, 0] = c * v2 - s * v1
         return out
 
     def apply_inverse(self, angle, group):
@@ -259,7 +257,7 @@ class SymmetricK(CollisionLaw):
     def apply(self, angle, group):
         g = self._check_group(group)
         w = np.asarray(angle, dtype=np.float64)
-        proj = np.sum(w * g, axis=(-2, -1))[..., None, None]
+        proj = (w * g).sum(axis=(-2, -1), keepdims=True)
         return g - 2.0 * proj * w
 
 
@@ -331,22 +329,16 @@ class MixtureSpec:
             raise ValueError("mixture: weights must be nonnegative")
         if abs(sum(beta) - 1.0) > 1e-12:
             raise ValueError(f"mixture: weights sum to {sum(beta)!r}, expected 1")
-        cum = []
-        acc = 0.0
-        for b in beta:
-            acc += b
-            cum.append(acc)
-        cum[-1] = 1.0  # guard the top edge against rounding
-        object.__setattr__(self, "_cum_beta", tuple(cum))
+        # Order K takes the uniforms in [edges[K-1], edges[K]); edges[0] = 0
+        # and the top edge is exactly 1, guarding it against rounding.
+        cum = np.cumsum((0.0,) + beta)
+        cum[-1] = 1.0
+        object.__setattr__(self, "_cum_beta", cum)
         alpha = sum(b * (k + 1) for k, b in enumerate(beta))
         object.__setattr__(self, "_alpha", alpha)
-        cum_sb = []
-        acc = 0.0
-        for k, b in enumerate(beta):
-            acc += b * (k + 1) / alpha
-            cum_sb.append(acc)
+        cum_sb = np.cumsum([0.0] + [b * (k + 1) / alpha for k, b in enumerate(beta)])
         cum_sb[-1] = 1.0
-        object.__setattr__(self, "_cum_sizebiased", tuple(cum_sb))
+        object.__setattr__(self, "_cum_sizebiased", cum_sb)
 
     @property
     def m(self) -> int:
@@ -361,24 +353,22 @@ class MixtureSpec:
     def alpha(self) -> float:
         return self._alpha
 
-    def order_from_uniform(self, u: float) -> int:
-        """Map a uniform [0,1) draw to a collision order K in 1..M."""
-        for pos, edge in enumerate(self._cum_beta):
-            if u < edge:
-                return pos + 1
-        return len(self.laws)
+    def order_from_uniform(self, u):
+        """Map uniform [0,1) draws (a scalar or an array) to orders K in 1..M.
 
-    def order_from_uniform_sizebiased(self, u: float) -> int:
-        """Map a uniform [0,1) draw to an order K with probability beta_K*K/alpha.
+        The count of edges at or below u is the order; zero-weight orders
+        have empty intervals and never occur.
+        """
+        return self._cum_beta.searchsorted(u, side="right")
+
+    def order_from_uniform_sizebiased(self, u):
+        """Map uniform [0,1) draws to orders K with probability beta_K*K/alpha.
 
         This is the order distribution seen from a tagged particle: order-K
         events involve K particles, so each particle's collision clock carries
         the rate-weighted mixture that the mean-field sampler uses.
         """
-        for pos, edge in enumerate(self._cum_sizebiased):
-            if u < edge:
-                return pos + 1
-        return len(self.laws)
+        return self._cum_sizebiased.searchsorted(u, side="right")
 
 
 # ---------------------------------------------------------------------------

@@ -13,34 +13,24 @@ correlations enter only at O(1/n).
 
 Isometry of the collision laws plus the uniform slot choice make the
 ensemble's mean energy a martingale, which is the main drift diagnostic.
+
+The sampler runs on the simulator's event-tape engine: a jump is drawn as a
+uniform ordered tuple of distinct particles plus a uniform slot, the
+jumper being the particle in that slot, and the batches treat the jumper
+and its partners alike as touched, so batching never reorders a read of a
+partner past a write to it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .laws import MixtureSpec
-from .simulator import InitialLaw, Observer, RunResult, SimConfig, _ordered_distinct, _run_replicas
+from .simulator import InitialLaw, Observer, RunResult, SimConfig, _run_replicas
 
 __all__ = [
     "meanfield_run",
 ]
-
-
-def _mf_collide(particles: np.ndarray, mixture: MixtureSpec, rng: np.random.Generator) -> None:
-    """One mean-field jump: resample a single particle's velocity in place."""
-    n = particles.shape[0]
-    jumper = int(rng.integers(0, n))
-    k = mixture.order_from_uniform_sizebiased(rng.random())
-    law = mixture.laws[k - 1]
-    slot = int(rng.integers(0, k))
-    group_idx = _ordered_distinct(rng, n, k, [jumper])
-    group_idx.insert(slot, group_idx.pop(0))  # move the jumper from the front to its slot
-    omega = law.sample_angle(rng)
-    out = law.apply(omega, particles[group_idx])
-    particles[jumper] = out[slot]
 
 
 def meanfield_run(
@@ -69,5 +59,5 @@ def meanfield_run(
     )
     rate = n * mixture.alpha
     return _run_replicas(
-        "meanfield", config, rate, _mf_collide, observers, workers, keep_final, keep_raw
+        "meanfield", config, rate, True, observers, workers, keep_final, keep_raw
     )

@@ -33,7 +33,6 @@ __all__ = [
     "GridDensity",
     "gaussian_grid_density",
     "uniform_grid_density",
-    "gain_toy",
     "picard_solve_toy",
     "picard_evolve_toy",
     "PicardResult",
@@ -134,20 +133,6 @@ def _resolve_kernel(kernel: Union[str, Callable[[np.ndarray], np.ndarray]]):
         ) from None
 
 
-def _interp_uniform(values: np.ndarray, u: np.ndarray, n_v: int) -> np.ndarray:
-    """Linear interpolation of grid values at fractional indices u.
-
-    Points outside [0, n_v - 1] contribute zero (the density is treated as
-    supported inside the box).  Exploits the uniform grid: no search needed.
-    """
-    inside = (u >= 0.0) & (u <= n_v - 1.0)
-    uc = np.clip(u, 0.0, n_v - 1.0)
-    i = np.minimum(uc.astype(np.intp), n_v - 2)
-    frac = uc - i
-    out = (1.0 - frac) * values[..., i] + frac * values[..., i + 1]
-    return np.where(inside, out, 0.0)
-
-
 class _GainQuadrature:
     """Precomputed angle nodes and index geometry for the toy gain term.
 
@@ -225,20 +210,6 @@ class _GainQuadrature:
                 b += d
                 out[lo:hi] += wq * np.einsum("vwm,vwm->vm", a, b)
         return 2.0 * self.h * out.T
-
-    def gain(self, f_values: np.ndarray) -> np.ndarray:
-        """Qplus[f, f] on the grid for one value vector (shape (n_v,))."""
-        return self.gain_batch(np.asarray(f_values, dtype=float)[None, :])[0]
-
-
-def gain_toy(
-    f0: GridDensity,
-    kernel: Union[str, Callable] = "uniform",
-    n_theta: int = 64,
-) -> GridDensity:
-    """The gain operator applied once to a grid density (diagnostic helper)."""
-    quad = _GainQuadrature(f0.L, f0.n_v, n_theta, _resolve_kernel(kernel))
-    return GridDensity(L=f0.L, values=tuple(quad.gain(f0.value_array())))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ significant digits so that a byte-level diff of two result files is a valid
 reproducibility check; CSV rows end in CRLF per RFC 4180.  The manifest is
 written before any result file so no result exists without its provenance,
 and reruns with the same config and seed produce identical manifests except
-for the wall-clock stamp.
+for the wall-clock stamp and the timings and worker count in the metrics
+block.
 """
 
 from __future__ import annotations
@@ -179,9 +180,10 @@ class RunManifest:
     config: dict
     row_counts: Dict[str, int]
     wall_clock_utc: str
+    metrics: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "command": self.command,
             "version": self.version,
             "seed": self.seed,
@@ -189,6 +191,9 @@ class RunManifest:
             "row_counts": dict(self.row_counts),
             "wall_clock_utc": self.wall_clock_utc,
         }
+        if self.metrics is not None:
+            out["metrics"] = self.metrics
+        return out
 
 
 def write_manifest(
@@ -199,7 +204,9 @@ def write_manifest(
     config: dict,
     row_counts: Dict[str, int],
     now: Optional[str] = None,
+    metrics: Optional[dict] = None,
 ) -> RunManifest:
+    """Write the provenance record; `metrics` (what the run did and cost) is optional."""
     manifest = RunManifest(
         command=command,
         version=version,
@@ -207,6 +214,7 @@ def write_manifest(
         config=config,
         row_counts=dict(row_counts),
         wall_clock_utc=datetime.now(timezone.utc).isoformat() if now is None else now,
+        metrics=metrics,
     )
     write_json(Path(path), manifest.to_dict())
     return manifest

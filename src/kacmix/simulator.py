@@ -5,8 +5,12 @@ single exponential clock of total rate N.  At each ring an order K is drawn
 from the mixture weights, an ordered K-tuple of distinct particle indices is
 drawn uniformly, a scattering parameter is drawn from the law's kernel, and
 the selected velocities are replaced by their transformed values.  Because
-the clock rate is constant, the simulation is exact (no thinning or time
-discretization is involved).
+the clock rate is constant and the event randomness does not depend on the
+state, events are drawn ahead of time in blocks (event tapes) and applied in
+batches of events on disjoint particles; the result is that of applying the
+events one by one, so the simulation is exact (no thinning or time
+discretization is involved).  The mean-field sampler runs on the same
+engine.
 
 Replicas are independent and reproducible: replica r uses a counter-based
 generator seeded from (seed, spawn_key=(r,)), so results are identical no
@@ -18,9 +22,10 @@ state after the last event at or before tau.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +50,7 @@ __all__ = [
     "run",
     "observable_on_state",
     "replica_rng",
+    "engine_metrics",
 ]
 
 ESTIMATOR_MODES = ("first", "random", "all")
@@ -229,36 +235,157 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# single event
+# event tapes
 # ---------------------------------------------------------------------------
+#
+# The clock has a constant rate and each event's order, indices and angle
+# are drawn independently of the state, so a block of events can be drawn
+# ahead of time as arrays (a tape) and applied afterwards.  Each event is
+# put one layer above the latest earlier event that touches one of its
+# particles, and every (layer, order) group is applied as one batched
+# gather, `law.apply` and scatter.  Events of one layer touch disjoint
+# particles, so they commute, and each event still follows every earlier
+# event it shares a particle with: the result equals sequential application
+# of the same tape bit for bit.
 
 
-def _ordered_distinct(
-    rng: np.random.Generator, n: int, k: int, picked: Optional[List[int]] = None
-) -> List[int]:
-    """A uniformly random ordered k-tuple of distinct indices in range(n).
+def _repeated(rows: np.ndarray) -> np.ndarray:
+    """Positions of the rows that hold some index twice."""
+    if rows.shape[0] <= 16:  # a few rows: cheaper in Python than numpy's per-call cost
+        bad = [i for i, row in enumerate(rows.tolist()) if len(set(row)) < len(row)]
+        return np.array(bad, dtype=np.intp)
+    s = np.sort(rows, axis=1)
+    return np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
 
-    Rejection sampling; for the k << n regime of collision draws this costs
-    about k scalar draws.  The result is uniform over all n!/(n-k)! ordered
-    tuples, which is the index distribution of the jump process.  Indices
-    already in `picked` open the tuple and are never drawn again, so the
-    remaining entries are uniform over tuples that avoid them.
+
+def _uniform_indices(rng: np.random.Generator, n: int, shape) -> np.ndarray:
+    """Uniform integers in range(n) as floor(u * n) of 53-bit uniforms u.
+
+    The relative bias is below n * 2**-52, far under any Monte-Carlo
+    resolution, and u * n rounds below n, so every index is in range.  One
+    `rng.random` call costs a tenth of `rng.integers` on small arrays.
     """
-    picked = [] if picked is None else picked
-    while len(picked) < k:
-        c = int(rng.integers(0, n))
-        if c not in picked:
-            picked.append(c)
-    return picked
+    return (rng.random(shape) * n).astype(np.intp)
 
 
-def _kac_collide(velocities: np.ndarray, mixture: MixtureSpec, rng: np.random.Generator) -> None:
-    """Apply one N-particle collision event in place (order, indices, angle, transform)."""
-    k = mixture.order_from_uniform(rng.random())
-    law = mixture.laws[k - 1]
-    idx = _ordered_distinct(rng, velocities.shape[0], k)
-    omega = law.sample_angle(rng)
-    velocities[idx] = law.apply(omega, velocities[idx])
+def _distinct_rows(rng: np.random.Generator, n: int, count: int, k: int) -> np.ndarray:
+    """`count` independent uniform ordered k-tuples of distinct indices in range(n).
+
+    Rows with a repeated index are redrawn whole until none is left, so each
+    row is uniform over the n!/(n-k)! ordered tuples.
+    """
+    rows = _uniform_indices(rng, n, (count, k))
+    if k > 1:
+        bad = _repeated(rows)
+        while bad.size:
+            rows[bad] = _uniform_indices(rng, n, (bad.size, k))
+            bad = bad[_repeated(rows[bad])]
+    return rows
+
+
+# A tape is a list with one entry per collision order present on it:
+# (law, pos, idx, angles, slots).  `pos` are the tape positions of the
+# order's events, `idx` their (count, k) particle indices and `angles` their
+# scattering parameters.  On a mean-field tape `slots` holds each jumper's
+# slot: the jumper is idx[e, slots[e]], the rest of the row are its
+# partners, and only the jumper moves.  On an N-particle tape it is None.
+
+
+def _draw_tape(
+    rng: np.random.Generator, mixture: MixtureSpec, n: int, count: int, meanfield: bool
+) -> list:
+    """Draw `count` events on n particles: orders, then indices and angles per order.
+
+    N-particle events have order K with probability beta_K; mean-field
+    events with the size-biased probability beta_K K / alpha, plus a uniform
+    slot for the jumper, which makes (jumper, ordered partners) uniform.
+    """
+    u = rng.random(count)
+    if meanfield:
+        orders = mixture.order_from_uniform_sizebiased(u)
+    else:
+        orders = mixture.order_from_uniform(u)
+    if count == 1:  # one event (`step`): nothing to sort
+        positions = [(int(orders[0]), np.zeros(1, dtype=np.intp))]
+    else:
+        by_order = orders.argsort(kind="stable")
+        ends = np.cumsum(np.bincount(orders, minlength=mixture.m + 1)).tolist()
+        positions = [(k, by_order[ends[k - 1] : ends[k]]) for k in range(1, mixture.m + 1)]
+    tape = []
+    for k, pos in positions:
+        size = pos.size
+        if size == 0:
+            continue
+        law = mixture.laws[k - 1]
+        idx = _distinct_rows(rng, n, size, k)
+        angles = law.sample_angle(rng, size=size)
+        slots = _uniform_indices(rng, k, size) if meanfield else None
+        tape.append((law, pos, idx, angles, slots))
+    return tape
+
+
+def _layers(tape: list, count: int, m: int) -> np.ndarray:
+    """Layer of each event: one above the latest earlier event sharing a particle.
+
+    Each event's particles (for mean-field events the jumper and its
+    partners) are padded to width m.  Sorting the (event, particle) entries
+    by particle gives each entry's predecessor, the previous event on the
+    same particle; layers are then the longest predecessor chains, found by
+    relaxing all events at once until nothing changes (one pass per layer).
+    """
+    touched = np.full((count, m), -1, dtype=np.intp)
+    for _, pos, idx, _, _ in tape:
+        touched[pos, : idx.shape[1]] = idx
+    flat = touched.ravel()
+    by_particle = flat.argsort(kind="stable")
+    p = flat[by_particle]
+    repeat = np.flatnonzero((p[1:] == p[:-1]) & (p[1:] >= 0)) + 1
+    prev = np.full(flat.size, count, dtype=np.intp)  # `count` points at layer -1
+    prev[by_particle[repeat]] = by_particle[repeat - 1] // m
+    prev = prev.reshape(count, m)
+    layer = np.zeros(count + 1, dtype=np.intp)
+    layer[count] = -1
+    while True:
+        new = layer[prev].max(axis=1) + 1
+        if np.array_equal(new, layer[:count]):
+            return new
+        layer[:count] = new
+
+
+def _apply_events(velocities: np.ndarray, order_events: tuple, sel=None) -> None:
+    """Apply the selected events (default: all) of one order at once.
+
+    The selected events must touch disjoint particles.
+    """
+    law, _, idx, angles, slots = order_events
+    if sel is not None:
+        idx, angles = idx[sel], angles[sel]
+        slots = None if slots is None else slots[sel]
+    out = law.apply(angles, velocities[idx])
+    if slots is None:
+        velocities[idx] = out
+    else:
+        hit = np.arange(idx.shape[0])
+        velocities[idx[hit, slots]] = out[hit, slots]
+
+
+def _apply_tape(velocities: np.ndarray, tape: list, count: int, m: int) -> None:
+    """Apply a tape of `count` events in place, one batch per (layer, order)."""
+    layer = _layers(tape, count, m) if count > 1 else None
+    depth = 1 if layer is None else int(layer.max()) + 1
+    if depth == 1:
+        for order_events in tape:
+            _apply_events(velocities, order_events)
+        return
+    plans = []
+    for order_events in tape:
+        lay = layer[order_events[1]]
+        by_layer = lay.argsort(kind="stable")
+        plans.append((order_events, by_layer, lay[by_layer].searchsorted(np.arange(depth + 1))))
+    for level in range(depth):
+        for order_events, by_layer, starts in plans:
+            if starts[level] < starts[level + 1]:
+                _apply_events(velocities, order_events, by_layer[starts[level] : starts[level + 1]])
 
 
 def step(
@@ -269,17 +396,17 @@ def step(
 ) -> MasterState:
     """Advance the state by exactly one jump event.
 
-    Draws the Exp(N) waiting time, the collision order (probability beta_K),
-    a uniform ordered tuple of distinct indices, and the scattering
-    parameter, then applies the law at those indices.  Returns the advanced
-    state (the same object when inplace).
+    Draws the Exp(N) waiting time, then a one-event tape (collision order
+    with probability beta_K, a uniform ordered tuple of distinct indices and
+    the scattering parameter) and applies it.  Returns the advanced state
+    (the same object when inplace).
     """
     st = state if inplace else state.copy()
     n = st.velocities.shape[0]
     if n < mixture.m:
         raise ValueError(f"step: N >= M required (M={mixture.m}, got N={n})")
     st.time += rng.exponential(1.0 / n)
-    _kac_collide(st.velocities, mixture, rng)
+    _apply_tape(st.velocities, _draw_tape(rng, mixture, n, 1, meanfield=False), 1, mixture.m)
     st.collision_count += 1
     return st
 
@@ -457,7 +584,7 @@ def observable_on_state(
     if mode == "random":
         if rng is None:
             raise ValueError("observable reading: mode 'random' needs a generator")
-        idx = _ordered_distinct(rng, n, spec.s)
+        idx = _distinct_rows(rng, n, 1, spec.s)[0]
         return float(spec.evaluate(velocities[idx]))
     if mode == "all":
         return _all_slots_average(spec, velocities)
@@ -469,23 +596,36 @@ def observable_on_state(
 # ---------------------------------------------------------------------------
 
 
+def _block_size(n: int) -> int:
+    """Events per tape on n particles: n/2, at least 32.
+
+    A function of the system size only, so the tapes, and with them the
+    output, do not depend on how replicas are spread over workers.  Tape
+    memory stays O(n); the layer count, hence the number of batches per
+    tape, grows with the events per particle.
+    """
+    return max(32, n // 2)
+
+
 def _drive(
     state: MasterState,
     rate: float,
-    collide: Callable[[np.ndarray, MixtureSpec, np.random.Generator], None],
+    meanfield: bool,
     mixture: MixtureSpec,
     rng: np.random.Generator,
     t_end: float,
     observers: Sequence[Observer],
-) -> List[np.ndarray]:
+) -> Tuple[List[np.ndarray], np.ndarray]:
     """Evolve one replica to the horizon, sampling observers on the way.
 
-    The jump chain has constant total rate, so waiting times are iid
-    exponentials.  A sample at time tau reads the state after the last event
-    at or before tau (right continuity): all samples strictly before the next
-    event time are flushed before that event is applied, which also handles
-    tau = 0 and tau = t_end.  `collide` applies one event to the velocities
-    in place.
+    The observer times and t_end cut [0, t_end] into intervals.  The number
+    of events in each interval is Poisson(rate * length), independent of the
+    other intervals, and given the counts the events are iid, so each
+    interval draws its count and then its events as tapes of at most
+    `_block_size` events; no event time is needed.  A sample at time tau
+    reads the state after every event of the intervals ending at or before
+    tau (right continuity).  Returns the readings and the number of events
+    applied of each order.
     """
     schedule = sorted(
         (t, oi, ti)
@@ -493,36 +633,43 @@ def _drive(
         for ti, t in enumerate(obs.times)
     )
     readings = [np.empty((len(obs.times), len(obs.channel_names))) for obs in observers]
+    velocities = state.velocities
+    n, m = velocities.shape[0], mixture.m
+    block = _block_size(n)
+    events = np.zeros(m, dtype=np.int64)
     ptr = 0
-    n_sched = len(schedule)
-    mean_wait = 1.0 / rate
-    while True:
-        t_next = state.time + rng.exponential(mean_wait)
-        while ptr < n_sched and schedule[ptr][0] < t_next:
+    t = 0.0
+    for cut in sorted({entry[0] for entry in schedule} | {t_end}):
+        todo = int(rng.poisson(rate * (cut - t))) if cut > t else 0
+        while todo > 0:
+            count = min(todo, block)
+            tape = _draw_tape(rng, mixture, n, count, meanfield)
+            _apply_tape(velocities, tape, count, m)
+            for law, pos, _, _, _ in tape:
+                events[law.order - 1] += pos.size
+            todo -= count
+        state.collision_count = int(events.sum())
+        t = cut
+        while ptr < len(schedule) and schedule[ptr][0] <= t:
             _, oi, ti = schedule[ptr]
-            readings[oi][ti] = observers[oi].collect(
-                state.velocities, state.collision_count, rng
-            )
+            readings[oi][ti] = observers[oi].collect(velocities, state.collision_count, rng)
             ptr += 1
-        if t_next > t_end:
-            break
-        collide(state.velocities, mixture, rng)
-        state.collision_count += 1
-        state.time = t_next
     state.time = t_end
-    return readings
+    return readings, events
 
 
 def _replica_block(args) -> List[tuple]:
-    """Run one block of replicas: a `(replica, readings, final state)` per replica."""
-    (config, rate, collide, observers, keep_final), replicas = args
+    """Run one block of replicas: `(replica, readings, events by order, final state)` each."""
+    (config, rate, meanfield, observers, keep_final), replicas = args
     out = []
     for r in replicas:
         rng = replica_rng(config.seed, r)
         velocities = np.asarray(config.initial.sample(rng, config.N, config.d), dtype=float)
         state = MasterState(velocities)
-        readings = _drive(state, rate, collide, config.mixture, rng, config.t_end, observers)
-        out.append((r, readings, state if keep_final else None))
+        readings, events = _drive(
+            state, rate, meanfield, config.mixture, rng, config.t_end, observers
+        )
+        out.append((r, readings, events, state if keep_final else None))
     return out
 
 
@@ -589,8 +736,10 @@ class RunResult:
     `series[i]` matches `observers[i]` passed to the driver.  `raw[i]`, kept
     on request, is `series[i].values`: the unreduced readings with shape
     (replicas, n_times, n_channels); convergence diagnostics need them for
-    replica-level products and covariances.  Rows flatten the series into
-    (time, channel id, mean, stderr) records for tabular output.
+    replica-level products and covariances.  `events_by_order[K-1]` counts
+    the order-K events applied over all replicas, and `engine_s` is the wall
+    time of the replica runs.  Rows flatten the series into (time, channel
+    id, mean, stderr) records for tabular output.
     """
 
     solver: str
@@ -600,6 +749,8 @@ class RunResult:
     seed: int
     t_end: float
     series: Tuple[ObserverSeries, ...]
+    events_by_order: Tuple[int, ...] = ()
+    engine_s: float = 0.0
     final_states: Optional[List[MasterState]] = None
     raw: Optional[List[np.ndarray]] = None
 
@@ -612,12 +763,30 @@ class RunResult:
 
 
 def _reduce_payloads(observers: Sequence[Observer], payloads: Sequence[tuple]):
-    """Stack per-replica (readings, final) payloads in replica order."""
+    """Stack per-replica (readings, events, final) payloads in replica order."""
     series = tuple(
         ObserverSeries(obs.times, obs.channel_names, np.stack([p[0][oi] for p in payloads]))
         for oi, obs in enumerate(observers)
     )
-    return series, [p[1] for p in payloads]
+    events = np.sum([p[1] for p in payloads], axis=0)
+    return series, tuple(int(e) for e in events), [p[2] for p in payloads]
+
+
+def engine_metrics(results: Sequence[RunResult]) -> dict:
+    """Events applied per solver and order, engine seconds and events/s.
+
+    Runs of the same solver are summed; orders are keyed "1".."M".
+    """
+    out: dict = {}
+    for res in results:
+        entry = out.setdefault(res.solver, {"events_by_order": {}, "engine_s": 0.0})
+        for k, count in enumerate(res.events_by_order, start=1):
+            entry["events_by_order"][str(k)] = entry["events_by_order"].get(str(k), 0) + count
+        entry["engine_s"] += res.engine_s
+    for entry in out.values():
+        entry["events"] = sum(entry["events_by_order"].values())
+        entry["events_per_s"] = entry["events"] / entry["engine_s"] if entry["engine_s"] > 0 else 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +798,7 @@ def _run_replicas(
     solver: str,
     config: SimConfig,
     rate: float,
-    collide: Callable[[np.ndarray, MixtureSpec, np.random.Generator], None],
+    meanfield: bool,
     observers: Sequence[Observer],
     workers: int,
     keep_final: bool,
@@ -638,9 +807,8 @@ def _run_replicas(
     """The replica driver behind `run` and `meanfield_run`.
 
     Each replica draws its initial state and its events from its own
-    substream (seed, replica index) and jumps at total `rate`, applying
-    `collide` at each event.  `collide` must be a module-level function so
-    that worker processes can unpickle it.
+    substream (seed, replica index) and jumps at total `rate`, with
+    N-particle events or, when `meanfield`, mean-field events.
     """
     observers = list(observers)
     for obs in observers:
@@ -649,10 +817,12 @@ def _run_replicas(
                 raise ValueError(
                     f"configuration error: observer time {t} outside [0, t_end={config.t_end}]"
                 )
+    start = time.perf_counter()
     payloads = _parallel_map_replicas(
-        (config, rate, collide, observers, keep_final), config.replicas, workers
+        (config, rate, meanfield, observers, keep_final), config.replicas, workers
     )
-    series, finals = _reduce_payloads(observers, payloads)
+    engine_s = time.perf_counter() - start
+    series, events, finals = _reduce_payloads(observers, payloads)
     return RunResult(
         solver=solver,
         N=config.N,
@@ -661,6 +831,8 @@ def _run_replicas(
         seed=config.seed,
         t_end=config.t_end,
         series=series,
+        events_by_order=events,
+        engine_s=engine_s,
         final_states=finals if keep_final else None,
         raw=[ser.values for ser in series] if keep_raw else None,
     )
@@ -680,5 +852,5 @@ def run(
     changes wall-clock time.  Partial results are merged in replica order.
     """
     return _run_replicas(
-        "kac", config, float(config.N), _kac_collide, observers, workers, keep_final, keep_raw
+        "kac", config, float(config.N), False, observers, workers, keep_final, keep_raw
     )

@@ -48,6 +48,8 @@ from kacmix.simulator import (
     step,
 )
 
+pytestmark = pytest.mark.acceptance
+
 TOY_MIXTURE = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.0, 1.0))
 
 # first-run CSV bytes of criteria 3, 9, 10, consumed by criterion 11

@@ -71,11 +71,54 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
-    # only the clock and the deliberately different output_dir may vary
+    # only the clock, the deliberately different output_dir and the timings
+    # and worker count of the metrics block may vary
+    metrics = []
     for m in (ma, mb):
         m.pop("wall_clock_utc")
         m["config"].pop("output_dir")
+        metrics.append(m.pop("metrics"))
     assert ma == mb
+    assert [m["workers"] for m in metrics] == [1, 2]
+    events = [m["solvers"]["kac"]["events_by_order"] for m in metrics]
+    assert events[0] == events[1]
+
+
+def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
+    """The metrics block counts the applied events; the CSVs do not carry it."""
+    cfg = write_config(tmp_path, simulate_doc(N=20, t_end=0.5, replicas=3, times=[0.5]))
+    out = tmp_path / "sim"
+    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out), "--workers", "2"]) == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert metrics["workers"] == 2
+    kac = metrics["solvers"]["kac"]
+    assert set(kac) == {"events", "events_by_order", "engine_s", "events_per_s"}
+    assert kac["events_by_order"]["1"] == 0  # zero-weight order never fires
+    assert kac["events"] == kac["events_by_order"]["2"] > 0
+    assert kac["engine_s"] > 0 and kac["events_per_s"] == kac["events"] / kac["engine_s"]
+    rows = list(csv.DictReader(open(out / "simulate.csv", newline="")))
+    mean_events = [float(r["mean"]) for r in rows if r["observable"] == "events"]
+    assert mean_events == [kac["events"] / 3]
+    assert "metrics" not in (out / "simulate.csv").read_text()
+
+    doc = {
+        "mixture": TOY_MIXTURE,
+        "meanfield": {
+            "n": 16,
+            "t_end": 0.05,
+            "replicas": 2,
+            "solver": "both",
+            "grid": {"n_v": 65, "n_theta": 16, "n_time": 8, "n_iter": 5},
+        },
+    }
+    out = tmp_path / "boltz"
+    cfg = write_config(tmp_path, doc, name="boltz.json")
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert metrics["workers"] == 1
+    assert set(metrics["solvers"]) == {"meanfield", "picard"}
+    assert metrics["solvers"]["meanfield"]["events"] > 0
+    assert metrics["solvers"]["picard"]["engine_s"] > 0
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):
@@ -268,6 +311,9 @@ def test_chaos_writes_report_and_summary(tmp_path):
     assert summary["n_ref"] == 32
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["row_counts"]["chaos.csv"] == 8
+    solvers = manifest["metrics"]["solvers"]
+    assert set(solvers) == {"kac", "meanfield"}
+    assert all(entry["events"] == 0 for entry in solvers.values())  # t_end = 0
 
 
 def test_chaos_below_threshold_exits_1(tmp_path, capsys, monkeypatch):

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from kacmix.laws import CollisionLaw, KacToy, MixtureSpec, SymmetricK
-from kacmix.meanfield import _mf_collide, meanfield_run
+from kacmix.meanfield import meanfield_run
 from kacmix.simulator import (
     MomentObserver,
     TwoPointInitial,
     UniformBoxInitial,
+    _apply_tape,
+    _draw_tape,
     replica_rng,
 )
 
@@ -31,11 +33,17 @@ def m4_closed_form(m2_0, m4_0, t):
     return 3.0 * m2_0**2 + (m4_0 - 3.0 * m2_0**2) * math.exp(-0.5 * t)
 
 
+def one_event(particles, mixture, rng):
+    """Draw and apply a one-event mean-field tape."""
+    tape = _draw_tape(rng, mixture, particles.shape[0], 1, meanfield=True)
+    _apply_tape(particles, tape, 1, mixture.m)
+
+
 def test_one_event_updates_exactly_one_particle():
     rng = replica_rng(0, 0)
     particles = rng.standard_normal((20, 1))
     before = particles.copy()
-    _mf_collide(particles, TRIPLE_MIX, rng)
+    one_event(particles, TRIPLE_MIX, rng)
     changed = np.flatnonzero(np.any(particles != before, axis=1))
     assert changed.size == 1
 
@@ -55,10 +63,10 @@ class _GroupRecorder(CollisionLaw):
         return 1
 
     def sample_angle(self, rng, size=None):
-        return 0.0
+        return np.zeros(size)
 
     def apply(self, angle, group):
-        self.groups.append(group[:, 0].copy())
+        self.groups.extend(group[..., 0].copy())
         return group + 0.5
 
 
@@ -71,7 +79,7 @@ def test_partners_exclude_jumper_and_are_uniform():
     tuples, slots = {}, [0, 0, 0]
     for _ in range(n_draws):
         particles = np.arange(n, dtype=float)[:, None]  # velocity = index
-        _mf_collide(particles, mixture, rng)
+        one_event(particles, mixture, rng)
         jumper = int(np.flatnonzero(particles[:, 0] != np.arange(n))[0])
         group = [int(x) for x in recorder.groups[-1]]
         slot = group.index(jumper)

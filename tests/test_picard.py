@@ -21,7 +21,6 @@ from kacmix import picard
 from kacmix.picard import (
     ALPHA_TOY,
     GridDensity,
-    gain_toy,
     gaussian_grid_density,
     picard_evolve_toy,
     picard_solve_toy,
@@ -33,6 +32,12 @@ SMALL = dict(n_theta=24, n_time=12)
 
 def small_gaussian(n_v=257, L=8.0):
     return gaussian_grid_density(L=L, n_v=n_v)
+
+
+def gain(f0, kernel, n_theta):
+    """Qplus[f0, f0] from the solver's gain quadrature, as a grid density."""
+    quad = picard._GainQuadrature(f0.L, f0.n_v, n_theta, picard._resolve_kernel(kernel))
+    return GridDensity(L=f0.L, values=tuple(quad.gain_batch(f0.value_array())[0]))
 
 
 def m4_closed_form(m2_0, m4_0, t):
@@ -74,21 +79,21 @@ def test_grid_density_geometry():
 @pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
 def test_gain_mass_is_alpha_times_mass_squared(kernel):
     f = small_gaussian()
-    g = gain_toy(f, kernel=kernel, n_theta=32)
+    g = gain(f, kernel=kernel, n_theta=32)
     assert g.mass() == pytest.approx(ALPHA_TOY * f.mass() ** 2, abs=2e-4)
 
 
 def test_gain_of_gaussian_is_gaussian_scaled():
     """At the fixed point, gain(f) = alpha * f (collision balance)."""
     f = small_gaussian(n_v=513)
-    g = gain_toy(f, kernel="uniform", n_theta=64)
+    g = gain(f, kernel="uniform", n_theta=64)
     resid = np.asarray(g.values) - ALPHA_TOY * np.asarray(f.values)
     assert float(np.max(np.abs(resid))) <= 2e-4
 
 
 def test_gain_preserves_energy_functional():
     f = uniform_grid_density(2.0, n_v=257)
-    g = gain_toy(f, kernel="uniform", n_theta=48)
+    g = gain(f, kernel="uniform", n_theta=48)
     # second moment of the gain equals alpha * m2 (per unit mass)
     assert g.moment(2) * g.mass() ** 0 == pytest.approx(
         ALPHA_TOY * f.moment(2), rel=5e-3
@@ -154,8 +159,8 @@ def test_kernels_differ_on_asymmetric_data():
     vals = np.exp(-0.5 * (v - 1.0) ** 2)
     h = 16.0 / 256
     f0 = GridDensity(L=8.0, values=tuple(vals / (h * vals.sum())))
-    gu = gain_toy(f0, kernel="uniform", n_theta=32)
-    gc = gain_toy(f0, kernel="raised_cosine", n_theta=32)
+    gu = gain(f0, kernel="uniform", n_theta=32)
+    gc = gain(f0, kernel="raised_cosine", n_theta=32)
     gap = np.max(np.abs(np.asarray(gc.values) - np.asarray(gu.values)))
     assert gap > 1e-3, gap
 

@@ -20,7 +20,7 @@ from kacmix.simulator import (
     SimConfig,
     TwoPointInitial,
     UniformBoxInitial,
-    _ordered_distinct,
+    _distinct_rows,
     initial_from_tag,
     moment_channels,
     observable_on_state,
@@ -119,11 +119,13 @@ def test_step_conserves_energy_per_event():
 
 
 def test_ordered_distinct_uniform_over_ordered_pairs():
+    """Tape index rows are uniform over ordered distinct pairs, in bulk and one at a time."""
     rng = np.random.default_rng(3)
     counts = {}
     n_draws = 24_000
-    for _ in range(n_draws):
-        pair = tuple(_ordered_distinct(rng, 4, 2))
+    rows = [_distinct_rows(rng, 4, n_draws // 2, 2)]
+    rows += [_distinct_rows(rng, 4, 1, 2) for _ in range(n_draws // 2)]
+    for pair in map(tuple, np.concatenate(rows).tolist()):
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 12  # all ordered pairs of distinct indices occur
     expected = n_draws / 12
