@@ -35,7 +35,8 @@ from .laws import (
     h1_max_error,
 )
 from .meanfield import meanfield_run
-from .picard import gaussian_grid_density, picard_evolve_toy, uniform_grid_density
+from .picard import angular_nodes, check_angular_resolution, gaussian_grid_density
+from .picard import picard_evolve_toy, uniform_grid_density
 from .runio import (
     chaos_summary,
     run_result_header,
@@ -101,10 +102,14 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _manifest(cfg: RunConfig, command: str, row_counts: dict, metrics: Optional[dict] = None) -> Path:
+    """Create the output directory and write the manifest before any result file."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_manifest(
+        out / "manifest.json", command, __version__, cfg.seed, cfg.raw, row_counts, metrics=metrics
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +134,8 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     )
     result = run(config, observers, workers=workers)
     rows = list(run_result_rows(result))
-    out = _out_dir(cfg)
-    write_manifest(
-        out / "manifest.json",
-        command="simulate",
-        version=__version__,
-        seed=cfg.seed,
-        config=cfg.raw,
-        row_counts={"simulate.csv": len(rows)},
-        metrics={"workers": workers, "solvers": engine_metrics([result])},
-    )
+    metrics = {"workers": workers, "solvers": engine_metrics([result])}
+    out = _manifest(cfg, "simulate", {"simulate.csv": len(rows)}, metrics)
     write_csv(out / "simulate.csv", run_result_header(), rows)
     return 0
 
@@ -175,6 +172,10 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
     rows: List[tuple] = []
     density = None
     solvers: dict = {}
+    if mf.solver in ("picard", "both"):
+        kernel = _pure_toy_kernel(cfg)
+        check_angular_resolution(kernel, mf.grid.n_theta)
+        f0 = _picard_initial(cfg, mf.grid)
 
     if mf.solver in ("meanfield", "both"):
         result = meanfield_run(
@@ -191,17 +192,18 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
         solvers.update(engine_metrics([result]))
 
     if mf.solver in ("picard", "both"):
-        kernel = _pure_toy_kernel(cfg)
         start = time.perf_counter()
-        density = picard_evolve_toy(
-            kernel,
-            _picard_initial(cfg, mf.grid),
-            mf.t_end,
-            n_iter=mf.grid.n_iter,
-            n_theta=mf.grid.n_theta,
-            n_time=mf.grid.n_time,
+        solved = picard_evolve_toy(
+            kernel, f0, mf.t_end, n_iter=mf.grid.n_iter, n_theta=mf.grid.n_theta, n_time=mf.grid.n_time
         )
-        solvers["picard"] = {"engine_s": time.perf_counter() - start}
+        density = solved.density
+        solvers["picard"] = {
+            "engine_s": time.perf_counter() - start,
+            "substeps": solved.substeps,
+            "sweeps": solved.n_iter,
+            "mass_drift": solved.mass_drift,
+            "angular_nodes": angular_nodes(mf.grid.n_theta),
+        }
         for name, value in (
             ("mass", density.mass()),
             ("m2", density.moment(2)),
@@ -209,19 +211,10 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
         ):
             rows.append((mf.t_end, name, value, 0.0, mf.grid.n_v, 1, cfg.seed, "picard"))
 
-    out = _out_dir(cfg)
     counts = {"boltzmann.csv": len(rows)}
     if density is not None:
         counts["boltzmann_density.csv"] = density.n_v
-    write_manifest(
-        out / "manifest.json",
-        command="boltzmann",
-        version=__version__,
-        seed=cfg.seed,
-        config=cfg.raw,
-        row_counts=counts,
-        metrics={"workers": workers, "solvers": solvers},
-    )
+    out = _manifest(cfg, "boltzmann", counts, {"workers": workers, "solvers": solvers})
     write_csv(out / "boltzmann.csv", run_result_header(include_solver=True), rows)
     if density is not None:
         write_density_csv(out / "boltzmann_density.csv", density)
@@ -242,19 +235,8 @@ def cmd_hierarchy(cfg: RunConfig, workers: int) -> int:
         for k in k_list
         if s <= n
     ]
-    out = _out_dir(cfg)
-    write_manifest(
-        out / "manifest.json",
-        command="hierarchy",
-        version=__version__,
-        seed=cfg.seed,
-        config=cfg.raw,
-        row_counts={
-            "hierarchy_constants.csv": hc.M,
-            "hierarchy_horizon.csv": 1,
-            "hierarchy_sweep.csv": len(sweep),
-        },
-    )
+    counts = {"hierarchy_constants.csv": hc.M, "hierarchy_horizon.csv": 1, "hierarchy_sweep.csv": len(sweep)}
+    out = _manifest(cfg, "hierarchy", counts)
     write_hierarchy_constants_csv(out / "hierarchy_constants.csv", hc)
     write_hierarchy_horizon_csv(out / "hierarchy_horizon.csv", hc)
     write_hierarchy_sweep_csv(out / "hierarchy_sweep.csv", sweep)
@@ -277,16 +259,8 @@ def cmd_chaos(cfg: RunConfig, workers: int) -> int:
         workers=workers,
         mode=chaos.estimator,
     )
-    out = _out_dir(cfg)
-    write_manifest(
-        out / "manifest.json",
-        command="chaos",
-        version=__version__,
-        seed=cfg.seed,
-        config=cfg.raw,
-        row_counts={"chaos.csv": len(report.rows), "chaos_summary.json": 1},
-        metrics={"workers": workers, "solvers": report.engine},
-    )
+    counts = {"chaos.csv": len(report.rows), "chaos_summary.json": 1}
+    out = _manifest(cfg, "chaos", counts, {"workers": workers, "solvers": report.engine})
     write_chaos_csv(out / "chaos.csv", report)
     write_json(out / "chaos_summary.json", chaos_summary(report))
     if report.pass_fraction < chaos.pass_threshold:
@@ -336,15 +310,7 @@ def laws_check_rows(laws: Sequence[CollisionLaw], seed: int, n_samples: int = 10
 def cmd_laws_check(cfg: RunConfig, workers: int) -> int:
     laws = cfg.mixture.laws if cfg.mixture is not None else BUILTIN_LAWS
     rows = laws_check_rows(laws, seed=cfg.seed)
-    out = _out_dir(cfg)
-    write_manifest(
-        out / "manifest.json",
-        command="laws-check",
-        version=__version__,
-        seed=cfg.seed,
-        config=cfg.raw,
-        row_counts={"laws_check.csv": len(rows)},
-    )
+    out = _manifest(cfg, "laws-check", {"laws_check.csv": len(rows)})
     write_csv(
         out / "laws_check.csv",
         ["law", "test", "value", "stderr", "n_samples", "result"],

@@ -6,10 +6,23 @@ loss rate is alpha = 2).  The mild form of the equation,
     f(t) = exp(-alpha t) f0 + int_0^t exp(-alpha (t - s)) Qplus[f(s), f(s)] ds,
 
 is iterated as a Picard sequence starting from the constant-in-time iterate
-f_0(t) = f0.  States live on a uniform velocity grid over [-L, L]; the gain
-term is evaluated by quadrature over the scattering angle and the partner
-velocity, with linear interpolation at the pre-collisional points; the time
+f_0(t) = f0.  States live on a uniform velocity grid over [-L, L]; the time
 integral uses a fixed trapezoid rule.
+
+The gain term uses that a collision only rotates the pair (v, w) (as
+Bobylev 1975 does in Fourier variables): with (v, w) = r (cos phi, sin phi)
+and g_k(r) the k-th Fourier coefficient of f x f on the circle of radius r,
+Qplus(v) = alpha int dw sum_k B_k g_k(r) exp(i k phi), B_k = int b exp(i k theta).
+Only the kernel's harmonics are kept: k = 0 (circle averages) for `uniform`,
+|k| <= 1 for `raised_cosine`, every |k| < n_theta for a callable; `n_theta`
+is the number of harmonics the solver carries.  f x f is sampled on circles
+of radius 0, h, 2h, ... beyond L sqrt(2) at 4 n_theta angles (odd circles
+turned by half a spacing) and B_k is the midpoint rule on 4 n_theta angles.
+One synthesis matrix (sum over w, linear interpolation in r, exp(i k phi)),
+built once per grid, n_theta and kernel, takes the harmonics to the lattice.
+A per-row factor (a + c v^2) then makes the discrete gain mass and energy
+exactly alpha B_0 M^2 and alpha (B_0 M m2 + m1^2 int b sin(2 theta)), the
+exact operator's values (B_0 = 1 for the built-in kernels).
 
 The iteration is a contraction only on a short horizon, so the solver
 refuses t_end at or beyond a guard time and tells the caller to sub-step;
@@ -22,9 +35,10 @@ density that no longer represents a probability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -36,15 +50,18 @@ __all__ = [
     "picard_solve_toy",
     "picard_evolve_toy",
     "PicardResult",
+    "angular_nodes",
+    "check_angular_resolution",
 ]
 
 ALPHA_TOY = 2.0
 # Horizon below which the Picard sweep is trusted to contract.
 T_GUARD_TOY = 0.25 / ALPHA_TOY
 
+# name: (angle density b(theta), highest angular harmonic of b)
 _KERNELS = {
-    "uniform": lambda theta: np.full_like(theta, 1.0 / (2.0 * math.pi)),
-    "raised_cosine": lambda theta: (1.0 + np.cos(theta)) / (2.0 * math.pi),
+    "uniform": (lambda theta: np.full_like(theta, 1.0 / (2.0 * math.pi)), 0),
+    "raised_cosine": (lambda theta: (1.0 + np.cos(theta)) / (2.0 * math.pi), 1),
 }
 
 
@@ -122,94 +139,112 @@ def uniform_grid_density(a: float, L: float = 8.0, n_v: int = 513) -> GridDensit
     return GridDensity(L=L, values=tuple(vals))
 
 
-def _resolve_kernel(kernel: Union[str, Callable[[np.ndarray], np.ndarray]]):
+def angular_nodes(n_theta: int) -> int:
+    """Angles per circle of the gain operator: more than four per period of each harmonic."""
+    return 4 * n_theta
+
+
+def check_angular_resolution(kernel: Union[str, Callable], n_theta: int):
+    """(angle density, highest harmonic kept); raises unless it is below n_theta.
+
+    Callable kernels keep every harmonic below n_theta, so their operator is
+    (2 n_theta - 1) times the size of the uniform kernel's.
+    """
     if callable(kernel):
-        return kernel
-    try:
-        return _KERNELS[kernel]
-    except KeyError:
+        return kernel, n_theta - 1
+    if kernel not in _KERNELS:
         raise ValueError(
             f"unknown scattering kernel {kernel!r}; expected one of {sorted(_KERNELS)} or a callable density"
-        ) from None
+        )
+    density, k_max = _KERNELS[kernel]
+    if k_max >= n_theta:
+        raise ValueError(
+            f"picard solve: n_theta={n_theta} cannot carry the {kernel!r} kernel's angular "
+            f"harmonic k={k_max}; n_theta must be at least {k_max + 1}"
+        )
+    return density, k_max
 
 
-class _GainQuadrature:
-    """Precomputed angle nodes and index geometry for the toy gain term.
-
-    For each angle theta the pre-collisional pair of a grid point v and a
-    partner w is (v cos - w sin, v sin + w cos); both coordinates are affine
-    in the (v, w) lattice indices, so the fractional interpolation indices
-    are outer sums computed on the fly.  The integrand factorizes as
-    f(x) * f(y), hence bilinear interpolation of the product equals the
-    product of the two univariate linear interpolations used here.
-    """
+class _PolarGain:
+    """Qplus[f, f] on the grid from the circle harmonics of f x f (see the module docstring)."""
 
     def __init__(self, L: float, n_v: int, n_theta: int, kernel) -> None:
-        self.L = L
-        self.n_v = n_v
+        density, k_max = check_angular_resolution(kernel, n_theta)
+        n_psi = angular_nodes(n_theta)
         h = 2.0 * L / (n_v - 1)
-        self.h = h
-        width = 2.0 * math.pi / n_theta
-        theta = -math.pi + width * (np.arange(n_theta) + 0.5)
-        b = np.asarray(kernel(theta), dtype=float)
+        theta = -math.pi + (2.0 * math.pi / n_psi) * (np.arange(n_psi) + 0.5)
+        b = np.asarray(density(theta), dtype=float)
         if b.shape != theta.shape or not np.all(np.isfinite(b)) or np.any(b < 0):
             raise ValueError("scattering kernel must map angles to finite nonnegative densities")
-        self.theta_weights = b * width
-        self.cos = np.cos(theta)
-        self.sin = np.sin(theta)
-        self.idx = np.arange(n_v, dtype=float)
+        b = b * (2.0 * math.pi / n_psi)
+        ks = np.arange(k_max + 1)
+        harmonics = np.exp(1j * np.outer(ks, theta)) @ b
+        self.b0, self.sin2 = float(harmonics[0].real), float(b @ np.sin(2.0 * theta))
+
+        # f at r cos(psi) for radius r = j h and angle psi: lattice cell and
+        # fraction of the linear interpolant, cell n_v (a zero row) outside
+        n_r = int(math.sqrt(2.0) * (n_v - 1) / 2.0) + 2
+        j = np.arange(n_r)[:, None]
+        psi = (2.0 * math.pi / n_psi) * (np.arange(n_psi) + 0.5 * (j % 2))
+        u = j * np.cos(psi) + (n_v - 1) / 2.0
+        self.cell = np.minimum(np.clip(u, 0.0, n_v - 1.0).astype(np.intp), n_v - 2)
+        self.frac = (u - self.cell)[..., None]
+        self.cell[(u < 0.0) | (u > n_v - 1.0)] = n_v
+        # circle features: cos(k psi) / n_psi for k >= 0, then sin(k psi) / n_psi for k >= 1
+        kpsi = ks[:, None] * psi[:, None, :]
+        self.analysis = np.concatenate([np.cos(kpsi), np.sin(kpsi[:, 1:])], axis=1) / n_psi
+
+        # Harmonic k of a lattice pair (v_i, w) at radius r and angle phi
+        # contributes 2 Re(B_k exp(i k phi) g_k(r)) (B_0 g_0 for k = 0); g_k is
+        # interpolated linearly between the circles j = floor(r / h) and j + 1.
+        v = np.linspace(-L, L, n_v)
+        rad = np.hypot(v[:, None], v[None, :]) / h
+        j = rad.astype(np.intp)
+        lam = rad - j
+        phase = 2.0 * harmonics[1:, None, None] * np.exp(1j * ks[1:, None, None] * np.arctan2(v, v[:, None]))
+        cell = (j * n_v + np.arange(n_v)[:, None]).ravel()
+        synth = np.empty((n_r, 2 * k_max + 1, n_v))
+        for q, coef in enumerate([np.full_like(rad, self.b0), *phase.real, *phase.imag]):
+            w = ALPHA_TOY * h * coef
+            col = np.bincount(cell, (w * (1.0 - lam)).ravel(), minlength=n_r * n_v)
+            col += np.bincount(cell + n_v, (w * lam).ravel(), minlength=n_r * n_v)
+            synth[:, q] = col.reshape(n_r, n_v)
+        self.synthesis = synth.reshape(-1, n_v).T.copy()
+        self.h, self.v = h, v
 
     def gain_batch(self, f_rows: np.ndarray) -> np.ndarray:
-        """Qplus[f, f] on the grid for a stack of value vectors (shape (m, n_v)).
-
-        The index geometry per angle is shared by every input row, so all rows
-        are interpolated together: the rows are stored as columns of an
-        (n_v + 1, m) table whose last row is zero, and one gather per
-        interpolation index fetches every row's value.  Pre-collisional points
-        outside the box index that zero row.  Each interpolant is written as
-        f[i] + frac * (f[i+1] - f[i]), and v is processed in chunks small
-        enough for the gathered blocks to stay in cache.
-        """
-        f_rows = np.atleast_2d(np.asarray(f_rows, dtype=float))
+        """Qplus[f, f] on the grid for a stack of value vectors (shape (m, n_v))."""
         m, n_v = f_rows.shape
-        if n_v != self.n_v:
-            raise ValueError(f"gain: expected rows of length {self.n_v}, got {n_v}")
-        idx = self.idx
         table = np.zeros((n_v + 1, m))
         table[:n_v] = f_rows.T
         slope = np.zeros((n_v + 1, m))
-        slope[: n_v - 1] = table[1:n_v] - table[: n_v - 1]
-        v_chunk = max(1, 2**15 // (n_v * m))
-        gx, gy, tmp = (np.empty((v_chunk, n_v, m)) for _ in range(3))
-        out = np.zeros((n_v, m))
-        for q in range(self.theta_weights.size):
-            c, s, wq = self.cos[q], self.sin[q], self.theta_weights[q]
-            if wq == 0.0:
-                continue
-            # fractional indices of x = v c - w s and y = v s + w c
-            ux = c * idx[:, None] - s * idx[None, :] + (self.L / self.h) * (1.0 - c + s)
-            uy = s * idx[:, None] + c * idx[None, :] + (self.L / self.h) * (1.0 - c - s)
-            inside = (ux >= 0.0) & (ux <= n_v - 1.0) & (uy >= 0.0) & (uy <= n_v - 1.0)
-            np.clip(ux, 0.0, n_v - 1.0, out=ux)
-            np.clip(uy, 0.0, n_v - 1.0, out=uy)
-            ix = np.minimum(ux.astype(np.intp), n_v - 2)
-            iy = np.minimum(uy.astype(np.intp), n_v - 2)
-            fracx = (ux - ix)[..., None]
-            fracy = (uy - iy)[..., None]
-            ix[~inside] = n_v
-            for lo in range(0, n_v, v_chunk):
-                hi = min(lo + v_chunk, n_v)
-                a, b, d = gx[: hi - lo], gy[: hi - lo], tmp[: hi - lo]
-                np.take(table, ix[lo:hi], axis=0, out=a)
-                np.take(slope, ix[lo:hi], axis=0, out=d)
-                d *= fracx[lo:hi]
-                a += d
-                np.take(table, iy[lo:hi], axis=0, out=b)
-                np.take(slope, iy[lo:hi], axis=0, out=d)
-                d *= fracy[lo:hi]
-                b += d
-                out[lo:hi] += wq * np.einsum("vwm,vwm->vm", a, b)
-        return 2.0 * self.h * out.T
+        slope[: n_v - 1] = np.diff(f_rows.T, axis=0)
+        gain = np.empty((n_v, m))
+        chunk = max(1, 2**15 // self.cell.size)  # rows per pass, sized for the cache
+        for lo in range(0, m, chunk):
+            cols = slice(lo, lo + chunk)
+            fx = np.take(table[:, cols], self.cell, axis=0)
+            fx += self.frac * np.take(slope[:, cols], self.cell, axis=0)
+            fx *= np.roll(fx, fx.shape[1] // 4, axis=1)  # f(r sin psi) = f(r cos(psi - pi / 2))
+            gain[:, cols] = self.synthesis @ np.matmul(self.analysis, fx).reshape(-1, fx.shape[-1])
+        gain = gain.T
+
+        # conservative correction gain * (a + c v^2): exact discrete mass and energy
+        v = self.v
+        mass, m1, m2 = (self.h * f_rows @ np.stack([v**0, v, v**2], axis=1)).T
+        mu0, mu2, mu4 = (self.h * gain @ np.stack([v**0, v**2, v**4], axis=1)).T
+        t0 = ALPHA_TOY * self.b0 * mass**2
+        t2 = ALPHA_TOY * (self.b0 * mass * m2 + self.sin2 * m1**2)
+        det = mu0 * mu4 - mu2**2
+        det[det <= 0.0] = np.inf  # only an all-zero gain; it stays zero
+        a, c = (t0 * mu4 - t2 * mu2) / det, (t2 * mu0 - t0 * mu2) / det
+        return gain * (a[:, None] + c[:, None] * v**2)
+
+
+@functools.lru_cache(maxsize=4)
+def _polar_gain(L: float, n_v: int, n_theta: int, kernel) -> _PolarGain:
+    """The gain operator of a grid, built once and reused across sweeps and solves."""
+    return _PolarGain(L, n_v, n_theta, kernel)
 
 
 @dataclass(frozen=True)
@@ -221,6 +256,9 @@ class PicardResult:
     iteration contracted on the requested horizon.  `mass_drift` is the
     worst deviation of the discrete mass from 1 over all time nodes of the
     final iterate, and `min_value` the most negative grid value produced.
+    A result of `picard_evolve_toy` covers `substeps` restarted solves:
+    `n_iter` counts all their sweeps, the increments and factors are
+    concatenated, and `mass_drift` and `min_value` are the worst over all.
     """
 
     density: GridDensity
@@ -229,6 +267,7 @@ class PicardResult:
     contraction_factors: Tuple[float, ...]
     mass_drift: float
     min_value: float
+    substeps: int = 1
 
 
 def picard_solve_toy(
@@ -246,8 +285,9 @@ def picard_solve_toy(
     Returns the n_iter-th Picard iterate evaluated at t_end together with
     contraction and conservation diagnostics.  Raises when t_end reaches the
     guard horizon (contraction is only guaranteed on short intervals; solve
-    to a shorter time and restart from the result to go further) and when
-    the discrete mass drifts beyond mass_tol after any sweep.
+    to a shorter time and restart from the result to go further), when
+    n_theta is too small for the kernel, and when the discrete mass drifts
+    beyond mass_tol after any sweep.
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
@@ -262,36 +302,25 @@ def picard_solve_toy(
     if n_time < 1 or n_theta < 1:
         raise ValueError("picard solve: n_time and n_theta must be >= 1")
 
-    quad = _GainQuadrature(f0.L, f0.n_v, n_theta, _resolve_kernel(kernel))
+    quad = _polar_gain(f0.L, f0.n_v, n_theta, kernel)
     f0_vals = f0.value_array()
-    n_nodes = n_time + 1
-    times = np.linspace(0.0, t_end, n_nodes)
-    decay = np.exp(-ALPHA_TOY * times)
+    start = PicardResult(f0, 0, (), (), abs(f0.mass() - 1.0), float(f0_vals.min()))
+    if t_end == 0.0:
+        return start
 
     # Trapezoid weights against the memory kernel: for target node j,
     # weight_ji = dt * exp(-alpha (t_j - t_i)) * (1/2 at i in {0, j}, else 1).
-    dt = t_end / n_time if n_time > 0 else 0.0
-    weights = np.zeros((n_nodes, n_nodes))
-    for j in range(1, n_nodes):
-        w = np.full(j + 1, dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        weights[j, : j + 1] = w * np.exp(-ALPHA_TOY * (times[j] - times[: j + 1]))
-
-    if t_end == 0.0:
-        return PicardResult(
-            density=f0,
-            n_iter=0,
-            increments=(),
-            contraction_factors=(),
-            mass_drift=abs(f0.mass() - 1.0),
-            min_value=float(f0_vals.min()),
-        )
+    n_nodes = n_time + 1
+    times = np.linspace(0.0, t_end, n_nodes)
+    decay = np.exp(-ALPHA_TOY * times)
+    weights = np.tril(np.exp(-ALPHA_TOY * (times[:, None] - times[None, :]))) * (t_end / n_time)
+    weights[:, 0] *= 0.5
+    weights[np.diag_indices(n_nodes)] *= 0.5
+    weights[0] = 0.0
 
     iterate = np.tile(f0_vals, (n_nodes, 1))
     increments: List[float] = []
-    mass_drift = abs(f0.mass() - 1.0)
-    min_value = float(f0_vals.min())
+    mass_drift, min_value = start.mass_drift, start.min_value
     h = f0.h
     for sweep in range(n_iter):
         gains = quad.gain_batch(iterate)
@@ -329,8 +358,8 @@ def picard_evolve_toy(
     n_iter: int = 8,
     n_theta: int = 64,
     n_time: int = 32,
-) -> GridDensity:
-    """The density at any horizon t_end, as equal sub-steps of Picard solves.
+) -> PicardResult:
+    """The solution at any horizon t_end, as equal sub-steps of Picard solves.
 
     The horizon is cut into the fewest equal sub-steps no longer than
     0.8 * T_GUARD_TOY (up to rounding), and each sub-step is one `picard_solve_toy` restarted
@@ -338,11 +367,14 @@ def picard_evolve_toy(
     ten sub-steps of 0.1, not ten and a near-empty eleventh); t_end = 0
     returns f0 without a solve.
     """
-    max_step = 0.8 * T_GUARD_TOY
-    n_steps = math.ceil(t_end / max_step - 1e-9)
-    f = f0
+    n_steps = math.ceil(t_end / (0.8 * T_GUARD_TOY) - 1e-9)
+    steps = [PicardResult(f0, 0, (), (), abs(f0.mass() - 1.0), min(f0.values))]
     for _ in range(n_steps):
-        f = picard_solve_toy(
-            kernel, f, t_end=t_end / n_steps, n_iter=n_iter, n_theta=n_theta, n_time=n_time
-        ).density
-    return f
+        steps.append(picard_solve_toy(
+            kernel, steps[-1].density, t_end=t_end / n_steps, n_iter=n_iter, n_theta=n_theta, n_time=n_time
+        ))
+    return PicardResult(
+        steps[-1].density, sum(r.n_iter for r in steps), sum((r.increments for r in steps), ()),
+        sum((r.contraction_factors for r in steps), ()), max(r.mass_drift for r in steps),
+        min(r.min_value for r in steps), substeps=n_steps,
+    )

@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .chaos import ChaosReport
 from .hierarchy import HierarchyConstants
 from .picard import GridDensity
@@ -206,7 +208,7 @@ def write_manifest(
     now: Optional[str] = None,
     metrics: Optional[dict] = None,
 ) -> RunManifest:
-    """Write the provenance record; `metrics` (what the run did and cost) is optional."""
+    """Write the provenance record; `metrics` (what the run did and cost) gains the numpy version."""
     manifest = RunManifest(
         command=command,
         version=version,
@@ -214,7 +216,7 @@ def write_manifest(
         config=config,
         row_counts=dict(row_counts),
         wall_clock_utc=datetime.now(timezone.utc).isoformat() if now is None else now,
-        metrics=metrics,
+        metrics={"numpy": np.__version__, **(metrics or {})},
     )
     write_json(Path(path), manifest.to_dict())
     return manifest

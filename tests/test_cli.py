@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import kacmix.cli as cli
@@ -116,9 +117,25 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
     metrics = json.loads((out / "manifest.json").read_text())["metrics"]
     assert metrics["workers"] == 1
+    assert metrics["numpy"] == np.__version__
     assert set(metrics["solvers"]) == {"meanfield", "picard"}
     assert metrics["solvers"]["meanfield"]["events"] > 0
-    assert metrics["solvers"]["picard"]["engine_s"] > 0
+    picard = metrics["solvers"]["picard"]
+    assert set(picard) == {"engine_s", "substeps", "sweeps", "mass_drift", "angular_nodes"}
+    assert picard["engine_s"] > 0
+    assert (picard["substeps"], picard["sweeps"], picard["angular_nodes"]) == (1, 5, 64)
+    assert 0.0 <= picard["mass_drift"] <= 1e-4
+    rows = list(csv.DictReader(open(out / "boltzmann.csv", newline="")))
+    mass = [float(r["mean"]) for r in rows if r["solver"] == "picard" and r["observable"] == "mass"]
+    assert abs(mass[0] - 1.0) <= picard["mass_drift"]
+    for name in ("boltzmann.csv", "boltzmann_density.csv"):
+        assert "numpy" not in (out / name).read_text()
+
+    # every manifest records the numpy version, also those without run metrics
+    out = tmp_path / "hier"
+    cfg = write_config(tmp_path, hierarchy_doc(), name="hier.json")
+    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["metrics"] == {"numpy": np.__version__}
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):
@@ -408,6 +425,24 @@ def test_boltzmann_picard_rejects_unsupported_initial(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
     assert "gaussian or uniform" in capsys.readouterr().err
+
+
+def test_boltzmann_picard_rejects_n_theta_below_kernel_harmonics(tmp_path, capsys):
+    """raised_cosine carries the harmonic k = 1, which n_theta = 1 cannot; the
+    run stops before the mean-field half starts and writes nothing."""
+    doc = {
+        "mixture": {"laws": [TOY_LAWS[0], {"kind": "kac_toy", "kernel": "raised_cosine"}], "beta": [0.0, 1.0]},
+        "meanfield": {"n": 4, "t_end": 0.05, "solver": "both", "grid": {"n_v": 33, "n_theta": 1}},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_theta=1" in err
+    assert not out.exists()
+    doc["meanfield"]["grid"]["n_theta"] = 2
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ the default resolution.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,9 +34,40 @@ def small_gaussian(n_v=257, L=8.0):
 
 
 def gain(f0, kernel, n_theta):
-    """Qplus[f0, f0] from the solver's gain quadrature, as a grid density."""
-    quad = picard._GainQuadrature(f0.L, f0.n_v, n_theta, picard._resolve_kernel(kernel))
-    return GridDensity(L=f0.L, values=tuple(quad.gain_batch(f0.value_array())[0]))
+    """Qplus[f0, f0] from the solver's polar gain operator, as a grid density."""
+    op = picard._polar_gain(f0.L, f0.n_v, n_theta, kernel)
+    return GridDensity(L=f0.L, values=tuple(op.gain_batch(f0.value_array()[None])[0]))
+
+
+def grid_density(fn, n_v=257, L=8.0):
+    v = np.linspace(-L, L, n_v)
+    vals = fn(v)
+    return GridDensity(L=L, values=tuple(vals / (2.0 * L / (n_v - 1) * vals.sum())))
+
+
+DATA = {
+    "uniform": lambda n_v: uniform_grid_density(2.0, n_v=n_v),
+    "gaussian": lambda n_v: small_gaussian(n_v=n_v),
+    "shifted_gaussian": lambda n_v: grid_density(lambda v: np.exp(-0.5 * (v - 1.0) ** 2), n_v),
+}
+KERNEL_DENSITIES = {
+    "uniform": lambda theta: np.full_like(theta, 1.0 / (2.0 * math.pi)),
+    "raised_cosine": lambda theta: (1.0 + np.cos(theta)) / (2.0 * math.pi),
+}
+
+
+def oracle_gain(f, density, n_theta):
+    """Brute-force Qplus[f, f]: midpoint rule in theta, lattice sum over w,
+    linear interpolation of f at the pre-collisional pair (v c - w s, v s + w c)."""
+    v, vals = f.grid, f.value_array()
+    theta = -math.pi + (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    out = np.zeros(f.n_v)
+    for th, weight in zip(theta, density(theta) * (2.0 * math.pi / n_theta)):
+        c, s = math.cos(th), math.sin(th)
+        fx = np.interp(v[:, None] * c - v[None, :] * s, v, vals, left=0.0, right=0.0)
+        fy = np.interp(v[:, None] * s + v[None, :] * c, v, vals, left=0.0, right=0.0)
+        out += weight * (fx * fy).sum(axis=1)
+    return ALPHA_TOY * f.h * out
 
 
 def m4_closed_form(m2_0, m4_0, t):
@@ -78,9 +108,12 @@ def test_grid_density_geometry():
 
 @pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
 def test_gain_mass_is_alpha_times_mass_squared(kernel):
-    f = small_gaussian()
-    g = gain(f, kernel=kernel, n_theta=32)
-    assert g.mass() == pytest.approx(ALPHA_TOY * f.mass() ** 2, abs=2e-4)
+    """The conservative correction makes gain mass and energy exact to rounding."""
+    for name, make in DATA.items():
+        f = make(257)
+        g = gain(f, kernel=kernel, n_theta=32)
+        assert g.mass() == pytest.approx(ALPHA_TOY * f.mass() ** 2, rel=1e-12, abs=0.0), name
+        assert g.moment(2) == pytest.approx(ALPHA_TOY * f.mass() * f.moment(2), rel=1e-12, abs=0.0), name
 
 
 def test_gain_of_gaussian_is_gaussian_scaled():
@@ -92,12 +125,53 @@ def test_gain_of_gaussian_is_gaussian_scaled():
 
 
 def test_gain_preserves_energy_functional():
-    f = uniform_grid_density(2.0, n_v=257)
-    g = gain(f, kernel="uniform", n_theta=48)
-    # second moment of the gain equals alpha * m2 (per unit mass)
-    assert g.moment(2) * g.mass() ** 0 == pytest.approx(
-        ALPHA_TOY * f.moment(2), rel=5e-3
-    )
+    """Energy of the gain is alpha (M m2 + m1^2 int b sin 2theta), also for a
+    callable kernel without reflection symmetry (here int b sin 2theta = 1/2)."""
+    f = DATA["shifted_gaussian"](129)
+    g = gain(f, kernel=lambda theta: (1.0 + np.sin(2.0 * theta)) / (2.0 * math.pi), n_theta=8)
+    mass, m1, m2 = f.mass(), f.moment(1), f.moment(2)
+    assert g.mass() == pytest.approx(ALPHA_TOY * mass**2, rel=1e-12, abs=0.0)
+    assert g.moment(2) == pytest.approx(ALPHA_TOY * (mass * m2 + 0.5 * m1**2), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
+def test_gain_fourth_moment_converges_with_the_grid(kernel):
+    """m4 of the gain approaches alpha (3/4 M m4 + 3/4 m2^2) as the grid refines."""
+    for name, make in DATA.items():
+        errors = []
+        for n_v in (65, 129, 257):
+            f = make(n_v)
+            exact = ALPHA_TOY * (0.75 * f.mass() * f.moment(4) + 0.75 * f.moment(2) ** 2)
+            errors.append(abs(gain(f, kernel, n_theta=64).moment(4) - exact))
+        assert errors[2] < errors[1] < errors[0], (name, errors)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
+def test_polar_gain_matches_brute_force_quadrature(kernel):
+    """Against the (theta, w) midpoint quadrature, on asymmetric two-bump data.
+
+    The two kernels differ there by 0.06; the discretizations agree to 3e-3.
+    """
+    f = grid_density(lambda v: np.exp(-2.0 * (v + 0.8) ** 2) + 0.5 * np.exp(-0.78 * (v - 1.2) ** 2), 65, L=6.0)
+    polar = gain(f, kernel, n_theta=128).value_array()
+    brute = oracle_gain(f, KERNEL_DENSITIES[kernel], n_theta=256)
+    assert np.max(np.abs(polar - brute)) <= 5e-3
+
+
+def test_callable_kernel_keeps_every_harmonic():
+    """A callable carries all harmonics below n_theta; the ones the named
+    kernel drops are zero, so both give the same gain."""
+    f = DATA["shifted_gaussian"](65)
+    named = gain(f, "raised_cosine", n_theta=16).value_array()
+    called = gain(f, KERNEL_DENSITIES["raised_cosine"], n_theta=16).value_array()
+    assert np.max(np.abs(named - called)) <= 1e-13
+
+
+def test_n_theta_must_carry_the_kernel_harmonics():
+    f = small_gaussian(n_v=33)
+    with pytest.raises(ValueError, match="n_theta=1"):
+        picard_solve_toy("raised_cosine", f, t_end=0.05, n_theta=1, n_time=4)
+    assert picard_solve_toy("uniform", f, t_end=0.05, n_theta=1, n_time=4, n_iter=2).n_iter == 2
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +229,7 @@ def test_raised_cosine_equals_uniform_on_even_data():
 
 def test_kernels_differ_on_asymmetric_data():
     """A shifted density breaks the even symmetry and exposes the kernel."""
-    v = np.linspace(-8.0, 8.0, 257)
-    vals = np.exp(-0.5 * (v - 1.0) ** 2)
-    h = 16.0 / 256
-    f0 = GridDensity(L=8.0, values=tuple(vals / (h * vals.sum())))
+    f0 = DATA["shifted_gaussian"](257)
     gu = gain(f0, kernel="uniform", n_theta=32)
     gc = gain(f0, kernel="raised_cosine", n_theta=32)
     gap = np.max(np.abs(np.asarray(gc.values) - np.asarray(gu.values)))
@@ -171,12 +242,18 @@ def test_kernels_differ_on_asymmetric_data():
 
 
 def test_evolve_across_substeps_matches_closed_form():
-    """Two restarted solves of 0.1 follow the m4 relaxation from uniform data."""
+    """Two restarted solves of 0.1 follow the m4 relaxation from uniform data,
+    on one gain operator built for the first and reused by the second."""
     f0 = uniform_grid_density(math.sqrt(3.0), n_v=97)
     t = 0.2
-    f = picard_evolve_toy("uniform", f0, t_end=t, n_iter=6, n_theta=32, n_time=16)
+    picard._polar_gain.cache_clear()
+    res = picard_evolve_toy("uniform", f0, t_end=t, n_iter=6, n_theta=32, n_time=16)
+    info = picard._polar_gain.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert (res.substeps, res.n_iter) == (2, 12)
+    assert res.mass_drift <= 1e-4
     target = m4_closed_form(f0.moment(2), f0.moment(4), t)
-    assert abs(f.moment(4) - target) <= 0.03, (f.moment(4), target)
+    assert abs(res.density.moment(4) - target) <= 0.03, (res.density.moment(4), target)
 
 
 @pytest.mark.parametrize("t_end, n_solves", [(0.0, 0), (0.4, 4), (1.0, 10)])
@@ -186,11 +263,13 @@ def test_evolve_substep_count(monkeypatch, t_end, n_solves):
 
     def counting_solve(kernel, f, t_end, **grid):
         lengths.append(t_end)
-        return SimpleNamespace(density=f)
+        return picard.PicardResult(f, 1, (), (), 0.0, 0.0)
 
     monkeypatch.setattr(picard, "picard_solve_toy", counting_solve)
     f0 = small_gaussian(n_v=33)
-    assert picard_evolve_toy("uniform", f0, t_end) is f0
+    res = picard_evolve_toy("uniform", f0, t_end)
+    assert res.density is f0
+    assert (res.substeps, res.n_iter) == (n_solves, n_solves)
     assert lengths == [0.1] * n_solves
 
 
