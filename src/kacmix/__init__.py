@@ -37,7 +37,6 @@ from kacmix.hierarchy import (
     bound_rho,
     coeff_leading,
     duhamel_remainder_factor,
-    growth_bound,
     hierarchy_constants,
     horizon_T_star,
     remainder_bound,
@@ -60,7 +59,6 @@ from kacmix.observables import (
     CosineFactor,
     ObservableSpec,
     TanhFactor,
-    default_observables,
 )
 from kacmix.picard import (
     GridDensity,

@@ -277,33 +277,22 @@ def laws_check_rows(laws: Sequence[CollisionLaw], seed: int, n_samples: int = 10
     """H1/H2/H3 validation rows: (law, test, value, stderr, n_samples, result)."""
     rows = []
     for i, law in enumerate(laws):
-        rng = replica_rng(seed, 3 * i)
-        err = h1_max_error(law, n_samples=10**4, rng=rng)
+        err = h1_max_error(law, n_samples=10**4, rng=replica_rng(seed, 3 * i))
         rows.append(
             (law.describe, "H1", err, 0.0, 10**4, "PASS" if err <= H1_TOLERANCE else "FAIL")
         )
-        rep2 = check_h2_involution(law, n_samples=n_samples, rng=replica_rng(seed, 3 * i + 1))
-        rows.append(
-            (
-                law.tag,
-                "H2",
-                rep2.difference,
-                rep2.combined_stderr,
-                rep2.n_samples,
-                "PASS" if rep2.passed else "FAIL",
+        for j, check in ((1, check_h2_involution), (2, check_h3_symmetry)):
+            rep = check(law, n_samples=n_samples, rng=replica_rng(seed, 3 * i + j))
+            rows.append(
+                (
+                    rep.law,
+                    rep.hypothesis,
+                    rep.difference,
+                    rep.combined_stderr,
+                    rep.n_samples,
+                    "PASS" if rep.passed else "FAIL",
+                )
             )
-        )
-        rep3 = check_h3_symmetry(law, n_samples=n_samples, rng=replica_rng(seed, 3 * i + 2))
-        rows.append(
-            (
-                law.tag,
-                "H3",
-                rep3.difference,
-                rep3.combined_stderr,
-                rep3.n_samples,
-                "PASS" if rep3.passed else "FAIL",
-            )
-        )
     return rows
 
 
@@ -317,9 +306,9 @@ def cmd_laws_check(cfg: RunConfig, workers: int) -> int:
         rows,
     )
     failures = [r for r in rows if r[5] == "FAIL"]
-    for law_tag, test, value, stderr, _, _ in failures:
+    for law, test, value, stderr, _, _ in failures:
         print(
-            f"laws-check: {law_tag} {test} failed (value {value:.3e}, stderr {stderr:.3e})",
+            f"laws-check: {law} {test} failed (value {value:.3e}, stderr {stderr:.3e})",
             file=sys.stderr,
         )
     return 1 if failures else 0

@@ -4,9 +4,9 @@ A run is described by one JSON document with fixed sections (mixture,
 initial, sim, meanfield, observables, chaos, hierarchy, seed, output_dir).
 Validation is strict: unknown keys anywhere are rejected, every value is
 type- and domain-checked, and each complaint carries the line number of the
-offending key in the original text.  Positions come from a small JSON reader
-that tracks lines; its values are cross-checked against the stdlib parser so
-the two can never disagree silently.
+offending value in the original text.  The document is parsed once, by the
+stdlib JSON decoder with hooks that record where each value starts; it
+rejects duplicate keys and the non-standard ``NaN``/``Infinity`` constants.
 
 Dotted overrides (``--set sim.N=200``) are applied to the raw document before
 validation, so overridden values go through exactly the same checks; they
@@ -15,10 +15,12 @@ report without line numbers since they come from the command line.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.decoder import JSONArray, JSONObject
+from json.scanner import py_make_scanner
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chaos import ChaosBudget
@@ -64,131 +66,77 @@ class ConfigError(Exception):
 # JSON with positions
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"-?(?:0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?")
-_WS = " \t\r\n"
 
+class _LineDecoder(json.JSONDecoder):
+    """The stdlib decoder on its pure-Python scanner, hooked to record lines.
 
-class _Reader:
+    The object and array hooks wrap ``JSONObject``/``JSONArray`` and note the
+    offset where each member's value starts.  A container's map of relative
+    paths to lines waits in ``inner``, keyed by its id, until its parent
+    absorbs it under the member's key or index (each container lives on in
+    the result, so no id is reused while it waits).
+    """
+
     def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
+        super().__init__(parse_constant=self._reject_constant)
+        self.newlines = [i for i, c in enumerate(text) if c == "\n"]
+        self.inner: Dict[int, Dict[Path, int]] = {}
+        self.start = 0  # offset of the value being scanned
+        self.top: List[int] = []
+        self.parse_object = self._object
+        self.parse_array = self._array
+        self.scan_once = self._recording(py_make_scanner(self), self.top)
 
-    def fail(self, message: str) -> "ConfigError":
-        return ConfigError(message, line=self.line)
+    def line(self, offset: int) -> int:
+        return bisect.bisect_left(self.newlines, offset) + 1
 
-    def skip_ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i] in _WS:
-            if self.text[self.i] == "\n":
-                self.line += 1
-            self.i += 1
+    def _recording(self, scan_once: Callable, starts: List[int]) -> Callable:
+        def scan(s: str, idx: int):
+            starts.append(idx)
+            self.start = idx
+            return scan_once(s, idx)
 
-    def peek(self) -> str:
-        if self.i >= len(self.text):
-            raise self.fail("unexpected end of document")
-        return self.text[self.i]
+        return scan
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.fail(f"expected {ch!r}, found {self.text[self.i]!r}")
-        self.i += 1
+    def _reject_constant(self, name: str):
+        raise ConfigError(f"{name} is not a JSON number", line=self.line(self.start))
 
-    def parse_string(self) -> str:
-        start = self.i
-        self.expect('"')
-        while True:
-            if self.i >= len(self.text):
-                raise self.fail("unterminated string")
-            c = self.text[self.i]
-            if c == "\n":
-                raise self.fail("unterminated string")
-            if c == "\\":
-                self.i += 2
-                continue
-            self.i += 1
-            if c == '"':
-                break
-        return json.loads(self.text[start : self.i])
+    def positions(self, keys, values, starts: List[int]) -> Dict[Path, int]:
+        """Absorb the members' own maps under their keys; add their lines."""
+        rel: Dict[Path, int] = {}
+        for key, value, start in zip(keys, values, starts):
+            rel[key] = self.line(start)
+            for path, line in self.inner.pop(id(value), {}).items():
+                rel[key + path] = line
+        return rel
 
-    def parse_value(self, path: Path, pos: Dict[Path, int]):
-        self.skip_ws()
-        pos[path] = self.line
-        c = self.peek()
-        if c == "{":
-            return self.parse_object(path, pos)
-        if c == "[":
-            return self.parse_array(path, pos)
-        if c == '"':
-            return self.parse_string()
-        if c in "-0123456789":
-            m = _NUMBER.match(self.text, self.i)
-            if m is None:
-                raise self.fail("malformed number")
-            self.i = m.end()
-            token = m.group(0)
-            return int(token) if m.group(1) is None and m.group(2) is None else float(token)
-        for token, value in (("true", True), ("false", False), ("null", None)):
-            if self.text.startswith(token, self.i):
-                self.i += len(token)
-                return value
-        raise self.fail(f"unexpected character {c!r}")
-
-    def parse_object(self, path: Path, pos: Dict[Path, int]) -> dict:
-        self.expect("{")
+    def _object(self, s_and_end, strict, scan_once, object_hook, pairs_hook, memo):
+        starts: List[int] = []
+        scan = self._recording(scan_once, starts)
+        pairs, end = JSONObject(s_and_end, strict, scan, None, list, memo)
         out: dict = {}
-        self.skip_ws()
-        if self.peek() == "}":
-            self.i += 1
-            return out
-        while True:
-            self.skip_ws()
-            key_line = self.line
-            key = self.parse_string()
+        for (key, value), start in zip(pairs, starts):
             if key in out:
-                raise ConfigError(f"duplicate key {key!r}", line=key_line, path=path)
-            pos[path + (key,)] = key_line
-            self.skip_ws()
-            self.expect(":")
-            out[key] = self.parse_value(path + (key,), pos)
-            self.skip_ws()
-            if self.peek() == ",":
-                self.i += 1
-                continue
-            self.expect("}")
-            return out
+                raise ConfigError(f"duplicate key {key!r}", line=self.line(start))
+            out[key] = value
+        self.inner[id(out)] = self.positions([(key,) for key in out], out.values(), starts)
+        return out, end
 
-    def parse_array(self, path: Path, pos: Dict[Path, int]) -> list:
-        self.expect("[")
-        out: list = []
-        self.skip_ws()
-        if self.peek() == "]":
-            self.i += 1
-            return out
-        while True:
-            out.append(self.parse_value(path + (len(out),), pos))
-            self.skip_ws()
-            if self.peek() == ",":
-                self.i += 1
-                continue
-            self.expect("]")
-            return out
+    def _array(self, s_and_end, scan_once):
+        starts: List[int] = []
+        values, end = JSONArray(s_and_end, self._recording(scan_once, starts))
+        self.inner[id(values)] = self.positions([(j,) for j in range(len(values))], values, starts)
+        return values, end
 
 
 def parse_with_positions(text: str) -> Tuple[Any, Dict[Path, int]]:
-    """Parse JSON returning (value, {path: line}); cross-checked with stdlib."""
+    """Parse JSON once, returning (value, {path: line where the value starts})."""
+    decoder = _LineDecoder(text)
     try:
-        reference = json.loads(text)
+        value = decoder.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    reader = _Reader(text)
-    pos: Dict[Path, int] = {}
-    value = reader.parse_value((), pos)
-    reader.skip_ws()
-    if reader.i != len(reader.text):
-        raise reader.fail("trailing content after document")
-    if value != reference:
-        raise ConfigError("internal: position-tracking parse disagrees with stdlib json")
-    return value, pos
+    return value, decoder.positions([()], [value], decoder.top)
 
 
 def apply_overrides(data: Any, sets: Sequence[str]) -> Any:
@@ -220,6 +168,9 @@ def apply_overrides(data: Any, sets: Sequence[str]) -> Any:
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = object()  # default of a key that must be present
+
+
 class _Ctx:
     """Carries key positions so checks can blame the offending line."""
 
@@ -243,14 +194,17 @@ class _Ctx:
                 )
         return value
 
-    def require(self, obj: dict, path: Path, key: str) -> Any:
-        if key not in obj:
+    def absent(self, path: Path, key: str, default: Any) -> Any:
+        if default is _REQUIRED:
             raise self.fail(path, f"missing required key {key!r}")
-        return obj[key]
+        return default
+
+    def require(self, obj: dict, path: Path, key: str) -> Any:
+        return obj[key] if key in obj else self.absent(path, key, _REQUIRED)
 
     def get_int(self, obj: dict, path: Path, key: str, default=None, minimum=None) -> Any:
         if key not in obj:
-            return default
+            return self.absent(path, key, default)
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, int):
             raise self.fail(path + (key,), f"expected an integer, got {v!r}")
@@ -260,7 +214,7 @@ class _Ctx:
 
     def get_float(self, obj: dict, path: Path, key: str, default=None, minimum=None) -> Any:
         if key not in obj:
-            return default
+            return self.absent(path, key, default)
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise self.fail(path + (key,), f"expected a number, got {v!r}")
@@ -273,7 +227,7 @@ class _Ctx:
 
     def get_str(self, obj: dict, path: Path, key: str, default=None, choices=None) -> Any:
         if key not in obj:
-            return default
+            return self.absent(path, key, default)
         v = obj[key]
         if not isinstance(v, str):
             raise self.fail(path + (key,), f"expected a string, got {v!r}")
@@ -285,7 +239,7 @@ class _Ctx:
 
     def get_number_list(self, obj: dict, path: Path, key: str, default=None) -> Any:
         if key not in obj:
-            return default
+            return self.absent(path, key, default)
         v = obj[key]
         if not isinstance(v, list) or not v:
             raise self.fail(path + (key,), "expected a nonempty array of numbers")
@@ -298,7 +252,7 @@ class _Ctx:
 
     def get_int_list(self, obj: dict, path: Path, key: str, default=None, minimum=None) -> Any:
         if key not in obj:
-            return default
+            return self.absent(path, key, default)
         v = obj[key]
         if not isinstance(v, list) or not v:
             raise self.fail(path + (key,), "expected a nonempty array of integers")
@@ -333,9 +287,7 @@ _LAW_KEYS = {
 
 def _build_law(ctx: _Ctx, value: Any, path: Path) -> CollisionLaw:
     obj = ctx.require_object(value, path, ("kind", "d", "k", "kernel"))
-    kind = ctx.get_str(obj, path, "kind", choices=None)
-    if kind is None:
-        raise ctx.fail(path, "missing required key 'kind'")
+    kind = ctx.get_str(obj, path, "kind", default=_REQUIRED)
     if kind not in _LAW_KEYS:
         raise ctx.fail(
             path + ("kind",),
@@ -362,19 +314,14 @@ def _build_mixture(ctx: _Ctx, value: Any, path: Path) -> MixtureSpec:
     laws = tuple(
         _build_law(ctx, law, path + ("laws", j)) for j, law in enumerate(laws_raw)
     )
-    beta = ctx.get_number_list(obj, path, "beta")
-    if beta is None:
-        raise ctx.fail(path, "missing required key 'beta'")
+    beta = ctx.get_number_list(obj, path, "beta", default=_REQUIRED)
     return ctx.wrap(path, lambda: MixtureSpec(laws, tuple(beta)))
 
 
 def _build_initial(ctx: _Ctx, value: Any, path: Path) -> InitialLaw:
     obj = ctx.require_object(value, path, ("kind", "a", "velocities"))
-    kind = ctx.get_str(
-        obj, path, "kind", choices=("gaussian", "uniform", "two_point", "deterministic")
-    )
-    if kind is None:
-        raise ctx.fail(path, "missing required key 'kind'")
+    kinds = ("gaussian", "uniform", "two_point", "deterministic")
+    kind = ctx.get_str(obj, path, "kind", default=_REQUIRED, choices=kinds)
     params: dict = {}
     if kind in ("uniform", "two_point") and "a" in obj:
         params["a"] = ctx.get_float(obj, path, "a")
@@ -395,9 +342,7 @@ _FACTOR_KEYS = {
 
 def _build_observable(ctx: _Ctx, value: Any, path: Path) -> ObservableSpec:
     obj = ctx.require_object(value, path, ("kind", "a", "xi", "lower", "upper", "s"))
-    kind = ctx.get_str(obj, path, "kind", choices=tuple(_FACTOR_KEYS))
-    if kind is None:
-        raise ctx.fail(path, "missing required key 'kind'")
+    kind = ctx.get_str(obj, path, "kind", default=_REQUIRED, choices=tuple(_FACTOR_KEYS))
     ctx.require_object(obj, path, _FACTOR_KEYS[kind])
     if kind == "tanh":
         factor = ctx.wrap(path, lambda: TanhFactor(a=ctx.get_float(obj, path, "a", default=1.0)))
@@ -423,12 +368,8 @@ class SimSection:
 
 def _build_sim(ctx: _Ctx, value: Any, path: Path) -> SimSection:
     obj = ctx.require_object(value, path, ("N", "t_end", "replicas", "times", "estimator"))
-    n = ctx.get_int(obj, path, "N", minimum=1)
-    if n is None:
-        raise ctx.fail(path, "missing required key 'N'")
-    t_end = ctx.get_float(obj, path, "t_end", minimum=0.0)
-    if t_end is None:
-        raise ctx.fail(path, "missing required key 't_end'")
+    n = ctx.get_int(obj, path, "N", default=_REQUIRED, minimum=1)
+    t_end = ctx.get_float(obj, path, "t_end", default=_REQUIRED, minimum=0.0)
     replicas = ctx.get_int(obj, path, "replicas", default=1, minimum=1)
     times = ctx.get_number_list(obj, path, "times", default=[t_end])
     estimator = ctx.get_str(obj, path, "estimator", default="first", choices=ESTIMATOR_MODES)
@@ -458,12 +399,8 @@ def _build_meanfield(ctx: _Ctx, value: Any, path: Path) -> MeanfieldSection:
     obj = ctx.require_object(
         value, path, ("n", "t_end", "replicas", "times", "solver", "grid")
     )
-    n = ctx.get_int(obj, path, "n", minimum=1)
-    if n is None:
-        raise ctx.fail(path, "missing required key 'n'")
-    t_end = ctx.get_float(obj, path, "t_end", minimum=0.0)
-    if t_end is None:
-        raise ctx.fail(path, "missing required key 't_end'")
+    n = ctx.get_int(obj, path, "n", default=_REQUIRED, minimum=1)
+    t_end = ctx.get_float(obj, path, "t_end", default=_REQUIRED, minimum=0.0)
     replicas = ctx.get_int(obj, path, "replicas", default=1, minimum=1)
     times = ctx.get_number_list(obj, path, "times", default=[t_end])
     solver = ctx.get_str(
@@ -503,13 +440,9 @@ def _build_chaos(ctx: _Ctx, value: Any, path: Path) -> ChaosSection:
         path,
         ("N_grid", "s_list", "t_list", "factors", "budget", "pass_threshold", "estimator"),
     )
-    n_grid = ctx.get_int_list(obj, path, "N_grid", minimum=1)
-    if n_grid is None:
-        raise ctx.fail(path, "missing required key 'N_grid'")
+    n_grid = ctx.get_int_list(obj, path, "N_grid", default=_REQUIRED, minimum=1)
     s_list = ctx.get_int_list(obj, path, "s_list", default=[1, 2], minimum=1)
-    t_list = ctx.get_number_list(obj, path, "t_list")
-    if t_list is None:
-        raise ctx.fail(path, "missing required key 't_list'")
+    t_list = ctx.get_number_list(obj, path, "t_list", default=_REQUIRED)
     factors: List[Any] = []
     if "factors" in obj:
         raw = obj["factors"]
@@ -558,9 +491,7 @@ class HierarchySection:
 
 def _build_hierarchy(ctx: _Ctx, value: Any, path: Path) -> HierarchySection:
     obj = ctx.require_object(value, path, ("epsilon", "T", "N_grid", "s_list", "k_list"))
-    epsilon = ctx.get_float(obj, path, "epsilon")
-    if epsilon is None:
-        raise ctx.fail(path, "missing required key 'epsilon'")
+    epsilon = ctx.get_float(obj, path, "epsilon", default=_REQUIRED)
     if not 0.0 <= epsilon < 1.0:
         raise ctx.fail(
             path + ("epsilon",), f"tail weight epsilon must lie in [0, 1), got {epsilon}"

@@ -4,8 +4,8 @@ Everything here reduces to exact combinatorics or elementary inequalities:
 the leading coefficient that multiplies the limiting collision operator in
 the equation for an s-particle marginal, the geometric constants bounding
 the hierarchy operators at finite N and in the limit, the horizon up to
-which the iterated mild expansion converges, and factorial-versus-geometric
-growth bounds used to show the expansion's remainder vanishes.  Binomials
+which the iterated mild expansion converges, and the geometric tail factor
+that shows the expansion's remainder vanishes.  Binomials
 are evaluated in exact integer arithmetic and converted to float at the
 end, so N up to 1e6 and beyond is safe.
 
@@ -36,7 +36,6 @@ __all__ = [
     "HierarchyConstants",
     "hierarchy_constants",
     "remainder_bound",
-    "growth_bound",
     "duhamel_remainder_factor",
     "TraceIdentityReport",
     "verify_trace_identity",
@@ -232,40 +231,6 @@ def remainder_bound(
     C = bound_C(M, betas, epsilon)
     c_k = float(C[k]) if k < M else 0.0
     return c_k * s * s / N
-
-
-def growth_bound(s: int, n: int, mu: float, m: int, T_star: float) -> float:
-    """The factorial growth bound s * e^{-mu s} * n! * (m/T_star)^n * (e n)^{s/m}.
-
-    Controls the size of the n-th term of the iterated expansion in the
-    weighted marginal norms.  Only established for n >= 10, which is
-    enforced; mu >= -1 is the admissible weight range.  Evaluated through
-    logarithms so large n cannot overflow intermediate factors; the result
-    itself may round to inf, which is fine for a bound.
-    """
-    if n < 10:
-        raise ValueError(
-            f"growth bound: only established for n >= 10 (growth lemma hypothesis), got n={n}"
-        )
-    if s < 1:
-        raise ValueError(f"growth bound: s must be >= 1, got {s}")
-    if mu < -1.0:
-        raise ValueError(f"growth bound: mu must be >= -1, got {mu}")
-    if m < 1:
-        raise ValueError(f"growth bound: m must be >= 1, got {m}")
-    if not (T_star > 0 and math.isfinite(T_star)):
-        raise ValueError(f"growth bound: T_star must be positive and finite, got {T_star}")
-    log_val = (
-        math.log(s)
-        - mu * s
-        + math.lgamma(n + 1)
-        + n * (math.log(m) - math.log(T_star))
-        + (s / m) * (1.0 + math.log(n))
-    )
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf
 
 
 def duhamel_remainder_factor(s: int, n: int, m: int, T: float, T_star: float) -> float:

@@ -176,12 +176,3 @@ class ObservableSpec:
         if v.ndim != 2:
             raise ValueError(f"observable {self.name!r}: expected (N, d) velocities, got {v.shape}")
         return np.stack([f.evaluate(v) for f in self.factors], axis=0)
-
-
-def default_observables(d: int) -> Tuple[ObservableSpec, ...]:
-    """A small catalog exercising each factor kind in dimension d."""
-    return (
-        ObservableSpec((TanhFactor(1.0),)),
-        ObservableSpec((CosineFactor((1.0,) + (0.0,) * (d - 1)),)),
-        ObservableSpec((BoxFactor((-1.0,), (1.0,)),)),
-    )

@@ -14,10 +14,11 @@ Bobylev 1975 does in Fourier variables): with (v, w) = r (cos phi, sin phi)
 and g_k(r) the k-th Fourier coefficient of f x f on the circle of radius r,
 Qplus(v) = alpha int dw sum_k B_k g_k(r) exp(i k phi), B_k = int b exp(i k theta).
 Only the kernel's harmonics are kept: k = 0 (circle averages) for `uniform`,
-|k| <= 1 for `raised_cosine`, every |k| < n_theta for a callable; `n_theta`
-is the number of harmonics the solver carries.  f x f is sampled on circles
-of radius 0, h, 2h, ... beyond L sqrt(2) at 4 n_theta angles (odd circles
-turned by half a spacing) and B_k is the midpoint rule on 4 n_theta angles.
+|k| <= 1 for `raised_cosine`, and for a callable k = 0 plus each |k| < n_theta
+with |B_k| > 1e-12 B_0; `n_theta` bounds the harmonics the solver carries.
+f x f is sampled on circles of radius 0, h, 2h, ... beyond L sqrt(2) at
+4 n_theta angles (odd circles turned by half a spacing) and B_k is the
+midpoint rule on 4 n_theta angles.
 One synthesis matrix (sum over w, linear interpolation in r, exp(i k phi)),
 built once per grid, n_theta and kernel, takes the harmonics to the lattice.
 A per-row factor (a + c v^2) then makes the discrete gain mass and energy
@@ -145,10 +146,10 @@ def angular_nodes(n_theta: int) -> int:
 
 
 def check_angular_resolution(kernel: Union[str, Callable], n_theta: int):
-    """(angle density, highest harmonic kept); raises unless it is below n_theta.
+    """(angle density, highest harmonic it may carry); raises unless it is below n_theta.
 
-    Callable kernels keep every harmonic below n_theta, so their operator is
-    (2 n_theta - 1) times the size of the uniform kernel's.
+    A callable may carry any harmonic below n_theta; the gain operator keeps
+    those whose quadrature coefficient is not zero to rounding.
     """
     if callable(kernel):
         return kernel, n_theta - 1
@@ -179,6 +180,9 @@ class _PolarGain:
         b = b * (2.0 * math.pi / n_psi)
         ks = np.arange(k_max + 1)
         harmonics = np.exp(1j * np.outer(ks, theta)) @ b
+        kept = np.abs(harmonics) > 1e-12 * abs(harmonics[0])
+        kept[0] = True
+        ks, harmonics = ks[kept], harmonics[kept]
         self.b0, self.sin2 = float(harmonics[0].real), float(b @ np.sin(2.0 * theta))
 
         # f at r cos(psi) for radius r = j h and angle psi: lattice cell and
@@ -203,7 +207,7 @@ class _PolarGain:
         lam = rad - j
         phase = 2.0 * harmonics[1:, None, None] * np.exp(1j * ks[1:, None, None] * np.arctan2(v, v[:, None]))
         cell = (j * n_v + np.arange(n_v)[:, None]).ravel()
-        synth = np.empty((n_r, 2 * k_max + 1, n_v))
+        synth = np.empty((n_r, 2 * ks.size - 1, n_v))
         for q, coef in enumerate([np.full_like(rad, self.b0), *phase.real, *phase.imag]):
             w = ALPHA_TOY * h * coef
             col = np.bincount(cell, (w * (1.0 - lam)).ravel(), minlength=n_r * n_v)

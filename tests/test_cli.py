@@ -459,14 +459,16 @@ def test_laws_check_builtin_catalog_passes(tmp_path):
     body = table[1:]
     assert len(body) == 3 * len(BUILTIN_LAWS)
     assert all(row[5] == "PASS" for row in body)
+    # each (fully parameterized law label, test) pair appears exactly once
+    labels = {law.describe for law in BUILTIN_LAWS}
+    assert len(labels) == len(BUILTIN_LAWS)
+    assert sorted((row[0], row[1]) for row in body) == sorted(
+        (label, test) for label in labels for test in ("H1", "H2", "H3")
+    )
     # pointwise involutions report their H2 defect as an exact zero
-    h2 = {row[0]: row for row in body if row[1] == "H2"}
-    assert h2["binary_maxwell"][2] == "0" and h2["binary_maxwell"][3] == "0"
-    assert h2["symmetric_k"][2] == "0"
-    # the H1 rows carry fully parameterized law labels
-    h1_laws = [row[0] for row in body if row[1] == "H1"]
-    assert "symmetric_k(k=2,d=1)" in h1_laws and "kac_toy(kernel=uniform)" in h1_laws
-    assert len(set(h1_laws)) == len(BUILTIN_LAWS)
+    exact = [row for row in body if row[1] == "H2" and row[0].startswith(("binary", "symmetric"))]
+    assert len(exact) == 7
+    assert all(row[2] == "0" and row[3] == "0" for row in exact)
 
 
 def test_laws_check_uses_config_mixture(tmp_path):

@@ -83,6 +83,13 @@ def test_trailing_content_rejected():
         parse_with_positions('{"a": 1} {"b": 2}')
 
 
+def test_non_finite_constants_are_rejected_with_their_line():
+    with pytest.raises(ConfigError, match="line 2: NaN"):
+        parse_with_positions('{\n "a": NaN\n}')
+    with pytest.raises(ConfigError, match="line 3: -Infinity"):
+        parse_config('{\n "sim": {"N": 4,\n  "t_end": -Infinity}\n}')
+
+
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),

@@ -19,7 +19,6 @@ from kacmix.hierarchy import (
     bound_rho,
     coeff_leading,
     duhamel_remainder_factor,
-    growth_bound,
     hierarchy_constants,
     horizon_T_star,
     remainder_bound,
@@ -158,7 +157,7 @@ def test_theta_factors_below_one_inside_horizon(betas, eps, frac):
 
 
 # ---------------------------------------------------------------------------
-# remainder and growth scalars
+# remainder and tail scalars
 # ---------------------------------------------------------------------------
 
 
@@ -179,17 +178,6 @@ def test_remainder_bound_preconditions():
         remainder_bound(3, 1, 0, 2, HALF_HALF, 0.5)
     with pytest.raises(ValueError, match="s"):
         remainder_bound(100, 0, 0, 2, HALF_HALF, 0.5)
-
-
-def test_growth_bound_minimum_order():
-    with pytest.raises(ValueError, match="n >= 10"):
-        growth_bound(s=1, n=9, mu=0.0, m=1, T_star=0.1)
-    value = growth_bound(s=1, n=10, mu=0.0, m=1, T_star=0.1)
-    assert value > 0.0 and math.isfinite(value)
-
-
-def test_growth_bound_large_n_overflows_to_inf():
-    assert growth_bound(s=1, n=5000, mu=0.0, m=1, T_star=1e-6) == math.inf
 
 
 def test_duhamel_remainder_factor_decays():

@@ -10,7 +10,6 @@ from kacmix.observables import (
     CosineFactor,
     ObservableSpec,
     TanhFactor,
-    default_observables,
 )
 
 
@@ -64,18 +63,6 @@ def test_factor_values_matrix():
 def test_spec_requires_factors():
     with pytest.raises(ValueError, match="factor"):
         ObservableSpec(())
-
-
-def test_default_catalog():
-    specs = default_observables(d=2)
-    assert len(specs) >= 3
-    names = [s.name for s in specs]
-    assert len(set(names)) == len(names)
-    pts = np.random.default_rng(0).standard_normal((4, 5, 2))
-    for spec in specs:
-        vals = spec.evaluate(pts[:, : spec.s, :])
-        assert vals.shape == (4,)
-        assert np.all(np.abs(vals) <= 1.0 + 1e-12)  # all catalog entries are bounded
 
 
 @settings(max_examples=200, deadline=None)
