@@ -4,9 +4,15 @@ For iid (hence chaotic) initial data, s-particle marginal observables of the
 N-particle process converge, as N grows, to tensor powers of the limiting
 one-particle law.  The harness makes that quantitative at desk scale: it
 sweeps an N grid, estimates each marginal observable from N-particle
-ensembles, estimates the tensorized reference from one large mean-field run
-(kept methodologically independent of the N-particle code path), and reports
-per-cell agreement plus the empirical decay of the gap.
+ensembles, estimates the tensorized reference from one large mean-field run,
+and reports per-cell agreement plus the empirical decay of the gap.
+
+The reference is not independent of the code under test.  The mean-field
+sampler differs from the N-particle process only in its events (size-biased
+orders, a jumper slot, one-sided updates); it shares the event-tape engine
+(tape drawing, layering, batched application), the stacked replica driver
+and the observers with it, so a bug in that shared code can cancel in every
+cell.  Exact references that do not use the engine are ROADMAP item 2.
 
 No convergence rate is proven for the general mixture, so acceptance is
 qualitative: agreement at the largest N within statistical error and a

@@ -112,12 +112,34 @@ def _manifest(cfg: RunConfig, command: str, row_counts: dict, metrics: Optional[
     return out
 
 
+def _write_run(
+    cfg: RunConfig, command: str, metrics: dict, phases: dict, start: float, outputs: dict
+) -> None:
+    """Write the manifest, the result files, then the manifest again with every phase time.
+
+    `outputs` maps each result file to (row count, writer of its path).
+    `metrics` gains `phases` in seconds: config (measured by `main`), engine
+    (the solvers' engine time), reduce (the rest of the command since
+    `start`) and write (the result files; null in the first manifest).
+    """
+    engine = sum(entry["engine_s"] for entry in metrics["solvers"].values())
+    phases = dict(phases, engine=engine, reduce=time.perf_counter() - start - engine, write=None)
+    counts = {name: rows for name, (rows, _) in outputs.items()}
+    out = _manifest(cfg, command, counts, dict(metrics, phases=phases))
+    start = time.perf_counter()
+    for name, (_, writer) in outputs.items():
+        writer(out / name)
+    phases["write"] = time.perf_counter() - start
+    _manifest(cfg, command, counts, dict(metrics, phases=phases))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: RunConfig, workers: int) -> int:
+def cmd_simulate(cfg: RunConfig, workers: int, phases: dict) -> int:
+    start = time.perf_counter()
     mixture = cfg.require("mixture")
     sim = cfg.require("sim")
     initial = cfg.initial if cfg.initial is not None else GaussianInitial()
@@ -135,8 +157,8 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> int:
     result = run(config, observers, workers=workers)
     rows = list(run_result_rows(result))
     metrics = {"workers": workers, "solvers": engine_metrics([result])}
-    out = _manifest(cfg, "simulate", {"simulate.csv": len(rows)}, metrics)
-    write_csv(out / "simulate.csv", run_result_header(), rows)
+    outputs = {"simulate.csv": (len(rows), lambda path: write_csv(path, run_result_header(), rows))}
+    _write_run(cfg, "simulate", metrics, phases, start, outputs)
     return 0
 
 
@@ -165,7 +187,8 @@ def _picard_initial(cfg: RunConfig, grid) -> "object":
     )
 
 
-def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
+def cmd_boltzmann(cfg: RunConfig, workers: int, phases: dict) -> int:
+    start = time.perf_counter()
     mixture = cfg.require("mixture")
     mf = cfg.require("meanfield")
     initial = cfg.initial if cfg.initial is not None else GaussianInitial()
@@ -192,13 +215,13 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
         solvers.update(engine_metrics([result]))
 
     if mf.solver in ("picard", "both"):
-        start = time.perf_counter()
+        solve_start = time.perf_counter()
         solved = picard_evolve_toy(
             kernel, f0, mf.t_end, n_iter=mf.grid.n_iter, n_theta=mf.grid.n_theta, n_time=mf.grid.n_time
         )
         density = solved.density
         solvers["picard"] = {
-            "engine_s": time.perf_counter() - start,
+            "engine_s": time.perf_counter() - solve_start,
             "substeps": solved.substeps,
             "sweeps": solved.n_iter,
             "mass_drift": solved.mass_drift,
@@ -211,17 +234,16 @@ def cmd_boltzmann(cfg: RunConfig, workers: int) -> int:
         ):
             rows.append((mf.t_end, name, value, 0.0, mf.grid.n_v, 1, cfg.seed, "picard"))
 
-    counts = {"boltzmann.csv": len(rows)}
+    header = run_result_header(include_solver=True)
+    outputs = {"boltzmann.csv": (len(rows), lambda path: write_csv(path, header, rows))}
     if density is not None:
-        counts["boltzmann_density.csv"] = density.n_v
-    out = _manifest(cfg, "boltzmann", counts, {"workers": workers, "solvers": solvers})
-    write_csv(out / "boltzmann.csv", run_result_header(include_solver=True), rows)
-    if density is not None:
-        write_density_csv(out / "boltzmann_density.csv", density)
+        outputs["boltzmann_density.csv"] = (density.n_v, lambda path: write_density_csv(path, density))
+    metrics = {"workers": workers, "solvers": solvers}
+    _write_run(cfg, "boltzmann", metrics, phases, start, outputs)
     return 0
 
 
-def cmd_hierarchy(cfg: RunConfig, workers: int) -> int:
+def cmd_hierarchy(cfg: RunConfig, workers: int, phases: dict) -> int:
     mixture = cfg.require("mixture")
     hier = cfg.require("hierarchy")
     hc = hierarchy_constants(
@@ -243,7 +265,8 @@ def cmd_hierarchy(cfg: RunConfig, workers: int) -> int:
     return 0
 
 
-def cmd_chaos(cfg: RunConfig, workers: int) -> int:
+def cmd_chaos(cfg: RunConfig, workers: int, phases: dict) -> int:
+    start = time.perf_counter()
     mixture = cfg.require("mixture")
     chaos = cfg.require("chaos")
     initial = cfg.initial if cfg.initial is not None else GaussianInitial()
@@ -259,10 +282,12 @@ def cmd_chaos(cfg: RunConfig, workers: int) -> int:
         workers=workers,
         mode=chaos.estimator,
     )
-    counts = {"chaos.csv": len(report.rows), "chaos_summary.json": 1}
-    out = _manifest(cfg, "chaos", counts, {"workers": workers, "solvers": report.engine})
-    write_chaos_csv(out / "chaos.csv", report)
-    write_json(out / "chaos_summary.json", chaos_summary(report))
+    outputs = {
+        "chaos.csv": (len(report.rows), lambda path: write_chaos_csv(path, report)),
+        "chaos_summary.json": (1, lambda path: write_json(path, chaos_summary(report))),
+    }
+    metrics = {"workers": workers, "solvers": report.engine}
+    _write_run(cfg, "chaos", metrics, phases, start, outputs)
     if report.pass_fraction < chaos.pass_threshold:
         print(
             f"chaos: pass fraction {report.pass_fraction:.4f} below threshold "
@@ -296,7 +321,7 @@ def laws_check_rows(laws: Sequence[CollisionLaw], seed: int, n_samples: int = 10
     return rows
 
 
-def cmd_laws_check(cfg: RunConfig, workers: int) -> int:
+def cmd_laws_check(cfg: RunConfig, workers: int, phases: dict) -> int:
     laws = cfg.mixture.laws if cfg.mixture is not None else BUILTIN_LAWS
     rows = laws_check_rows(laws, seed=cfg.seed)
     out = _manifest(cfg, "laws-check", {"laws_check.csv": len(rows)})
@@ -346,7 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="dotted config override, e.g. --set sim.N=200 (repeatable)",
         )
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, help="worker processes (default: KAC_WORKERS or CPU count)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            help="accepted and recorded in the manifest (default: KAC_WORKERS or CPU count); "
+            "runs are one process, vectorized across replicas, and results depend only on the seed",
+        )
         p.add_argument("--output-dir", help="override the config output directory")
     return parser
 
@@ -356,8 +386,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         workers = _resolve_workers(args.workers)
+        start = time.perf_counter()
         cfg = _load(args)
-        return _COMMANDS[args.command](cfg, workers)
+        return _COMMANDS[args.command](cfg, workers, {"config": time.perf_counter() - start})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,8 @@ def meanfield_run(
     The result has the same shape as the N-particle driver's output (solver
     tag "meanfield"), so the two can be differenced row by row in
     convergence studies.  Both run on the same replica driver, so substreams
-    and merge order follow the same determinism contract.
+    and merge order follow the same determinism contract; `workers` is
+    accepted for callers that pass it and changes nothing.
     """
     if n < mixture.m:
         raise ValueError(f"mean-field run: n >= M required (M={mixture.m}, got n={n})")
@@ -58,6 +59,4 @@ def meanfield_run(
         N=n, mixture=mixture, t_end=t_end, seed=seed, replicas=replicas, initial=initial
     )
     rate = n * mixture.alpha
-    return _run_replicas(
-        "meanfield", config, rate, True, observers, workers, keep_final, keep_raw
-    )
+    return _run_replicas("meanfield", config, rate, True, observers, keep_final, keep_raw)

@@ -165,14 +165,3 @@ class ObservableSpec:
         for j in range(1, self.s):
             out = out * self.factors[j].evaluate(g[..., j, :])
         return out
-
-    def factor_values(self, velocities: np.ndarray) -> np.ndarray:
-        """Evaluate every factor on every particle: (N, d) -> (s, N).
-
-        This is the raw material for the exchangeable-average estimators and
-        for tensorized single-particle references.
-        """
-        v = np.asarray(velocities, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"observable {self.name!r}: expected (N, d) velocities, got {v.shape}")
-        return np.stack([f.evaluate(v) for f in self.factors], axis=0)

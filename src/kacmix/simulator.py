@@ -13,17 +13,19 @@ discretization is involved).  The mean-field sampler runs on the same
 engine.
 
 Replicas are independent and reproducible: replica r uses a counter-based
-generator seeded from (seed, spawn_key=(r,)), so results are identical no
-matter how replicas are scheduled across workers.  Observers sample the
-right-continuous trajectory at fixed times; the state at time tau is the
-state after the last event at or before tau.
+generator seeded from (seed, spawn_key=(r,)).  Small systems run a group
+of replicas as one stacked array, so their batches are wide; replicas
+share no particles, so every replica's trajectory, and with it the output,
+depends only on the seed.  Observers sample the right-continuous
+trajectory at fixed times; the state at time tau is the state after the
+last event at or before tau.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -48,7 +50,6 @@ __all__ = [
     "moment_channels",
     "step",
     "run",
-    "observable_on_state",
     "replica_rng",
     "engine_metrics",
 ]
@@ -178,10 +179,6 @@ class MasterState:
     def copy(self) -> "MasterState":
         return MasterState(self.velocities.copy(), self.time, self.collision_count)
 
-    @property
-    def n_particles(self) -> int:
-        return self.velocities.shape[0]
-
     def energy(self) -> float:
         """Total squared speed, the quantity isometric collisions preserve."""
         v = self.velocities
@@ -254,8 +251,10 @@ def _repeated(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= 16:  # a few rows: cheaper in Python than numpy's per-call cost
         bad = [i for i, row in enumerate(rows.tolist()) if len(set(row)) < len(row)]
         return np.array(bad, dtype=np.intp)
-    s = np.sort(rows, axis=1)
-    return np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+    same = np.zeros(rows.shape[0], dtype=bool)
+    for i, j in itertools.combinations(range(rows.shape[1]), 2):
+        same |= rows[:, i] == rows[:, j]
+    return np.flatnonzero(same)
 
 
 def _uniform_indices(rng: np.random.Generator, n: int, shape) -> np.ndarray:
@@ -328,25 +327,27 @@ def _layers(tape: list, count: int, m: int) -> np.ndarray:
     """Layer of each event: one above the latest earlier event sharing a particle.
 
     Each event's particles (for mean-field events the jumper and its
-    partners) are padded to width m.  Sorting the (event, particle) entries
-    by particle gives each entry's predecessor, the previous event on the
-    same particle; layers are then the longest predecessor chains, found by
-    relaxing all events at once until nothing changes (one pass per layer).
+    partners) fill its column of an (m, count) array, padded with -1.
+    Sorting the entries by (particle, event) gives each entry's predecessor,
+    the previous event on the same particle; layers are then the longest
+    predecessor chains, found by relaxing all events at once until nothing
+    changes (one pass per layer).
     """
-    touched = np.full((count, m), -1, dtype=np.intp)
+    touched = np.full((m, count), -1, dtype=np.intp)
     for _, pos, idx, _, _ in tape:
-        touched[pos, : idx.shape[1]] = idx
-    flat = touched.ravel()
-    by_particle = flat.argsort(kind="stable")
-    p = flat[by_particle]
-    repeat = np.flatnonzero((p[1:] == p[:-1]) & (p[1:] >= 0)) + 1
-    prev = np.full(flat.size, count, dtype=np.intp)  # `count` points at layer -1
-    prev[by_particle[repeat]] = by_particle[repeat - 1] // m
-    prev = prev.reshape(count, m)
+        touched[: idx.shape[1], pos] = idx.T
+    # one sortable key per entry: particle, then event, then slot
+    span = count * m
+    key = np.sort((touched * span + (np.arange(count) * m + np.arange(m)[:, None])).ravel())
+    particle, entry = np.divmod(key, span)
+    event, slot = np.divmod(entry, m)
+    repeat = np.flatnonzero((particle[1:] == particle[:-1]) & (particle[1:] >= 0)) + 1
+    prev = np.full((m, count), count, dtype=np.intp)  # `count` points at layer -1
+    prev[slot[repeat], event[repeat]] = event[repeat - 1]
     layer = np.zeros(count + 1, dtype=np.intp)
     layer[count] = -1
     while True:
-        new = layer[prev].max(axis=1) + 1
+        new = np.maximum.reduce(layer[prev], axis=0) + 1
         if np.array_equal(new, layer[:count]):
             return new
         layer[:count] = new
@@ -371,12 +372,11 @@ def _apply_events(velocities: np.ndarray, order_events: tuple, sel=None) -> None
 
 def _apply_tape(velocities: np.ndarray, tape: list, count: int, m: int) -> None:
     """Apply a tape of `count` events in place, one batch per (layer, order)."""
-    layer = _layers(tape, count, m) if count > 1 else None
-    depth = 1 if layer is None else int(layer.max()) + 1
-    if depth == 1:
-        for order_events in tape:
-            _apply_events(velocities, order_events)
+    if count == 1:  # one event (`step`): nothing to layer
+        _apply_events(velocities, tape[0])
         return
+    layer = _layers(tape, count, m)
+    depth = int(layer.max()) + 1
     plans = []
     for order_events in tape:
         lay = layer[order_events[1]]
@@ -419,10 +419,11 @@ def step(
 class Observer:
     """Samples scalar channels from the trajectory at fixed times.
 
-    Subclasses define the channel names and how one snapshot (velocity array
-    plus event count) maps to one value per channel.  The run driver calls
-    `collect` once per (replica, time), in time order, with the replica's
-    own generator.
+    Subclasses define the channel names and how a group of snapshots maps to
+    one value per replica and channel.  The run driver calls `collect` once
+    per (replica group, time), in time order, with the group's velocities
+    (G, N, d), each replica's event count (G,) and each replica's own
+    generator, and takes back a (G, channels) array.
     """
 
     def __init__(self, times: Sequence[float]):
@@ -439,7 +440,9 @@ class Observer:
     def channel_names(self) -> Tuple[str, ...]:
         raise NotImplementedError
 
-    def collect(self, velocities: np.ndarray, events: int, rng: np.random.Generator) -> np.ndarray:
+    def collect(
+        self, velocities: np.ndarray, events: np.ndarray, rngs: Sequence[np.random.Generator]
+    ) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -455,36 +458,42 @@ MOMENT_CHANNELS: Tuple[str, ...] = (
 )
 
 
-def moment_channels(velocities: np.ndarray, events: int) -> np.ndarray:
-    """Standard scalar readings of one (N, d) state, in MOMENT_CHANNELS order.
+def _dot(a: np.ndarray) -> np.ndarray:
+    """a . a along the last axis, rounded as the 1-D product `a @ a` of each row."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
-    m1..m4 are coordinate moments averaged over all N*d components, energy is
-    the mean squared speed per particle, and the pair channels are averages
-    over ordered distinct pairs (exactly the quantities whose N -> infinity
+
+def moment_channels(velocities: np.ndarray, events) -> np.ndarray:
+    """Standard scalar readings of (..., N, d) states, in MOMENT_CHANNELS order.
+
+    Returns shape (..., 8); `events` is one count per state.  m1..m4 are
+    coordinate moments averaged over all N*d components, energy is the mean
+    squared speed per particle, and the pair channels are averages over
+    ordered distinct pairs (exactly the quantities whose N -> infinity
     behavior the chaos diagnostics track).  For N = 1 the pair channels are
     reported as 0 since there are no pairs.
     """
     v = np.asarray(velocities, dtype=float)
-    if v.ndim != 2:
+    if v.ndim < 2:
         raise ValueError(f"moment channels: expected (N, d) velocities, got shape {v.shape}")
-    n = v.shape[0]
-    flat = v.ravel()
-    m1 = flat.mean()
+    n = v.shape[-2]
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    m1 = flat.mean(axis=-1)
     sq = flat * flat
-    m2 = sq.mean()
-    m3 = (sq * flat).mean()
-    m4 = (sq * sq).mean()
-    speed_sq = (v * v).sum(axis=1)
-    energy = speed_sq.mean()
+    m2 = sq.mean(axis=-1)
+    m3 = (sq * flat).mean(axis=-1)
+    m4 = (sq * sq).mean(axis=-1)
+    speed_sq = (v * v).sum(axis=-1)
+    energy = speed_sq.mean(axis=-1)
     if n >= 2:
-        col_sums = v.sum(axis=0)
-        pair_vv = (float(col_sums @ col_sums) - speed_sq.sum()) / (n * (n - 1))
-        total_sq = speed_sq.sum()
-        pair_v2v2 = (total_sq * total_sq - float(speed_sq @ speed_sq)) / (n * (n - 1))
+        col_sums = v.sum(axis=-2)
+        total_sq = speed_sq.sum(axis=-1)
+        pair_vv = (_dot(col_sums) - total_sq) / (n * (n - 1))
+        pair_v2v2 = (total_sq * total_sq - _dot(speed_sq)) / (n * (n - 1))
     else:
-        pair_vv = 0.0
-        pair_v2v2 = 0.0
-    return np.array([m1, m2, m3, m4, energy, pair_vv, pair_v2v2, float(events)])
+        pair_vv = pair_v2v2 = np.zeros_like(m1)
+    counts = np.broadcast_to(np.asarray(events, dtype=float), m1.shape)
+    return np.stack([m1, m2, m3, m4, energy, pair_vv, pair_v2v2, counts], axis=-1)
 
 
 class MomentObserver(Observer):
@@ -494,42 +503,8 @@ class MomentObserver(Observer):
     def channel_names(self) -> Tuple[str, ...]:
         return MOMENT_CHANNELS
 
-    def collect(self, velocities, events, rng):
+    def collect(self, velocities, events, rngs):
         return moment_channels(velocities, events)
-
-
-class ObservableObserver(Observer):
-    """Records marginal-observable readings at each sample time.
-
-    `mode` selects which particle slots feed each observable:
-
-    * ``"first"``: the first s slots of the state,
-    * ``"random"``: a fresh uniform ordered draw of s distinct slots per
-      reading (consumes the replica stream, so it stays reproducible),
-    * ``"all"``: the exchangeable average over every ordered s-tuple of
-      distinct slots, computed in closed form from per-factor sums.
-
-    All three have the same expectation by exchangeability; "all" has by far
-    the smallest variance and is the right choice for convergence studies.
-    """
-
-    def __init__(self, times: Sequence[float], specs: Sequence[ObservableSpec], mode: str = "first"):
-        super().__init__(times)
-        self.specs: Tuple[ObservableSpec, ...] = tuple(specs)
-        if len(self.specs) == 0:
-            raise ValueError("observable observer: at least one observable is required")
-        if mode not in ESTIMATOR_MODES:
-            raise ValueError(f"observable observer: unknown mode {mode!r}, expected {ESTIMATOR_MODES}")
-        self.mode = mode
-
-    @property
-    def channel_names(self) -> Tuple[str, ...]:
-        return tuple(spec.name for spec in self.specs)
-
-    def collect(self, velocities, events, rng):
-        return np.array(
-            [observable_on_state(velocities, spec, self.mode, rng) for spec in self.specs]
-        )
 
 
 def _set_partitions(items: List[int]) -> Iterator[List[List[int]]]:
@@ -544,154 +519,212 @@ def _set_partitions(items: List[int]) -> Iterator[List[List[int]]]:
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
 
 
-def _all_slots_average(spec: ObservableSpec, velocities: np.ndarray) -> float:
-    """Average of the product observable over all ordered distinct s-tuples.
+def _partition_terms(ids: Sequence[int]) -> Tuple[Tuple[float, tuple], ...]:
+    """Inclusion-exclusion terms of the sum of prod_j f_{ids[j]}(v_{i_j}) over distinct i_1..i_s.
 
-    Expanding the sum over distinct tuples by inclusion-exclusion on which
-    slots coincide turns it into a signed sum over set partitions of the s
-    factor positions, with each block contributing the single-particle sum
-    of the product of its factors.  Cost is O(2^s) partition terms times one
-    pass over the ensemble, instead of O(N^s) tuples.
+    Expanding the sum over ordered distinct tuples by which slots coincide
+    gives a signed sum over the set partitions of the s slots: each block B
+    contributes the particle sum of the product of its factors, with weight
+    (-1)^(|B|-1) (|B|-1)!.  A block's sum depends only on the multiset of
+    factors in it.  Returns one (weight, blocks) pair per partition, each
+    block a sorted tuple of factor ids.
     """
-    s = spec.s
-    n = velocities.shape[0]
-    fac = spec.factor_values(velocities)  # (s, N)
-    total = 0.0
-    for part in _set_partitions(list(range(s))):
-        term = 1.0
+    terms = []
+    for part in _set_partitions(list(range(len(ids)))):
+        weight = 1
         for block in part:
-            term *= (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
-            term *= float(np.prod(fac[block, :], axis=0).sum())
-        total += term
-    denom = 1.0
-    for j in range(s):
-        denom *= n - j
-    return total / denom
+            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+        terms.append((float(weight), tuple(tuple(sorted(ids[j] for j in block)) for block in part)))
+    return tuple(terms)
 
 
-def observable_on_state(
-    velocities: np.ndarray,
-    spec: ObservableSpec,
-    mode: str = "first",
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """One reading of a product observable from one (N, d) state."""
-    n = velocities.shape[0]
-    if spec.s > n:
-        raise ValueError(f"observable {spec.name!r}: order s={spec.s} exceeds N={n}")
-    if mode == "first":
-        return float(spec.evaluate(velocities[: spec.s]))
-    if mode == "random":
-        if rng is None:
-            raise ValueError("observable reading: mode 'random' needs a generator")
-        idx = _distinct_rows(rng, n, 1, spec.s)[0]
-        return float(spec.evaluate(velocities[idx]))
-    if mode == "all":
-        return _all_slots_average(spec, velocities)
-    raise ValueError(f"observable reading: unknown mode {mode!r}, expected {ESTIMATOR_MODES}")
+class ObservableObserver(Observer):
+    """Records marginal-observable readings at each sample time.
+
+    `mode` selects which particle slots feed each observable:
+
+    * ``"first"``: the first s slots of the state,
+    * ``"random"``: a fresh uniform ordered draw of s distinct slots per
+      reading (consumes the replica stream, so it stays reproducible),
+    * ``"all"``: the exchangeable average over every ordered s-tuple of
+      distinct slots, in closed form from particle sums of factor products:
+      O(2^s) partition terms per spec, fixed when the observer is built, and
+      one pass over the ensemble per distinct block, shared by all specs.
+
+    All three have the same expectation by exchangeability; "all" has by far
+    the smallest variance and is the right choice for convergence studies.
+    """
+
+    def __init__(self, times: Sequence[float], specs: Sequence[ObservableSpec], mode: str = "first"):
+        super().__init__(times)
+        self.specs: Tuple[ObservableSpec, ...] = tuple(specs)
+        if len(self.specs) == 0:
+            raise ValueError("observable observer: at least one observable is required")
+        if mode not in ESTIMATOR_MODES:
+            raise ValueError(f"observable observer: unknown mode {mode!r}, expected {ESTIMATOR_MODES}")
+        self.mode = mode
+        self._factors: list = []  # the distinct factors of all specs
+        self._terms = tuple(
+            _partition_terms([self._factor_id(f) for f in spec.factors]) for spec in self.specs
+        )
+
+    def _factor_id(self, factor) -> int:
+        for i, known in enumerate(self._factors):
+            if known == factor:
+                return i
+        self._factors.append(factor)
+        return len(self._factors) - 1
+
+    @property
+    def channel_names(self) -> Tuple[str, ...]:
+        return tuple(spec.name for spec in self.specs)
+
+    def collect(self, velocities, events, rngs):
+        g, n = velocities.shape[:2]
+        s_max = max(spec.s for spec in self.specs)
+        if s_max > n:
+            raise ValueError(f"observable reading: order s={s_max} exceeds N={n}")
+        if self.mode == "all":
+            return self._all_slots(velocities)
+        out = np.empty((g, len(self.specs)))
+        for c, spec in enumerate(self.specs):
+            if self.mode == "first":
+                groups = velocities[:, : spec.s]
+            else:
+                idx = np.stack([_distinct_rows(rng, n, 1, spec.s)[0] for rng in rngs])
+                groups = velocities[np.arange(g)[:, None], idx]
+            # one (1, s, d) stack per replica: a factor's matrix products then
+            # have the same shape, hence the same rounding, whatever G is
+            out[:, c] = spec.evaluate(groups[:, None])[:, 0]
+        return out
+
+    def _all_slots(self, velocities: np.ndarray) -> np.ndarray:
+        """Average of each spec over all ordered distinct s-tuples, per replica."""
+        g, n = velocities.shape[:2]
+        values = [f.evaluate(velocities) for f in self._factors]  # (G, N) each
+        sums: dict = {}  # block (sorted factor ids) -> particle sums (G,)
+
+        def block_sum(block: tuple) -> np.ndarray:
+            if block not in sums:
+                prod = values[block[0]]
+                for j in block[1:]:
+                    prod = prod * values[j]
+                sums[block] = prod.sum(axis=-1)
+            return sums[block]
+
+        out = np.empty((g, len(self.specs)))
+        for c, (spec, terms) in enumerate(zip(self.specs, self._terms)):
+            total = np.zeros(g)
+            for weight, blocks in terms:  # one per partition: merging them would change the rounding
+                term = weight
+                for block in blocks:
+                    term = term * block_sum(block)
+                total += term
+            out[:, c] = total / math.perm(n, spec.s)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # replica driver (shared with the mean-field sampler)
 # ---------------------------------------------------------------------------
 
+# Particles per replica group.  A group of G = max(1, GROUP_PARTICLES // N)
+# replicas runs as one stacked (G N, d) array, so small systems get their
+# batch width from the replica axis.  G depends on N only, and replicas
+# never share particles, so every replica's trajectory is the same at any G.
+GROUP_PARTICLES = 4096
+
 
 def _block_size(n: int) -> int:
     """Events per tape on n particles: n/2, at least 32.
 
     A function of the system size only, so the tapes, and with them the
-    output, do not depend on how replicas are spread over workers.  Tape
-    memory stays O(n); the layer count, hence the number of batches per
-    tape, grows with the events per particle.
+    output, do not depend on how replicas are grouped.  Tape memory stays
+    O(n); the layer count, hence the number of batches per tape, grows with
+    the events per particle.
     """
     return max(32, n // 2)
 
 
+def _stack_tapes(tapes: list, n: int, m: int) -> Tuple[list, int]:
+    """Merge (replica, count, tape) triples into one tape and its event count.
+
+    Replica r owns rows r n .. r n + n - 1 of the stacked array, so its
+    indices are offset by r n and its positions by the events before it.
+    Replicas share no particle, so each keeps its own layers.
+    """
+    by_order: List[list] = [[] for _ in range(m)]
+    base = 0
+    for r, count, tape in tapes:
+        for law, pos, idx, angles, slots in tape:
+            by_order[law.order - 1].append((law, pos + base, idx + r * n, angles, slots))
+        base += count
+    stacked = []
+    for parts in filter(None, by_order):
+        law, pos, idx, angles, slots = zip(*parts)
+        columns = [np.concatenate(column) for column in (pos, idx, angles)]
+        stacked.append((law[0], *columns, None if slots[0] is None else np.concatenate(slots)))
+    return stacked, base
+
+
 def _drive(
-    state: MasterState,
+    velocities: np.ndarray,
     rate: float,
     meanfield: bool,
     mixture: MixtureSpec,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     t_end: float,
     observers: Sequence[Observer],
 ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Evolve one replica to the horizon, sampling observers on the way.
+    """Evolve a group of replicas (G, N, d) to the horizon in place, sampling observers.
 
-    The observer times and t_end cut [0, t_end] into intervals.  The number
-    of events in each interval is Poisson(rate * length), independent of the
-    other intervals, and given the counts the events are iid, so each
-    interval draws its count and then its events as tapes of at most
-    `_block_size` events; no event time is needed.  A sample at time tau
-    reads the state after every event of the intervals ending at or before
-    tau (right continuity).  Returns the readings and the number of events
-    applied of each order.
+    Replica r draws everything from `rngs[r]`.  The observer times and t_end
+    cut [0, t_end] into intervals.  The number of events in each interval is
+    Poisson(rate * length), independent of the other intervals, and given
+    the counts the events are iid, so each replica draws its count and then
+    its events as tapes of at most `_block_size` events; no event time is
+    needed.  Each round stacks the next tape of every replica with events
+    left and applies them at once.  A sample at time tau reads the state
+    after the intervals ending at or before tau (right continuity).  Returns
+    each observer's readings (G, n_times, n_channels) and the events applied
+    of each order (G, M).
     """
     schedule = sorted(
         (t, oi, ti)
         for oi, obs in enumerate(observers)
         for ti, t in enumerate(obs.times)
     )
-    readings = [np.empty((len(obs.times), len(obs.channel_names))) for obs in observers]
-    velocities = state.velocities
-    n, m = velocities.shape[0], mixture.m
+    g, n, d = velocities.shape
+    m = mixture.m
+    readings = [np.empty((g, len(obs.times), len(obs.channel_names))) for obs in observers]
+    flat = velocities.reshape(g * n, d)  # a view: the stacked particles
     block = _block_size(n)
-    events = np.zeros(m, dtype=np.int64)
+    events = np.zeros((g, m), dtype=np.int64)
     ptr = 0
     t = 0.0
     for cut in sorted({entry[0] for entry in schedule} | {t_end}):
-        todo = int(rng.poisson(rate * (cut - t))) if cut > t else 0
-        while todo > 0:
-            count = min(todo, block)
-            tape = _draw_tape(rng, mixture, n, count, meanfield)
-            _apply_tape(velocities, tape, count, m)
-            for law, pos, _, _, _ in tape:
-                events[law.order - 1] += pos.size
-            todo -= count
-        state.collision_count = int(events.sum())
+        todo = [int(rng.poisson(rate * (cut - t))) if cut > t else 0 for rng in rngs]
+        while True:
+            tapes = []
+            for r, rng in enumerate(rngs):
+                if todo[r] > 0:
+                    count = min(todo[r], block)
+                    tape = _draw_tape(rng, mixture, n, count, meanfield)
+                    for law, pos, _, _, _ in tape:
+                        events[r, law.order - 1] += pos.size
+                    tapes.append((r, count, tape))
+                    todo[r] -= count
+            if not tapes:
+                break
+            tape, count = _stack_tapes(tapes, n, m)
+            _apply_tape(flat, tape, count, m)
         t = cut
+        counts = events.sum(axis=1)
         while ptr < len(schedule) and schedule[ptr][0] <= t:
             _, oi, ti = schedule[ptr]
-            readings[oi][ti] = observers[oi].collect(velocities, state.collision_count, rng)
+            readings[oi][:, ti] = observers[oi].collect(velocities, counts, rngs)
             ptr += 1
-    state.time = t_end
     return readings, events
-
-
-def _replica_block(args) -> List[tuple]:
-    """Run one block of replicas: `(replica, readings, events by order, final state)` each."""
-    (config, rate, meanfield, observers, keep_final), replicas = args
-    out = []
-    for r in replicas:
-        rng = replica_rng(config.seed, r)
-        velocities = np.asarray(config.initial.sample(rng, config.N, config.d), dtype=float)
-        state = MasterState(velocities)
-        readings, events = _drive(
-            state, rate, meanfield, config.mixture, rng, config.t_end, observers
-        )
-        out.append((r, readings, events, state if keep_final else None))
-    return out
-
-
-def _parallel_map_replicas(common, n_replicas: int, workers: int) -> List[tuple]:
-    """Run `_replica_block` over replica indices, possibly in worker processes.
-
-    Payloads are reassembled in replica order, so the final result does not
-    depend on how many workers executed the blocks.
-    """
-    out: List = [None] * n_replicas
-    w = max(1, int(workers))
-    if w == 1 or n_replicas == 1:
-        for item in _replica_block((common, list(range(n_replicas)))):
-            out[item[0]] = item[1:]
-    else:
-        blocks = [list(range(i, n_replicas, w)) for i in range(w)]
-        blocks = [b for b in blocks if b]
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            for result in pool.map(_replica_block, [(common, b) for b in blocks]):
-                for item in result:
-                    out[item[0]] = item[1:]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +770,9 @@ class RunResult:
     on request, is `series[i].values`: the unreduced readings with shape
     (replicas, n_times, n_channels); convergence diagnostics need them for
     replica-level products and covariances.  `events_by_order[K-1]` counts
-    the order-K events applied over all replicas, and `engine_s` is the wall
-    time of the replica runs.  Rows flatten the series into (time, channel
+    the order-K events applied over all replicas, `engine_s` is the wall
+    time of the replica runs and `replica_group` the number of replicas
+    stacked into one engine pass.  Rows flatten the series into (time, channel
     id, mean, stderr) records for tabular output.
     """
 
@@ -751,6 +785,7 @@ class RunResult:
     series: Tuple[ObserverSeries, ...]
     events_by_order: Tuple[int, ...] = ()
     engine_s: float = 0.0
+    replica_group: int = 1
     final_states: Optional[List[MasterState]] = None
     raw: Optional[List[np.ndarray]] = None
 
@@ -762,27 +797,21 @@ class RunResult:
                     yield (t, name, float(means[ti, ci]), float(errs[ti, ci]))
 
 
-def _reduce_payloads(observers: Sequence[Observer], payloads: Sequence[tuple]):
-    """Stack per-replica (readings, events, final) payloads in replica order."""
-    series = tuple(
-        ObserverSeries(obs.times, obs.channel_names, np.stack([p[0][oi] for p in payloads]))
-        for oi, obs in enumerate(observers)
-    )
-    events = np.sum([p[1] for p in payloads], axis=0)
-    return series, tuple(int(e) for e in events), [p[2] for p in payloads]
-
-
 def engine_metrics(results: Sequence[RunResult]) -> dict:
-    """Events applied per solver and order, engine seconds and events/s.
+    """Events applied per solver and order, engine seconds, events/s and replica groups.
 
-    Runs of the same solver are summed; orders are keyed "1".."M".
+    Runs of the same solver are summed; orders are keyed "1".."M", and
+    `replica_group` maps each run's N to the replicas per engine pass.
     """
     out: dict = {}
     for res in results:
-        entry = out.setdefault(res.solver, {"events_by_order": {}, "engine_s": 0.0})
+        entry = out.setdefault(
+            res.solver, {"events_by_order": {}, "engine_s": 0.0, "replica_group": {}}
+        )
         for k, count in enumerate(res.events_by_order, start=1):
             entry["events_by_order"][str(k)] = entry["events_by_order"].get(str(k), 0) + count
         entry["engine_s"] += res.engine_s
+        entry["replica_group"][str(res.N)] = res.replica_group
     for entry in out.values():
         entry["events"] = sum(entry["events_by_order"].values())
         entry["events_per_s"] = entry["events"] / entry["engine_s"] if entry["engine_s"] > 0 else 0.0
@@ -800,7 +829,6 @@ def _run_replicas(
     rate: float,
     meanfield: bool,
     observers: Sequence[Observer],
-    workers: int,
     keep_final: bool,
     keep_raw: bool,
 ) -> RunResult:
@@ -808,7 +836,8 @@ def _run_replicas(
 
     Each replica draws its initial state and its events from its own
     substream (seed, replica index) and jumps at total `rate`, with
-    N-particle events or, when `meanfield`, mean-field events.
+    N-particle events or, when `meanfield`, mean-field events.  Groups of
+    G replicas (see GROUP_PARTICLES) run as one stacked (G, N, d) array.
     """
     observers = list(observers)
     for obs in observers:
@@ -817,12 +846,32 @@ def _run_replicas(
                 raise ValueError(
                     f"configuration error: observer time {t} outside [0, t_end={config.t_end}]"
                 )
+    size = max(1, GROUP_PARTICLES // config.N)
+    values = [
+        np.empty((config.replicas, len(obs.times), len(obs.channel_names))) for obs in observers
+    ]
+    events = np.zeros((config.replicas, config.mixture.m), dtype=np.int64)
+    finals: List[MasterState] = []
     start = time.perf_counter()
-    payloads = _parallel_map_replicas(
-        (config, rate, meanfield, observers, keep_final), config.replicas, workers
-    )
+    for lo in range(0, config.replicas, size):
+        hi = min(lo + size, config.replicas)
+        rngs = [replica_rng(config.seed, r) for r in range(lo, hi)]
+        velocities = np.array(
+            [config.initial.sample(rng, config.N, config.d) for rng in rngs], dtype=float
+        )
+        readings, events[lo:hi] = _drive(
+            velocities, rate, meanfield, config.mixture, rngs, config.t_end, observers
+        )
+        for series_values, block in zip(values, readings):
+            series_values[lo:hi] = block
+        if keep_final:
+            finals.extend(
+                MasterState(v, config.t_end, int(e.sum())) for v, e in zip(velocities, events[lo:hi])
+            )
     engine_s = time.perf_counter() - start
-    series, events, finals = _reduce_payloads(observers, payloads)
+    series = tuple(
+        ObserverSeries(obs.times, obs.channel_names, vals) for obs, vals in zip(observers, values)
+    )
     return RunResult(
         solver=solver,
         N=config.N,
@@ -831,10 +880,11 @@ def _run_replicas(
         seed=config.seed,
         t_end=config.t_end,
         series=series,
-        events_by_order=events,
+        events_by_order=tuple(int(e) for e in events.sum(axis=0)),
         engine_s=engine_s,
+        replica_group=size,
         final_states=finals if keep_final else None,
-        raw=[ser.values for ser in series] if keep_raw else None,
+        raw=list(values) if keep_raw else None,
     )
 
 
@@ -848,9 +898,8 @@ def run(
     """Evolve an ensemble of independent replicas and merge their statistics.
 
     Each replica owns the substream (seed, replica index), so the output is
-    a deterministic function of the configuration alone: worker count only
-    changes wall-clock time.  Partial results are merged in replica order.
+    a deterministic function of the configuration alone.  The run is one
+    process, vectorized across replicas; `workers` is accepted for callers
+    that pass it and changes nothing.
     """
-    return _run_replicas(
-        "kac", config, float(config.N), False, observers, workers, keep_final, keep_raw
-    )
+    return _run_replicas("kac", config, float(config.N), False, observers, keep_final, keep_raw)

@@ -85,22 +85,33 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert events[0] == events[1]
 
 
+def assert_phases(metrics):
+    """config, engine, reduce and write seconds; engine is the solvers' engine time."""
+    phases = metrics["phases"]
+    assert set(phases) == {"config", "engine", "reduce", "write"}
+    assert all(value >= 0.0 for value in phases.values())
+    assert phases["engine"] == pytest.approx(sum(e["engine_s"] for e in metrics["solvers"].values()))
+
+
 def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
-    """The metrics block counts the applied events; the CSVs do not carry it."""
+    """The metrics block counts the applied events and times the phases; the CSVs do not carry it."""
     cfg = write_config(tmp_path, simulate_doc(N=20, t_end=0.5, replicas=3, times=[0.5]))
     out = tmp_path / "sim"
     assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out), "--workers", "2"]) == 0
     metrics = json.loads((out / "manifest.json").read_text())["metrics"]
     assert metrics["workers"] == 2
     kac = metrics["solvers"]["kac"]
-    assert set(kac) == {"events", "events_by_order", "engine_s", "events_per_s"}
+    assert set(kac) == {"events", "events_by_order", "engine_s", "events_per_s", "replica_group"}
+    assert kac["replica_group"] == {"20": 204}  # 4096 particles per engine pass
+    assert_phases(metrics)
     assert kac["events_by_order"]["1"] == 0  # zero-weight order never fires
     assert kac["events"] == kac["events_by_order"]["2"] > 0
     assert kac["engine_s"] > 0 and kac["events_per_s"] == kac["events"] / kac["engine_s"]
     rows = list(csv.DictReader(open(out / "simulate.csv", newline="")))
     mean_events = [float(r["mean"]) for r in rows if r["observable"] == "events"]
     assert mean_events == [kac["events"] / 3]
-    assert "metrics" not in (out / "simulate.csv").read_text()
+    text = (out / "simulate.csv").read_text()
+    assert "metrics" not in text and "phases" not in text and "replica_group" not in text
 
     doc = {
         "mixture": TOY_MIXTURE,
@@ -120,6 +131,8 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     assert metrics["numpy"] == np.__version__
     assert set(metrics["solvers"]) == {"meanfield", "picard"}
     assert metrics["solvers"]["meanfield"]["events"] > 0
+    assert metrics["solvers"]["meanfield"]["replica_group"] == {"16": 256}
+    assert_phases(metrics)
     picard = metrics["solvers"]["picard"]
     assert set(picard) == {"engine_s", "substeps", "sweeps", "mass_drift", "angular_nodes"}
     assert picard["engine_s"] > 0
@@ -129,7 +142,8 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     mass = [float(r["mean"]) for r in rows if r["solver"] == "picard" and r["observable"] == "mass"]
     assert abs(mass[0] - 1.0) <= picard["mass_drift"]
     for name in ("boltzmann.csv", "boltzmann_density.csv"):
-        assert "numpy" not in (out / name).read_text()
+        text = (out / name).read_text()
+        assert "numpy" not in text and "phases" not in text and "replica_group" not in text
 
     # every manifest records the numpy version, also those without run metrics
     out = tmp_path / "hier"
@@ -331,6 +345,8 @@ def test_chaos_writes_report_and_summary(tmp_path):
     solvers = manifest["metrics"]["solvers"]
     assert set(solvers) == {"kac", "meanfield"}
     assert all(entry["events"] == 0 for entry in solvers.values())  # t_end = 0
+    assert solvers["kac"]["replica_group"] == {"8": 512, "16": 256}
+    assert_phases(manifest["metrics"])
 
 
 def test_chaos_below_threshold_exits_1(tmp_path, capsys, monkeypatch):

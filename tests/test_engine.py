@@ -1,4 +1,4 @@
-"""Event-tape engine: layered application, clock, worker independence, dynamics.
+"""Event-tape engine: layered application, clock, replica grouping, dynamics.
 
 A tape is a block of events drawn ahead of time; the engine applies it in
 layers of events on disjoint particles, one batch per (layer, order).  The
@@ -14,11 +14,14 @@ import math
 import numpy as np
 import pytest
 
+from kacmix import simulator
 from kacmix.cli import BUILTIN_LAWS
 from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK, SymmetricKMomentum
 from kacmix.meanfield import meanfield_run
+from kacmix.observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
 from kacmix.simulator import (
     MomentObserver,
+    ObservableObserver,
     SimConfig,
     UniformBoxInitial,
     _apply_tape,
@@ -142,6 +145,70 @@ def test_results_identical_at_one_and_two_workers():
     assert np.array_equal(one.raw[0], two.raw[0])
     for a, b in zip(one.final_states, two.final_states):
         assert np.array_equal(a.velocities, b.velocities)
+
+
+def stacked_run(engine, replicas, observers, n=600, seed=37):
+    """Readings, final states and event counts of one run of either engine."""
+    args = dict(keep_final=True, keep_raw=True)
+    if engine == "kac":
+        cfg = SimConfig(N=n, mixture=MIXED_1_3, t_end=0.6, seed=seed, replicas=replicas, initial=UNIFORM)
+        return run(cfg, observers, **args)
+    return meanfield_run(
+        MIXED_1_3, UNIFORM, n=n, t_end=0.6, seed=seed, replicas=replicas, observers=observers, **args
+    )
+
+
+def assert_same_replicas(a, b, count):
+    """The first `count` replicas of two runs are bitwise equal."""
+    for ra, rb in zip(a.raw, b.raw):
+        assert np.array_equal(ra[:count], rb[:count])
+    for sa, sb in zip(a.final_states[:count], b.final_states[:count]):
+        assert np.array_equal(sa.velocities, sb.velocities)
+        assert sa.collision_count == sb.collision_count
+
+
+MIXED_SPECS = (
+    ObservableSpec((CosineFactor((0.5, -0.3, 0.2)),)),
+    ObservableSpec((CosineFactor((0.5, -0.3, 0.2)), TanhFactor(0.7), CosineFactor((0.5, -0.3, 0.2)))),
+    ObservableSpec((BoxFactor((-1.0,), (1.0,)), TanhFactor(0.7))),
+)
+
+
+@pytest.mark.parametrize("mode", ["first", "random", "all"])
+@pytest.mark.parametrize("engine", ["kac", "meanfield"])
+def test_replica_grouping_does_not_change_results(engine, mode, monkeypatch):
+    """One replica per pass, the default groups, or all replicas in one pass: same bits.
+
+    At N = 600 the default group holds 6 replicas, so 10 replicas run as
+    6 + 4; offsetting a replica's particles wrongly in the stacked array
+    would mix replicas and change their states.
+    """
+    observers = [
+        MomentObserver([0.0, 0.3, 0.6]),
+        ObservableObserver([0.2, 0.6], MIXED_SPECS, mode=mode),
+    ]
+    results = {}
+    for label, particles in (("one", 600), ("default", simulator.GROUP_PARTICLES), ("all", 6000)):
+        monkeypatch.setattr(simulator, "GROUP_PARTICLES", particles)
+        results[label] = stacked_run(engine, 10, observers)
+    assert [results[k].replica_group for k in ("one", "default", "all")] == [1, 6, 10]
+    for label in ("default", "all"):
+        assert_same_replicas(results["one"], results[label], 10)
+        assert results["one"].events_by_order == results[label].events_by_order
+
+
+@pytest.mark.parametrize("engine", ["kac", "meanfield"])
+def test_replica_prefix_is_stable(engine):
+    """Replicas 0-6 of a 7-replica run equal those of a 10-replica run, bit for bit.
+
+    At N = 1024 the groups are 4 + 3 and 4 + 4 + 2, so replicas 4-6 share
+    their pass with different neighbours in the two runs.
+    """
+    observers = [MomentObserver([0.3]), ObservableObserver([0.3], MIXED_SPECS, mode="random")]
+    seven = stacked_run(engine, 7, observers, n=1024)
+    ten = stacked_run(engine, 10, observers, n=1024)
+    assert seven.replica_group == ten.replica_group == 4
+    assert_same_replicas(seven, ten, 7)
 
 
 def toy_m4(t, m2=1.0, m4_0=9.0 / 5.0):

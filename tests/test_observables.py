@@ -51,15 +51,6 @@ def test_observable_spec_product_and_name():
     assert named.name == "probe"
 
 
-def test_factor_values_matrix():
-    spec = ObservableSpec((TanhFactor(), TanhFactor()))
-    velocities = np.array([[0.0], [1.0], [2.0]])
-    fv = spec.factor_values(velocities)
-    assert fv.shape == (2, 3)
-    assert np.allclose(fv[0], np.tanh([0.0, 1.0, 2.0]))
-    assert np.allclose(fv[0], fv[1])
-
-
 def test_spec_requires_factors():
     with pytest.raises(ValueError, match="factor"):
         ObservableSpec(())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK
-from kacmix.observables import ObservableSpec, TanhFactor
+from kacmix.observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
 from kacmix.simulator import (
     MOMENT_CHANNELS,
     DeterministicInitial,
@@ -23,7 +23,6 @@ from kacmix.simulator import (
     _distinct_rows,
     initial_from_tag,
     moment_channels,
-    observable_on_state,
     replica_rng,
     run,
     step,
@@ -298,9 +297,26 @@ def test_all_mode_equals_ordered_tuple_enumeration(s):
     rng = np.random.default_rng(11)
     velocities = rng.standard_normal((7, 1))
     spec = ObservableSpec(tuple([TanhFactor()] * s))
-    fast = observable_on_state(velocities, spec, mode="all")
+    observer = ObservableObserver([0.0], [spec], mode="all")
+    fast = observer.collect(velocities[None], np.zeros(1), [None])[0, 0]
     slow = brute_force_all_mode(spec, velocities)
     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+
+
+def test_all_mode_mixed_factors_on_stacked_replicas():
+    """cos.tanh.cos.box at s <= 4, read from a (G, N, d) stack, equals enumeration per replica."""
+    cos = CosineFactor((0.8, -0.4))
+    chain = (cos, TanhFactor(0.6), cos, BoxFactor((-1.0, -0.5), (1.2, 1.0)))
+    specs = [ObservableSpec(chain[:s]) for s in range(1, 5)]
+    observer = ObservableObserver([0.0], specs, mode="all")
+    rng = np.random.default_rng(14)
+    stack = rng.standard_normal((5, 6, 2))
+    readings = observer.collect(stack, np.zeros(5), [None] * 5)
+    assert readings.shape == (5, 4)
+    for g, velocities in enumerate(stack):
+        for c, spec in enumerate(specs):
+            slow = brute_force_all_mode(spec, velocities)
+            assert readings[g, c] == pytest.approx(slow, rel=1e-12, abs=1e-14), (g, spec.name)
 
 
 def test_estimator_modes_agree_for_exchangeable_states():
@@ -309,10 +325,11 @@ def test_estimator_modes_agree_for_exchangeable_states():
     result = run(cfg, [MomentObserver([0.5])], keep_final=True)
     spec = ObservableSpec((TanhFactor(), TanhFactor()))
 
+    states = np.stack([st.velocities for st in result.final_states])
+
     def estimate(mode, rng=None):
-        vals = np.array(
-            [observable_on_state(st.velocities, spec, mode, rng) for st in result.final_states]
-        )
+        observer = ObservableObserver([0.5], [spec], mode=mode)
+        vals = observer.collect(states, np.zeros(len(states)), [rng] * len(states))[:, 0]
         return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
     first_mean, first_se = estimate("first")
@@ -325,14 +342,9 @@ def test_estimator_modes_agree_for_exchangeable_states():
 
 def test_observable_order_larger_than_state_rejected():
     spec = ObservableSpec(tuple([TanhFactor()] * 4))
+    observer = ObservableObserver([0.0], [spec], mode="first")
     with pytest.raises(ValueError, match="exceeds N"):
-        observable_on_state(np.zeros((3, 1)), spec, mode="first")
-
-
-def test_random_mode_requires_generator():
-    spec = ObservableSpec((TanhFactor(),))
-    with pytest.raises(ValueError, match="random"):
-        observable_on_state(np.zeros((3, 1)), spec, mode="random")
+        observer.collect(np.zeros((1, 3, 1)), np.zeros(1), [None])
 
 
 @settings(max_examples=30, deadline=None)
