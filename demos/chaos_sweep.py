@@ -34,7 +34,6 @@ def main() -> None:
         factors=[TanhFactor()],
         budget=ChaosBudget(samples_per_point=60_000, ref_factor=10, ref_replicas=16),
         seed=4,
-        workers=1,
     )
 
     print("N-particle marginals vs the tensorized mean-field reference (t = 1)")

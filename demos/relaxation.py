@@ -37,11 +37,10 @@ def main() -> None:
     kac = run(
         SimConfig(N=2000, mixture=TOY, t_end=TIMES[-1], seed=2, replicas=48, initial=initial),
         [MomentObserver(TIMES)],
-        workers=1,
     )
     mf = meanfield_run(
         TOY, initial, n=20_000, t_end=TIMES[-1], seed=3, replicas=8,
-        observers=[MomentObserver(TIMES)], workers=1, keep_raw=True,
+        observers=[MomentObserver(TIMES)], keep_raw=True,
     )
 
     kac_m4 = kac.series[0].mean("m4")

@@ -169,7 +169,6 @@ def run_chaos_sweep(
     factors: Sequence,
     budget: ChaosBudget = ChaosBudget(),
     seed: int = 0,
-    workers: int = 1,
     mode: str = "all",
 ) -> ChaosReport:
     """Sweep system sizes and compare marginals against the tensorized limit.
@@ -223,7 +222,6 @@ def run_chaos_sweep(
         seed=seeds[0],
         replicas=budget.ref_replicas,
         observers=[ObservableObserver(times, single, mode="all")],
-        workers=workers,
         keep_raw=True,
     )
     ref_raw = ref.raw[0]  # (replicas, n_times, n_factors)
@@ -245,7 +243,7 @@ def run_chaos_sweep(
             replicas=budget.replicas_for(n),
             initial=initial,
         )
-        result = run(config, [ObservableObserver(times, all_specs, mode=mode)], workers=workers)
+        result = run(config, [ObservableObserver(times, all_specs, mode=mode)])
         runs.append(result)
         ser = result.series[0]
         for fi in range(len(factors)):

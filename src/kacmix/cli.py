@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -76,21 +75,6 @@ BUILTIN_LAWS: Tuple[CollisionLaw, ...] = (
 )
 
 
-def _resolve_workers(flag: Optional[int]) -> int:
-    if flag is None:
-        env = os.environ.get("KAC_WORKERS")
-        if env is not None:
-            try:
-                flag = int(env)
-            except ValueError:
-                raise ConfigError(f"KAC_WORKERS must be an integer, got {env!r}") from None
-        else:
-            flag = os.cpu_count() or 1
-    if flag < 1:
-        raise ConfigError(f"workers must be >= 1, got {flag}")
-    return flag
-
-
 def _load(args) -> RunConfig:
     overrides: List[str] = list(args.set or [])
     if args.seed is not None:
@@ -102,35 +86,30 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _manifest(cfg: RunConfig, command: str, row_counts: dict, metrics: Optional[dict] = None) -> Path:
-    """Create the output directory and write the manifest before any result file."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_manifest(
-        out / "manifest.json", command, __version__, cfg.seed, cfg.raw, row_counts, metrics=metrics
-    )
-    return out
-
-
 def _write_run(
-    cfg: RunConfig, command: str, metrics: dict, phases: dict, start: float, outputs: dict
+    cfg: RunConfig, command: str, outputs: dict, metrics: dict, config_s: float, command_s: float
 ) -> None:
     """Write the manifest, the result files, then the manifest again with every phase time.
 
     `outputs` maps each result file to (row count, writer of its path).
-    `metrics` gains `phases` in seconds: config (measured by `main`), engine
-    (the solvers' engine time), reduce (the rest of the command since
-    `start`) and write (the result files; null in the first manifest).
+    `metrics` gains `phases` in seconds: config and the command (measured by
+    `main`), split into engine (the solvers' engine time, 0 without solvers)
+    and reduce (the rest), and write (the result files; null in the first
+    manifest, which is written before any result file).
     """
-    engine = sum(entry["engine_s"] for entry in metrics["solvers"].values())
-    phases = dict(phases, engine=engine, reduce=time.perf_counter() - start - engine, write=None)
+    engine = sum(entry["engine_s"] for entry in metrics.get("solvers", {}).values())
+    phases = {"config": config_s, "engine": engine, "reduce": command_s - engine, "write": None}
     counts = {name: rows for name, (rows, _) in outputs.items()}
-    out = _manifest(cfg, command, counts, dict(metrics, phases=phases))
+    metrics = dict(metrics, phases=phases)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = (out / "manifest.json", command, __version__, cfg.seed, cfg.raw, counts)
+    write_manifest(*record, metrics=metrics)
     start = time.perf_counter()
     for name, (_, writer) in outputs.items():
         writer(out / name)
     phases["write"] = time.perf_counter() - start
-    _manifest(cfg, command, counts, dict(metrics, phases=phases))
+    write_manifest(*record, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +117,9 @@ def _write_run(
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: RunConfig, workers: int, phases: dict) -> int:
-    start = time.perf_counter()
+def cmd_simulate(cfg: RunConfig) -> Tuple[dict, dict, int]:
     mixture = cfg.require("mixture")
     sim = cfg.require("sim")
-    initial = cfg.initial if cfg.initial is not None else GaussianInitial()
     observers = [MomentObserver(sim.times)]
     if cfg.observables:
         observers.append(ObservableObserver(sim.times, cfg.observables, mode=sim.estimator))
@@ -152,14 +129,12 @@ def cmd_simulate(cfg: RunConfig, workers: int, phases: dict) -> int:
         t_end=sim.t_end,
         seed=cfg.seed,
         replicas=sim.replicas,
-        initial=initial,
+        initial=cfg.initial,
     )
-    result = run(config, observers, workers=workers)
+    result = run(config, observers)
     rows = list(run_result_rows(result))
-    metrics = {"workers": workers, "solvers": engine_metrics([result])}
     outputs = {"simulate.csv": (len(rows), lambda path: write_csv(path, run_result_header(), rows))}
-    _write_run(cfg, "simulate", metrics, phases, start, outputs)
-    return 0
+    return outputs, {"solvers": engine_metrics([result])}, 0
 
 
 def _pure_toy_kernel(cfg: RunConfig) -> str:
@@ -175,8 +150,7 @@ def _pure_toy_kernel(cfg: RunConfig) -> str:
     )
 
 
-def _picard_initial(cfg: RunConfig, grid) -> "object":
-    initial = cfg.initial if cfg.initial is not None else GaussianInitial()
+def _picard_initial(initial, grid) -> "object":
     if isinstance(initial, GaussianInitial):
         return gaussian_grid_density(L=grid.L, n_v=grid.n_v)
     if isinstance(initial, UniformBoxInitial):
@@ -187,29 +161,26 @@ def _picard_initial(cfg: RunConfig, grid) -> "object":
     )
 
 
-def cmd_boltzmann(cfg: RunConfig, workers: int, phases: dict) -> int:
-    start = time.perf_counter()
+def cmd_boltzmann(cfg: RunConfig) -> Tuple[dict, dict, int]:
     mixture = cfg.require("mixture")
     mf = cfg.require("meanfield")
-    initial = cfg.initial if cfg.initial is not None else GaussianInitial()
     rows: List[tuple] = []
     density = None
     solvers: dict = {}
     if mf.solver in ("picard", "both"):
         kernel = _pure_toy_kernel(cfg)
         check_angular_resolution(kernel, mf.grid.n_theta)
-        f0 = _picard_initial(cfg, mf.grid)
+        f0 = _picard_initial(cfg.initial, mf.grid)
 
     if mf.solver in ("meanfield", "both"):
         result = meanfield_run(
             mixture,
-            initial,
+            cfg.initial,
             n=mf.n,
             t_end=mf.t_end,
             seed=cfg.seed,
             replicas=mf.replicas,
             observers=[MomentObserver(mf.times)],
-            workers=workers,
         )
         rows.extend(run_result_rows(result, include_solver=True))
         solvers.update(engine_metrics([result]))
@@ -238,12 +209,10 @@ def cmd_boltzmann(cfg: RunConfig, workers: int, phases: dict) -> int:
     outputs = {"boltzmann.csv": (len(rows), lambda path: write_csv(path, header, rows))}
     if density is not None:
         outputs["boltzmann_density.csv"] = (density.n_v, lambda path: write_density_csv(path, density))
-    metrics = {"workers": workers, "solvers": solvers}
-    _write_run(cfg, "boltzmann", metrics, phases, start, outputs)
-    return 0
+    return outputs, {"solvers": solvers}, 0
 
 
-def cmd_hierarchy(cfg: RunConfig, workers: int, phases: dict) -> int:
+def cmd_hierarchy(cfg: RunConfig) -> Tuple[dict, dict, int]:
     mixture = cfg.require("mixture")
     hier = cfg.require("hierarchy")
     hc = hierarchy_constants(
@@ -257,45 +226,40 @@ def cmd_hierarchy(cfg: RunConfig, workers: int, phases: dict) -> int:
         for k in k_list
         if s <= n
     ]
-    counts = {"hierarchy_constants.csv": hc.M, "hierarchy_horizon.csv": 1, "hierarchy_sweep.csv": len(sweep)}
-    out = _manifest(cfg, "hierarchy", counts)
-    write_hierarchy_constants_csv(out / "hierarchy_constants.csv", hc)
-    write_hierarchy_horizon_csv(out / "hierarchy_horizon.csv", hc)
-    write_hierarchy_sweep_csv(out / "hierarchy_sweep.csv", sweep)
-    return 0
+    outputs = {
+        "hierarchy_constants.csv": (hc.M, lambda path: write_hierarchy_constants_csv(path, hc)),
+        "hierarchy_horizon.csv": (1, lambda path: write_hierarchy_horizon_csv(path, hc)),
+        "hierarchy_sweep.csv": (len(sweep), lambda path: write_hierarchy_sweep_csv(path, sweep)),
+    }
+    return outputs, {}, 0
 
 
-def cmd_chaos(cfg: RunConfig, workers: int, phases: dict) -> int:
-    start = time.perf_counter()
+def cmd_chaos(cfg: RunConfig) -> Tuple[dict, dict, int]:
     mixture = cfg.require("mixture")
     chaos = cfg.require("chaos")
-    initial = cfg.initial if cfg.initial is not None else GaussianInitial()
     report = run_chaos_sweep(
         mixture,
-        initial,
+        cfg.initial,
         N_grid=chaos.N_grid,
         s_list=chaos.s_list,
         t_list=chaos.t_list,
         factors=chaos.factors,
         budget=chaos.budget,
         seed=cfg.seed,
-        workers=workers,
         mode=chaos.estimator,
     )
     outputs = {
         "chaos.csv": (len(report.rows), lambda path: write_chaos_csv(path, report)),
         "chaos_summary.json": (1, lambda path: write_json(path, chaos_summary(report))),
     }
-    metrics = {"workers": workers, "solvers": report.engine}
-    _write_run(cfg, "chaos", metrics, phases, start, outputs)
-    if report.pass_fraction < chaos.pass_threshold:
+    passed = report.pass_fraction >= chaos.pass_threshold
+    if not passed:
         print(
             f"chaos: pass fraction {report.pass_fraction:.4f} below threshold "
             f"{chaos.pass_threshold}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return outputs, {"solvers": report.engine}, 0 if passed else 1
 
 
 def laws_check_rows(laws: Sequence[CollisionLaw], seed: int, n_samples: int = 10**5):
@@ -321,22 +285,18 @@ def laws_check_rows(laws: Sequence[CollisionLaw], seed: int, n_samples: int = 10
     return rows
 
 
-def cmd_laws_check(cfg: RunConfig, workers: int, phases: dict) -> int:
+def cmd_laws_check(cfg: RunConfig) -> Tuple[dict, dict, int]:
     laws = cfg.mixture.laws if cfg.mixture is not None else BUILTIN_LAWS
     rows = laws_check_rows(laws, seed=cfg.seed)
-    out = _manifest(cfg, "laws-check", {"laws_check.csv": len(rows)})
-    write_csv(
-        out / "laws_check.csv",
-        ["law", "test", "value", "stderr", "n_samples", "result"],
-        rows,
-    )
+    header = ["law", "test", "value", "stderr", "n_samples", "result"]
+    outputs = {"laws_check.csv": (len(rows), lambda path: write_csv(path, header, rows))}
     failures = [r for r in rows if r[5] == "FAIL"]
     for law, test, value, stderr, _, _ in failures:
         print(
             f"laws-check: {law} {test} failed (value {value:.3e}, stderr {stderr:.3e})",
             file=sys.stderr,
         )
-    return 1 if failures else 0
+    return outputs, {}, 1 if failures else 0
 
 
 _COMMANDS = {
@@ -371,28 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
             help="dotted config override, e.g. --set sim.N=200 (repeatable)",
         )
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="accepted and recorded in the manifest (default: KAC_WORKERS or CPU count); "
-            "runs are one process, vectorized across replicas, and results depend only on the seed",
-        )
+        # benchmarks/child.py passes --workers; drop it with the next benchmark change.
+        p.add_argument("--workers", type=int, help="ignored: every run is one process")
         p.add_argument("--output-dir", help="override the config output directory")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        workers = _resolve_workers(args.workers)
         start = time.perf_counter()
         cfg = _load(args)
-        return _COMMANDS[args.command](cfg, workers, {"config": time.perf_counter() - start})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        config_s = time.perf_counter() - start
+        start = time.perf_counter()
+        outputs, metrics, code = _COMMANDS[args.command](cfg)
+        _write_run(cfg, args.command, outputs, metrics, config_s, time.perf_counter() - start)
+        return code
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.decoder import JSONArray, JSONObject
 from json.scanner import py_make_scanner
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,7 +33,7 @@ from .laws import (
     SymmetricKMomentum,
 )
 from .observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
-from .simulator import ESTIMATOR_MODES, InitialLaw, initial_from_tag
+from .simulator import ESTIMATOR_MODES, GaussianInitial, InitialLaw, initial_from_tag
 
 __all__ = [
     "ConfigError",
@@ -526,13 +526,13 @@ _SECTIONS = (
 
 @dataclass
 class RunConfig:
-    """Validated run description; sections are None when absent."""
+    """Validated run description; sections are None when absent, initial data Gaussian."""
 
     raw: dict
     seed: int = 0
     output_dir: str = "."
     mixture: Optional[MixtureSpec] = None
-    initial: Optional[InitialLaw] = None
+    initial: InitialLaw = field(default_factory=GaussianInitial)
     sim: Optional[SimSection] = None
     meanfield: Optional[MeanfieldSection] = None
     observables: Tuple[ObservableSpec, ...] = ()
@@ -550,8 +550,10 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     data, pos = parse_with_positions(text)
     if overrides:
         data = apply_overrides(data, overrides)
-        # Overridden keys may not exist in the original text; their error
-        # positions fall back to the enclosing section (or none).
+        # An overridden value comes from the command line, not the file: drop
+        # the file's lines at and under each overridden path.
+        paths = [tuple(item.partition("=")[0].split(".")) for item in overrides]
+        pos = {p: line for p, line in pos.items() if not any(p[: len(o)] == o for o in paths)}
     ctx = _Ctx(pos)
     obj = ctx.require_object(data, (), _SECTIONS)
     cfg = RunConfig(raw=data)

@@ -300,6 +300,10 @@ class TraceIdentityReport:
         return abs(self.difference) <= 3.0 * self.diff_stderr
 
 
+# Samples drawn per pass of `verify_trace_identity`; bounds its memory.
+TRACE_CHUNK = 250_000
+
+
 def verify_trace_identity(
     law: CollisionLaw,
     n_overlap: int,
@@ -308,7 +312,6 @@ def verify_trace_identity(
     probe: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     n_samples: int = 10**6,
     rng: Optional[np.random.Generator] = None,
-    chunk: int = 250_000,
 ) -> TraceIdentityReport:
     """Check that integrating out colliders commutes with taking marginals.
 
@@ -349,7 +352,7 @@ def verify_trace_identity(
     sums_sq = np.zeros(3)
     done = 0
     while done < n_samples:
-        b = min(int(chunk), n_samples - done)
+        b = min(TRACE_CHUNK, n_samples - done)
         observed = gen.standard_normal((b, s, d))
         tail_full = gen.standard_normal((b, r, d))
         tail_marg = gen.standard_normal((b, r, d))

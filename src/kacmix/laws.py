@@ -67,8 +67,8 @@ class CollisionLaw:
     """Common interface of the transformation laws.
 
     Subclasses define `order` (K), `dim` (d), `tag`, angle sampling and the
-    forward/inverse group maps.  Instances are immutable and safe to share
-    across workers; all randomness comes from the generator handed in.
+    forward/inverse group maps.  Instances are immutable; all randomness
+    comes from the generator handed in.
     """
 
     tag = "abstract"

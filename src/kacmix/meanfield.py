@@ -41,7 +41,6 @@ def meanfield_run(
     seed: int,
     replicas: int = 1,
     observers: Sequence[Observer] = (),
-    workers: int = 1,
     keep_final: bool = False,
     keep_raw: bool = False,
 ) -> RunResult:
@@ -50,8 +49,7 @@ def meanfield_run(
     The result has the same shape as the N-particle driver's output (solver
     tag "meanfield"), so the two can be differenced row by row in
     convergence studies.  Both run on the same replica driver, so substreams
-    and merge order follow the same determinism contract; `workers` is
-    accepted for callers that pass it and changes nothing.
+    and merge order follow the same determinism contract.
     """
     if n < mixture.m:
         raise ValueError(f"mean-field run: n >= M required (M={mixture.m}, got n={n})")

@@ -281,7 +281,6 @@ def picard_solve_toy(
     n_iter: int = 8,
     n_theta: int = 64,
     n_time: int = 32,
-    t_guard: float = T_GUARD_TOY,
     mass_tol: float = 1e-4,
 ) -> PicardResult:
     """Iterate the mild equation to t_end on the grid of f0.
@@ -295,10 +294,10 @@ def picard_solve_toy(
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
-    if t_end >= t_guard:
+    if t_end >= T_GUARD_TOY:
         raise ValueError(
             f"picard solve: t_end={t_end} is at or beyond the stability horizon "
-            f"t_guard={t_guard}; sub-step instead (solve to t < t_guard, rebuild "
+            f"t_guard={T_GUARD_TOY}; sub-step instead (solve to t < t_guard, rebuild "
             f"f0 from the result, and repeat until the target time is reached)"
         )
     if n_iter < 1:

@@ -5,22 +5,21 @@ significant digits so that a byte-level diff of two result files is a valid
 reproducibility check; CSV rows end in CRLF per RFC 4180.  The manifest is
 written before any result file so no result exists without its provenance,
 and reruns with the same config and seed produce identical manifests except
-for the wall-clock stamp and the timings and worker count in the metrics
-block.
+for the wall-clock stamp and the timings in the metrics block.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chaos import ChaosReport
+from .chaos import ChaosReport, ChaosRow
 from .hierarchy import HierarchyConstants
 from .picard import GridDensity
 from .simulator import RunResult
@@ -37,7 +36,6 @@ __all__ = [
     "write_chaos_csv",
     "chaos_summary",
     "write_json",
-    "RunManifest",
     "write_manifest",
 ]
 
@@ -98,36 +96,9 @@ def write_hierarchy_sweep_csv(path, rows: Iterable[Tuple[int, int, int, float, f
 
 
 def write_chaos_csv(path, report: ChaosReport) -> int:
-    header = [
-        "N",
-        "s",
-        "t",
-        "observable",
-        "kac_mean",
-        "kac_stderr",
-        "mf_mean",
-        "mf_stderr",
-        "delta",
-        "pass_3sigma",
-        "underpowered",
-    ]
-    rows = (
-        (
-            r.N,
-            r.s,
-            r.t,
-            r.observable,
-            r.kac_mean,
-            r.kac_stderr,
-            r.mf_mean,
-            r.mf_stderr,
-            r.delta,
-            r.pass_3sigma,
-            r.underpowered,
-        )
-        for r in report.rows
-    )
-    return write_csv(path, header, rows)
+    """One row per comparison cell; the header is `ChaosRow`'s field names."""
+    header = [f.name for f in fields(ChaosRow)]
+    return write_csv(path, header, (astuple(r) for r in report.rows))
 
 
 def chaos_summary(report: ChaosReport) -> dict:
@@ -172,32 +143,6 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record accompanying every result file."""
-
-    command: str
-    version: str
-    seed: int
-    config: dict
-    row_counts: Dict[str, int]
-    wall_clock_utc: str
-    metrics: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "row_counts": dict(self.row_counts),
-            "wall_clock_utc": self.wall_clock_utc,
-        }
-        if self.metrics is not None:
-            out["metrics"] = self.metrics
-        return out
-
-
 def write_manifest(
     path,
     command: str,
@@ -207,16 +152,16 @@ def write_manifest(
     row_counts: Dict[str, int],
     now: Optional[str] = None,
     metrics: Optional[dict] = None,
-) -> RunManifest:
-    """Write the provenance record; `metrics` (what the run did and cost) gains the numpy version."""
-    manifest = RunManifest(
-        command=command,
-        version=version,
-        seed=seed,
-        config=config,
-        row_counts=dict(row_counts),
-        wall_clock_utc=datetime.now(timezone.utc).isoformat() if now is None else now,
-        metrics={"numpy": np.__version__, **(metrics or {})},
-    )
-    write_json(Path(path), manifest.to_dict())
+) -> dict:
+    """Write and return the provenance record; `metrics` gains the numpy version."""
+    manifest = {
+        "command": command,
+        "version": version,
+        "seed": seed,
+        "config": config,
+        "row_counts": dict(row_counts),
+        "wall_clock_utc": datetime.now(timezone.utc).isoformat() if now is None else now,
+        "metrics": {"numpy": np.__version__, **(metrics or {})},
+    }
+    write_json(Path(path), manifest)
     return manifest

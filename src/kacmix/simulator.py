@@ -176,9 +176,6 @@ class MasterState:
     time: float = 0.0
     collision_count: int = 0
 
-    def copy(self) -> "MasterState":
-        return MasterState(self.velocities.copy(), self.time, self.collision_count)
-
     def energy(self) -> float:
         """Total squared speed, the quantity isometric collisions preserve."""
         v = self.velocities
@@ -392,23 +389,21 @@ def step(
     state: MasterState,
     mixture: MixtureSpec,
     rng: np.random.Generator,
-    inplace: bool = True,
 ) -> MasterState:
     """Advance the state by exactly one jump event.
 
     Draws the Exp(N) waiting time, then a one-event tape (collision order
     with probability beta_K, a uniform ordered tuple of distinct indices and
-    the scattering parameter) and applies it.  Returns the advanced state
-    (the same object when inplace).
+    the scattering parameter) and applies it in place.  Returns the same
+    state.
     """
-    st = state if inplace else state.copy()
-    n = st.velocities.shape[0]
+    n = state.velocities.shape[0]
     if n < mixture.m:
         raise ValueError(f"step: N >= M required (M={mixture.m}, got N={n})")
-    st.time += rng.exponential(1.0 / n)
-    _apply_tape(st.velocities, _draw_tape(rng, mixture, n, 1, meanfield=False), 1, mixture.m)
-    st.collision_count += 1
-    return st
+    state.time += rng.exponential(1.0 / n)
+    _apply_tape(state.velocities, _draw_tape(rng, mixture, n, 1, meanfield=False), 1, mixture.m)
+    state.collision_count += 1
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +886,7 @@ def _run_replicas(
 def run(
     config: SimConfig,
     observers: Sequence[Observer],
-    workers: int = 1,
+    workers: int = 1,  # ignored; benchmarks/child.py passes it
     keep_final: bool = False,
     keep_raw: bool = False,
 ) -> RunResult:
@@ -899,7 +894,6 @@ def run(
 
     Each replica owns the substream (seed, replica index), so the output is
     a deterministic function of the configuration alone.  The run is one
-    process, vectorized across replicas; `workers` is accepted for callers
-    that pass it and changes nothing.
+    process: replicas advance in stacked groups of one engine pass each.
     """
     return _run_replicas("kac", config, float(config.N), False, observers, keep_final, keep_raw)

@@ -109,7 +109,7 @@ def _criterion3_pipeline(out_path) -> tuple:
         N=100, mixture=TOY_MIXTURE, t_end=1.0, seed=1003, replicas=2000,
         initial=GaussianInitial(),
     )
-    result = run(config, [MomentObserver([1.0])], workers=1)
+    result = run(config, [MomentObserver([1.0])])
     write_csv(out_path, run_result_header(), run_result_rows(result))
     return result, out_path.read_bytes()
 
@@ -288,7 +288,6 @@ def _criterion9_pipeline(out_path) -> tuple:
         seed=1009,
         replicas=200,
         observers=[MomentObserver([0.1])],
-        workers=1,
     )
     sol = picard_solve_toy("uniform", gaussian_grid_density(), t_end=0.1)
     rows = list(run_result_rows(mf, include_solver=True))
@@ -337,7 +336,6 @@ def _criterion10_pipeline(out_path) -> tuple:
         factors=[TanhFactor(), CosineFactor((1.0,))],
         budget=ChaosBudget(),
         seed=1010,
-        workers=1,
         mode="all",
     )
     write_chaos_csv(out_path, report)

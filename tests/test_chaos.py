@@ -83,12 +83,6 @@ def test_sweep_is_reproducible_and_seed_sensitive():
     assert c.rows != a.rows
 
 
-def test_sweep_worker_count_does_not_change_rows():
-    a = small_sweep(seed=3, workers=1)
-    b = small_sweep(seed=3, workers=3)
-    assert a.rows == b.rows
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

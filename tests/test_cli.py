@@ -17,11 +17,6 @@ TOY_LAWS = [
 TOY_MIXTURE = {"laws": TOY_LAWS, "beta": [0.0, 1.0]}
 
 
-@pytest.fixture(autouse=True)
-def _no_worker_env(monkeypatch):
-    monkeypatch.delenv("KAC_WORKERS", raising=False)
-
-
 def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=1))
@@ -50,7 +45,7 @@ def simulate_doc(**sim):
 def test_simulate_writes_manifest_and_table(tmp_path):
     cfg = write_config(tmp_path, simulate_doc())
     out = tmp_path / "out"
-    code = run_cli(["simulate", "--config", cfg, "--output-dir", str(out), "--workers", "1"])
+    code = run_cli(["simulate", "--config", cfg, "--output-dir", str(out)])
     assert code == 0
     lines = csv_lines(out / "simulate.csv")
     assert lines[0] == "time,observable,mean,stderr,N,replicas,seed"
@@ -67,30 +62,31 @@ def test_simulate_writes_manifest_and_table(tmp_path):
 def test_simulate_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, simulate_doc())
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(a), "--workers", "1"]) == 0
+    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(a)]) == 0
     assert run_cli(["simulate", "--config", cfg, "--output-dir", str(b), "--workers", "2"]) == 0
     assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
     # only the clock, the deliberately different output_dir and the timings
-    # and worker count of the metrics block may vary
+    # of the metrics block may vary; the ignored --workers leaves no trace
     metrics = []
     for m in (ma, mb):
         m.pop("wall_clock_utc")
         m["config"].pop("output_dir")
         metrics.append(m.pop("metrics"))
     assert ma == mb
-    assert [m["workers"] for m in metrics] == [1, 2]
+    assert not any("workers" in m for m in metrics)
     events = [m["solvers"]["kac"]["events_by_order"] for m in metrics]
     assert events[0] == events[1]
 
 
 def assert_phases(metrics):
-    """config, engine, reduce and write seconds; engine is the solvers' engine time."""
+    """config, engine, reduce and write seconds; engine is the solvers' engine time (0 without)."""
     phases = metrics["phases"]
     assert set(phases) == {"config", "engine", "reduce", "write"}
     assert all(value >= 0.0 for value in phases.values())
-    assert phases["engine"] == pytest.approx(sum(e["engine_s"] for e in metrics["solvers"].values()))
+    solvers = metrics.get("solvers", {}).values()
+    assert phases["engine"] == pytest.approx(sum(e["engine_s"] for e in solvers))
 
 
 def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
@@ -99,7 +95,7 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     out = tmp_path / "sim"
     assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out), "--workers", "2"]) == 0
     metrics = json.loads((out / "manifest.json").read_text())["metrics"]
-    assert metrics["workers"] == 2
+    assert "workers" not in metrics
     kac = metrics["solvers"]["kac"]
     assert set(kac) == {"events", "events_by_order", "engine_s", "events_per_s", "replica_group"}
     assert kac["replica_group"] == {"20": 204}  # 4096 particles per engine pass
@@ -107,7 +103,8 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     assert kac["events_by_order"]["1"] == 0  # zero-weight order never fires
     assert kac["events"] == kac["events_by_order"]["2"] > 0
     assert kac["engine_s"] > 0 and kac["events_per_s"] == kac["events"] / kac["engine_s"]
-    rows = list(csv.DictReader(open(out / "simulate.csv", newline="")))
+    with open(out / "simulate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     mean_events = [float(r["mean"]) for r in rows if r["observable"] == "events"]
     assert mean_events == [kac["events"] / 3]
     text = (out / "simulate.csv").read_text()
@@ -125,9 +122,9 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     }
     out = tmp_path / "boltz"
     cfg = write_config(tmp_path, doc, name="boltz.json")
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out)]) == 0
     metrics = json.loads((out / "manifest.json").read_text())["metrics"]
-    assert metrics["workers"] == 1
+    assert "workers" not in metrics
     assert metrics["numpy"] == np.__version__
     assert set(metrics["solvers"]) == {"meanfield", "picard"}
     assert metrics["solvers"]["meanfield"]["events"] > 0
@@ -138,29 +135,49 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     assert picard["engine_s"] > 0
     assert (picard["substeps"], picard["sweeps"], picard["angular_nodes"]) == (1, 5, 64)
     assert 0.0 <= picard["mass_drift"] <= 1e-4
-    rows = list(csv.DictReader(open(out / "boltzmann.csv", newline="")))
+    with open(out / "boltzmann.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     mass = [float(r["mean"]) for r in rows if r["solver"] == "picard" and r["observable"] == "mass"]
     assert abs(mass[0] - 1.0) <= picard["mass_drift"]
     for name in ("boltzmann.csv", "boltzmann_density.csv"):
         text = (out / name).read_text()
         assert "numpy" not in text and "phases" not in text and "replica_group" not in text
 
-    # every manifest records the numpy version, also those without run metrics
+    # every manifest records the numpy version and the phases, also those without solvers
     out = tmp_path / "hier"
     cfg = write_config(tmp_path, hierarchy_doc(), name="hier.json")
-    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["metrics"] == {"numpy": np.__version__}
+    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out)]) == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert set(metrics) == {"numpy", "phases"} and metrics["numpy"] == np.__version__
+    assert_phases(metrics)
+    assert metrics["phases"]["engine"] == 0
+
+
+def test_manifest_is_written_before_any_result_file(tmp_path, monkeypatch):
+    """A writer that fails leaves the first manifest (write phase still null) and no result."""
+
+    def refuse(path, *args):
+        raise RuntimeError(f"cannot write {path.name}")
+
+    monkeypatch.setattr(cli, "write_csv", refuse)
+    cfg = write_config(tmp_path, simulate_doc())
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["row_counts"] == {"simulate.csv": 16}
+    assert manifest["metrics"]["phases"]["write"] is None
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, simulate_doc())
     base, reseeded, explicit = tmp_path / "s5", tmp_path / "s9", tmp_path / "e9"
-    run_cli(["simulate", "--config", cfg, "--output-dir", str(base), "--workers", "1"])
-    run_cli(["simulate", "--config", cfg, "--output-dir", str(reseeded), "--seed", "9", "--workers", "1"])
+    run_cli(["simulate", "--config", cfg, "--output-dir", str(base)])
+    run_cli(["simulate", "--config", cfg, "--output-dir", str(reseeded), "--seed", "9"])
     doc9 = simulate_doc()
     doc9["seed"] = 9
     cfg9 = write_config(tmp_path, doc9, name="run9.json")
-    run_cli(["simulate", "--config", cfg9, "--output-dir", str(explicit), "--workers", "1"])
+    run_cli(["simulate", "--config", cfg9, "--output-dir", str(explicit)])
     assert (reseeded / "simulate.csv").read_bytes() != (base / "simulate.csv").read_bytes()
     assert (reseeded / "simulate.csv").read_bytes() == (explicit / "simulate.csv").read_bytes()
 
@@ -172,7 +189,7 @@ def test_simulate_set_overrides_and_observables(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
         ["simulate", "--config", cfg, "--output-dir", str(out),
-         "--set", "sim.N=12", "--set", "sim.times=[0.25]", "--workers", "1"]
+         "--set", "sim.N=12", "--set", "sim.times=[0.25]"]
     )
     assert code == 0
     lines = csv_lines(out / "simulate.csv")
@@ -182,14 +199,14 @@ def test_simulate_set_overrides_and_observables(tmp_path):
 
 
 def test_simulate_without_config_is_a_config_error(tmp_path, capsys):
-    assert run_cli(["simulate", "--output-dir", str(tmp_path), "--workers", "1"]) == 2
+    assert run_cli(["simulate", "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "mixture" in err
 
 
 def test_simulate_rejects_system_smaller_than_max_order(tmp_path, capsys):
     cfg = write_config(tmp_path, simulate_doc(N=1))
-    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
+    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "N >= " in capsys.readouterr().err
 
 
@@ -197,7 +214,7 @@ def test_nested_output_dir_is_created(tmp_path):
     doc = simulate_doc(t_end=0.0, times=[0.0])
     doc["output_dir"] = str(tmp_path / "deep" / "runs")
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["simulate", "--config", cfg, "--workers", "1"]) == 0
+    assert run_cli(["simulate", "--config", cfg]) == 0
     assert (tmp_path / "deep" / "runs" / "simulate.csv").exists()
 
 
@@ -207,13 +224,13 @@ def test_nested_output_dir_is_created(tmp_path):
 
 
 def test_missing_config_file(tmp_path, capsys):
-    assert run_cli(["simulate", "--config", str(tmp_path / "nope.json"), "--workers", "1"]) == 2
+    assert run_cli(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_malformed_override(tmp_path, capsys):
     cfg = write_config(tmp_path, simulate_doc())
-    assert run_cli(["simulate", "--config", cfg, "--set", "sim.N", "--workers", "1"]) == 2
+    assert run_cli(["simulate", "--config", cfg, "--set", "sim.N"]) == 2
     assert "section.key=value" in capsys.readouterr().err
 
 
@@ -227,25 +244,8 @@ def test_duplicate_config_key(tmp_path, capsys):
 def test_unknown_law_kind_exits_2(tmp_path, capsys):
     doc = {"mixture": {"laws": [{"kind": "billiard"}], "beta": [1.0]}, "sim": {"N": 4, "t_end": 0.0}}
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
+    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "unknown law kind 'billiard'" in capsys.readouterr().err
-
-
-def test_bad_worker_configurations(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, simulate_doc())
-    assert run_cli(["simulate", "--config", cfg, "--workers", "0"]) == 2
-    assert "workers must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("KAC_WORKERS", "many")
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert "KAC_WORKERS" in capsys.readouterr().err
-
-
-def test_env_worker_count_is_honored(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, simulate_doc())
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("KAC_WORKERS", "2")
-    assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
-    assert (out / "simulate.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def hierarchy_doc(epsilon=0.0, **extra):
 def test_hierarchy_emits_frozen_constants(tmp_path):
     cfg = write_config(tmp_path, hierarchy_doc())
     out = tmp_path / "out"
-    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out)]) == 0
 
     constants = csv_lines(out / "hierarchy_constants.csv")
     assert constants[0] == "k,R_k,rho_k,C_k"
@@ -290,7 +290,7 @@ def test_hierarchy_emits_frozen_constants(tmp_path):
 
 def test_hierarchy_epsilon_domain_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, hierarchy_doc(epsilon=1.0))
-    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
+    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "tail weight epsilon" in capsys.readouterr().err
 
 
@@ -299,7 +299,7 @@ def test_hierarchy_respects_explicit_grids(tmp_path):
         tmp_path, hierarchy_doc(N_grid=[10, 100], s_list=[2], k_list=[1], T=0.01)
     )
     out = tmp_path / "out"
-    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["hierarchy", "--config", cfg, "--output-dir", str(out)]) == 0
     sweep = csv_lines(out / "hierarchy_sweep.csv")
     assert len(sweep) - 1 == 2
     assert sweep[1].startswith("10,2,1,")
@@ -331,7 +331,7 @@ def chaos_doc():
 def test_chaos_writes_report_and_summary(tmp_path):
     cfg = write_config(tmp_path, chaos_doc())
     out = tmp_path / "out"
-    assert run_cli(["chaos", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["chaos", "--config", cfg, "--output-dir", str(out)]) == 0
     lines = csv_lines(out / "chaos.csv")
     # 2 sizes x default s {1,2} x 1 time x default factors {tanh, cos}
     assert len(lines) - 1 == 8
@@ -358,7 +358,7 @@ def test_chaos_below_threshold_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_chaos_sweep", lambda *a, **k: fake)
     cfg = write_config(tmp_path, chaos_doc())
     out = tmp_path / "out"
-    assert run_cli(["chaos", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 1
+    assert run_cli(["chaos", "--config", cfg, "--output-dir", str(out)]) == 1
     assert "below threshold" in capsys.readouterr().err
     # the report files are still written for post-mortems
     assert (out / "chaos.csv").exists() and (out / "chaos_summary.json").exists()
@@ -368,7 +368,7 @@ def test_chaos_missing_grid_exits_2(tmp_path, capsys):
     doc = chaos_doc()
     del doc["chaos"]["N_grid"]
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["chaos", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
+    assert run_cli(["chaos", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "missing required key 'N_grid'" in capsys.readouterr().err
 
 
@@ -385,7 +385,7 @@ def test_boltzmann_meanfield_rows_carry_solver_column(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out)]) == 0
     lines = csv_lines(out / "boltzmann.csv")
     assert lines[0] == "time,observable,mean,stderr,N,replicas,seed,solver"
     assert len(lines) - 1 == 8
@@ -405,7 +405,7 @@ def test_boltzmann_picard_emits_density(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out)]) == 0
     lines = csv_lines(out / "boltzmann.csv")
     assert len(lines) - 1 == 3  # mass, m2, m4 from the grid solver
     names = {line.split(",")[1] for line in lines[1:]}
@@ -428,7 +428,7 @@ def test_boltzmann_picard_requires_pure_toy_mixture(tmp_path, capsys):
         "meanfield": {"n": 4, "t_end": 0.05, "solver": "picard"},
     }
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "toy rotation law" in capsys.readouterr().err
 
 
@@ -439,7 +439,7 @@ def test_boltzmann_picard_rejects_unsupported_initial(tmp_path, capsys):
         "meanfield": {"n": 4, "t_end": 0.05, "solver": "picard"},
     }
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "gaussian or uniform" in capsys.readouterr().err
 
 
@@ -452,13 +452,13 @@ def test_boltzmann_picard_rejects_n_theta_below_kernel_harmonics(tmp_path, capsy
     }
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 2
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n_theta=1" in err
     assert not out.exists()
     doc["meanfield"]["grid"]["n_theta"] = 2
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["boltzmann", "--config", cfg, "--output-dir", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def test_boltzmann_picard_rejects_n_theta_below_kernel_harmonics(tmp_path, capsy
 
 def test_laws_check_builtin_catalog_passes(tmp_path):
     out = tmp_path / "out"
-    assert run_cli(["laws-check", "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["laws-check", "--output-dir", str(out)]) == 0
     with open(out / "laws_check.csv", newline="") as fh:
         table = list(csv.reader(fh))
     assert table[0] == ["law", "test", "value", "stderr", "n_samples", "result"]
@@ -490,6 +490,12 @@ def test_laws_check_builtin_catalog_passes(tmp_path):
 def test_laws_check_uses_config_mixture(tmp_path):
     cfg = write_config(tmp_path, {"mixture": TOY_MIXTURE})
     out = tmp_path / "out"
-    assert run_cli(["laws-check", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+    assert run_cli(["laws-check", "--config", cfg, "--output-dir", str(out)]) == 0
     lines = csv_lines(out / "laws_check.csv")
     assert len(lines) - 1 == 3 * 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "laws-check"
+    assert manifest["row_counts"] == {"laws_check.csv": 6}
+    assert set(manifest["metrics"]) == {"numpy", "phases"}
+    assert_phases(manifest["metrics"])
+    assert manifest["metrics"]["phases"]["engine"] == 0

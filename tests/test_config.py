@@ -14,7 +14,7 @@ from kacmix.config import (
     parse_with_positions,
 )
 from kacmix.laws import KacToy, SymmetricK
-from kacmix.simulator import DeterministicInitial, TwoPointInitial
+from kacmix.simulator import DeterministicInitial, GaussianInitial, TwoPointInitial
 
 FULL_TEXT = """{
  "mixture": {
@@ -175,6 +175,7 @@ def test_empty_document_gives_defaults():
     cfg = parse_config("{}")
     assert cfg.seed == 0 and cfg.output_dir == "."
     assert cfg.mixture is None and cfg.sim is None and cfg.observables == ()
+    assert isinstance(cfg.initial, GaussianInitial)
     with pytest.raises(ConfigError, match="missing required config section 'sim'"):
         cfg.require("sim")
 
@@ -184,6 +185,15 @@ def test_overrides_flow_through_validation():
     assert cfg.sim.N == 99 and cfg.seed == 7
     with pytest.raises(ConfigError, match="sim.N: must be >= 1, got 0"):
         parse_config(FULL_TEXT, overrides=["sim.N=0"])
+
+
+@pytest.mark.parametrize("override", ["sim.N=0", 'sim={"N": 0, "t_end": 0.5}'])
+def test_override_errors_carry_no_file_line(override):
+    """The file holds a valid sim.N on line 10; the bad value comes from the override."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(FULL_TEXT, overrides=[override])
+    assert exc.value.line is None
+    assert str(exc.value) == "sim.N: must be >= 1, got 0"
 
 
 def test_deterministic_initial_via_config():

@@ -128,25 +128,6 @@ def test_event_counts_are_poisson_when_observers_cut_densely(engine):
     assert sum(result.events_by_order) == counts[:, -1].sum()
 
 
-def test_results_identical_at_one_and_two_workers():
-    cfg = SimConfig(N=40, mixture=MIXED_1_3, t_end=0.6, seed=34, replicas=5, initial=UNIFORM)
-    obs = [MomentObserver([0.0, 0.3, 0.6])]
-    one = run(cfg, obs, workers=1, keep_final=True, keep_raw=True)
-    two = run(cfg, obs, workers=2, keep_final=True, keep_raw=True)
-    assert np.array_equal(one.raw[0], two.raw[0])
-    assert one.events_by_order == two.events_by_order
-    for a, b in zip(one.final_states, two.final_states):
-        assert np.array_equal(a.velocities, b.velocities)
-        assert a.collision_count == b.collision_count
-
-    args = dict(n=60, t_end=0.6, seed=35, replicas=5, observers=obs, keep_final=True, keep_raw=True)
-    one = meanfield_run(MIXED_1_3, UNIFORM, workers=1, **args)
-    two = meanfield_run(MIXED_1_3, UNIFORM, workers=2, **args)
-    assert np.array_equal(one.raw[0], two.raw[0])
-    for a, b in zip(one.final_states, two.final_states):
-        assert np.array_equal(a.velocities, b.velocities)
-
-
 def stacked_run(engine, replicas, observers, n=600, seed=37):
     """Readings, final states and event counts of one run of either engine."""
     args = dict(keep_final=True, keep_raw=True)

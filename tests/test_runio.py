@@ -52,7 +52,7 @@ def test_manifest_round_trip_with_fixed_clock(tmp_path):
         now="2026-01-01T00:00:00+00:00",
     )
     loaded = json.loads(path.read_text())
-    assert loaded == m.to_dict()
+    assert loaded == m
     assert loaded["wall_clock_utc"] == "2026-01-01T00:00:00+00:00"
     assert loaded["row_counts"] == {"simulate.csv": 8}
 
