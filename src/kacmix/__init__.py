@@ -77,7 +77,6 @@ from kacmix.simulator import (
     SimConfig,
     TwoPointInitial,
     UniformBoxInitial,
-    initial_from_tag,
     replica_rng,
     run,
     step,

@@ -5,14 +5,18 @@ N-particle process converge, as N grows, to tensor powers of the limiting
 one-particle law.  The harness makes that quantitative at desk scale: it
 sweeps an N grid, estimates each marginal observable from N-particle
 ensembles, estimates the tensorized reference from one large mean-field run,
-and reports per-cell agreement plus the empirical decay of the gap.
+and reports per-cell agreement plus the empirical decay of the gap.  Both
+sides average each product over the distinct s-tuples of their particles.
+On the mean-field ensemble of n_ref particles that average keeps the
+ensemble's O(1/n_ref) correlation between particles, but not the
+C(s,2) Var(g)/n_ref bias of the s-th power of a one-particle mean.
 
 The reference is not independent of the code under test.  The mean-field
 sampler differs from the N-particle process only in its events (size-biased
 orders, a jumper slot, one-sided updates); it shares the event-tape engine
 (tape drawing, layering, batched application), the stacked replica driver
 and the observers with it, so a bug in that shared code can cancel in every
-cell.  Exact references that do not use the engine are ROADMAP item 2.
+cell.  Exact references that do not use the engine are ROADMAP item 1.
 
 No convergence rate is proven for the general mixture, so acceptance is
 qualitative: agreement at the largest N within statistical error and a
@@ -38,7 +42,6 @@ from .simulator import (
     MasterState,
     ObservableObserver,
     SimConfig,
-    _replica_mean_stderr,
     engine_metrics,
     run,
 )
@@ -175,9 +178,9 @@ def run_chaos_sweep(
 
     `factors` are single-velocity bounded primitives; for each factor g and
     each s in s_list the harness forms the product observable g(v_1)...g(v_s),
-    estimates it on the N-particle ensembles, and compares against the s-th
-    power of per-replica one-particle means from a single large mean-field
-    run (n = ref_factor * max N).  Every run draws its seed from one spawning
+    estimates it on the N-particle ensembles, and compares against the same
+    product averaged over distinct s-tuples of a single large mean-field run
+    (n = ref_factor * max N).  Every run draws its seed from one spawning
     sequence, so the whole report is reproducible from (inputs, seed).
     """
     n_grid = [int(n) for n in N_grid]
@@ -208,12 +211,12 @@ def run_chaos_sweep(
         for fi, f in enumerate(factors)
         for s in s_vals
     }
-    single = [ObservableSpec((f,)) for f in factors]
+    all_specs = [specs[(fi, s)] for fi in range(len(factors)) for s in s_vals]
 
     seeds = _derive_seeds(seed, 1 + len(n_grid))
     n_ref = budget.ref_factor * max(n_grid)
 
-    # Reference: per-replica one-particle means of each factor, tensorized.
+    # Reference: each product over distinct s-tuples of the mean-field ensemble.
     ref = meanfield_run(
         mixture,
         initial,
@@ -221,16 +224,10 @@ def run_chaos_sweep(
         t_end=t_end,
         seed=seeds[0],
         replicas=budget.ref_replicas,
-        observers=[ObservableObserver(times, single, mode="all")],
-        keep_raw=True,
+        observers=[ObservableObserver(times, all_specs, mode="all")],
     )
-    ref_raw = ref.raw[0]  # (replicas, n_times, n_factors)
+    ref_ser = ref.series[0]
 
-    def ref_estimate(fi: int, ti: int, s: int) -> Tuple[float, float]:
-        mean, se = _replica_mean_stderr(ref_raw[:, ti, fi] ** s)
-        return float(mean), float(se)
-
-    all_specs = [specs[(fi, s)] for fi in range(len(factors)) for s in s_vals]
     rows: List[ChaosRow] = []
     deltas: dict = {}
     runs = [ref]
@@ -251,8 +248,10 @@ def run_chaos_sweep(
                 name = specs[(fi, s)].name
                 kac_mean = ser.mean(name)
                 kac_se = ser.stderr(name)
+                ref_mean = ref_ser.mean(name)
+                ref_se = ref_ser.stderr(name)
                 for ti, t in enumerate(times):
-                    mf_mean, mf_se = ref_estimate(fi, ti, s)
+                    mf_mean, mf_se = float(ref_mean[ti]), float(ref_se[ti])
                     delta = abs(float(kac_mean[ti]) - mf_mean)
                     combined = float(kac_se[ti]) + mf_se
                     rows.append(

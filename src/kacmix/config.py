@@ -2,10 +2,13 @@
 
 A run is described by one JSON document with fixed sections (mixture,
 initial, sim, meanfield, observables, chaos, hierarchy, seed, output_dir).
-Validation is strict: unknown keys anywhere are rejected, every value is
-type- and domain-checked, and each complaint carries the line number of the
-offending value in the original text.  The document is parsed once, by the
-stdlib JSON decoder with hooks that record where each value starts; it
+Each key is named once, at the read that checks its type and domain; an
+absent key takes its default, read from the dataclass being built wherever
+that field has one.  The keys an object's reads ask for are the keys it
+allows: unknown keys are rejected in every object, ``initial`` included,
+after its known keys are read.  Each complaint carries the line number of
+the offending value in the original text.  The document is parsed once, by
+the stdlib JSON decoder with hooks that record where each value starts; it
 rejects duplicate keys and the non-standard ``NaN``/``Infinity`` constants.
 
 Dotted overrides (``--set sim.N=200``) are applied to the raw document before
@@ -18,7 +21,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.decoder import JSONArray, JSONObject
 from json.scanner import py_make_scanner
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,7 +36,14 @@ from .laws import (
     SymmetricKMomentum,
 )
 from .observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
-from .simulator import ESTIMATOR_MODES, GaussianInitial, InitialLaw, initial_from_tag
+from .simulator import (
+    ESTIMATOR_MODES,
+    DeterministicInitial,
+    GaussianInitial,
+    InitialLaw,
+    TwoPointInitial,
+    UniformBoxInitial,
+)
 
 __all__ = [
     "ConfigError",
@@ -164,197 +174,173 @@ def apply_overrides(data: Any, sets: Sequence[str]) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# schema reader
 # ---------------------------------------------------------------------------
 
 
 _REQUIRED = object()  # default of a key that must be present
 
 
-class _Ctx:
-    """Carries key positions so checks can blame the offending line."""
+class _Obj:
+    """Reader of one JSON object; each read names its key once and records it.
 
-    def __init__(self, pos: Dict[Path, int]):
+    A read checks the value's type and domain and blames the value's line.
+    `done` rejects every key that no read asked for, so the keys read are
+    exactly the keys allowed.
+    """
+
+    def __init__(self, value: Any, path: Path, pos: Dict[Path, int]):
+        self.path = path
         self.pos = pos
-
-    def line(self, path: Path) -> Optional[int]:
-        return self.pos.get(path)
-
-    def fail(self, path: Path, message: str) -> ConfigError:
-        return ConfigError(message, line=self.line(path), path=path)
-
-    def require_object(self, value: Any, path: Path, allowed: Sequence[str]) -> dict:
         if not isinstance(value, dict):
-            raise self.fail(path, f"expected an object, got {type(value).__name__}")
-        for key in value:
-            if key not in allowed:
-                raise self.fail(
-                    path + (key,),
-                    f"unknown key (allowed: {', '.join(sorted(allowed))})",
-                )
-        return value
+            raise self.fail(f"expected an object, got {type(value).__name__}")
+        self.value = value
+        self.read: set = set()
 
-    def absent(self, path: Path, key: str, default: Any) -> Any:
+    def fail(self, message: str, *keys: Any) -> ConfigError:
+        path = self.path + keys
+        return ConfigError(message, line=self.pos.get(path), path=path)
+
+    def _read(self, key: str, default: Any, check: Callable[[Any], Any]) -> Any:
+        self.read.add(key)
+        if key in self.value:
+            return check(self.value[key])
         if default is _REQUIRED:
-            raise self.fail(path, f"missing required key {key!r}")
+            raise self.fail(f"missing required key {key!r}")
         return default
 
-    def require(self, obj: dict, path: Path, key: str) -> Any:
-        return obj[key] if key in obj else self.absent(path, key, _REQUIRED)
-
-    def get_int(self, obj: dict, path: Path, key: str, default=None, minimum=None) -> Any:
-        if key not in obj:
-            return self.absent(path, key, default)
-        v = obj[key]
+    def _integer(self, v: Any, keys: Path, minimum: Optional[int]) -> int:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise self.fail(path + (key,), f"expected an integer, got {v!r}")
+            raise self.fail(f"expected an integer, got {v!r}", *keys)
         if minimum is not None and v < minimum:
-            raise self.fail(path + (key,), f"must be >= {minimum}, got {v}")
+            raise self.fail(f"must be >= {minimum}, got {v}", *keys)
         return v
 
-    def get_float(self, obj: dict, path: Path, key: str, default=None, minimum=None) -> Any:
-        if key not in obj:
-            return self.absent(path, key, default)
-        v = obj[key]
+    def _number(self, v: Any, keys: Path) -> float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise self.fail(path + (key,), f"expected a number, got {v!r}")
-        v = float(v)
-        if not math.isfinite(v):
-            raise self.fail(path + (key,), "must be finite")
-        if minimum is not None and v < minimum:
-            raise self.fail(path + (key,), f"must be >= {minimum}, got {v}")
-        return v
+            raise self.fail(f"expected a number, got {v!r}", *keys)
+        return float(v)
 
-    def get_str(self, obj: dict, path: Path, key: str, default=None, choices=None) -> Any:
-        if key not in obj:
-            return self.absent(path, key, default)
-        v = obj[key]
-        if not isinstance(v, str):
-            raise self.fail(path + (key,), f"expected a string, got {v!r}")
-        if choices is not None and v not in choices:
-            raise self.fail(
-                path + (key,), f"expected one of {sorted(choices)}, got {v!r}"
-            )
-        return v
+    def integer(self, key: str, default: Any = _REQUIRED, minimum: Optional[int] = None) -> Any:
+        return self._read(key, default, lambda v: self._integer(v, (key,), minimum))
 
-    def get_number_list(self, obj: dict, path: Path, key: str, default=None) -> Any:
-        if key not in obj:
-            return self.absent(path, key, default)
-        v = obj[key]
-        if not isinstance(v, list) or not v:
-            raise self.fail(path + (key,), "expected a nonempty array of numbers")
-        out = []
-        for j, x in enumerate(v):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise self.fail(path + (key, j), f"expected a number, got {x!r}")
-            out.append(float(x))
-        return out
-
-    def get_int_list(self, obj: dict, path: Path, key: str, default=None, minimum=None) -> Any:
-        if key not in obj:
-            return self.absent(path, key, default)
-        v = obj[key]
-        if not isinstance(v, list) or not v:
-            raise self.fail(path + (key,), "expected a nonempty array of integers")
-        out = []
-        for j, x in enumerate(v):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise self.fail(path + (key, j), f"expected an integer, got {x!r}")
+    def number(self, key: str, default: Any = _REQUIRED, minimum: Optional[float] = None) -> Any:
+        def check(v: Any) -> float:
+            x = self._number(v, (key,))
+            if not math.isfinite(x):
+                raise self.fail("must be finite", key)
             if minimum is not None and x < minimum:
-                raise self.fail(path + (key, j), f"must be >= {minimum}, got {x}")
-            out.append(x)
-        return out
+                raise self.fail(f"must be >= {minimum}, got {x}", key)
+            return x
 
-    def wrap(self, path: Path, build: Callable[[], Any]) -> Any:
-        """Run a constructor, converting its ValueError into a placed error."""
+        return self._read(key, default, check)
+
+    def text(self, key: str, default: Any = _REQUIRED, choices: Sequence[str] = ()) -> Any:
+        def check(v: Any) -> str:
+            if not isinstance(v, str):
+                raise self.fail(f"expected a string, got {v!r}", key)
+            if choices and v not in choices:
+                raise self.fail(f"expected one of {sorted(choices)}, got {v!r}", key)
+            return v
+
+        return self._read(key, default, check)
+
+    def array(self, key: str, message: str, item: Callable, default: Any, nonempty=True) -> Any:
+        """The array at `key`, with `item(x, keys)` applied to each element in order."""
+
+        def check(v: Any) -> tuple:
+            if not isinstance(v, list) or (nonempty and not v):
+                raise self.fail(message, key)
+            return tuple(item(x, (key, j)) for j, x in enumerate(v))
+
+        return self._read(key, default, check)
+
+    def numbers(self, key: str, default: Any = _REQUIRED) -> Any:
+        return self.array(key, "expected a nonempty array of numbers", self._number, default)
+
+    def integers(self, key: str, default: Any = _REQUIRED, minimum: Optional[int] = None) -> Any:
+        def item(x: Any, keys: Path) -> int:
+            return self._integer(x, keys, minimum)
+
+        return self.array(key, "expected a nonempty array of integers", item, default)
+
+    def obj(self, key: str, build: Callable[["_Obj"], Any], default: Any = _REQUIRED) -> Any:
+        """`build` applied to a reader of the object at `key`."""
+        return self._read(key, default, lambda v: build(_Obj(v, self.path + (key,), self.pos)))
+
+    def objects(self, key: str, build: Callable, message: str, default=_REQUIRED, nonempty=True):
+        """`build` applied to a reader of each object in the array at `key`."""
+
+        def item(x: Any, keys: Path) -> Any:
+            return build(_Obj(x, self.path + keys, self.pos))
+
+        return self.array(key, message, item, default, nonempty)
+
+    def done(self) -> None:
+        for key in self.value:
+            if key not in self.read:
+                raise self.fail(f"unknown key (allowed: {', '.join(sorted(self.read))})", key)
+
+    def build(self, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Check for unknown keys, then run a constructor, placing its ValueError here."""
+        self.done()
         try:
-            return build()
+            return make(*args, **kwargs)
         except ValueError as exc:
-            raise ConfigError(str(exc), line=self.line(path), path=path) from None
+            raise self.fail(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # section builders
 # ---------------------------------------------------------------------------
 
-_LAW_KEYS = {
-    "binary_maxwell": ("kind", "d"),
-    "kac_toy": ("kind", "kernel"),
-    "symmetric_k": ("kind", "k", "d"),
-    "symmetric_k_momentum": ("kind", "k", "d"),
+_LAWS = {cls.tag: cls for cls in (BinaryMaxwell, KacToy, SymmetricK, SymmetricKMomentum)}
+_INITIALS = {
+    cls.tag: cls
+    for cls in (GaussianInitial, UniformBoxInitial, TwoPointInitial, DeterministicInitial)
 }
 
 
-def _build_law(ctx: _Ctx, value: Any, path: Path) -> CollisionLaw:
-    obj = ctx.require_object(value, path, ("kind", "d", "k", "kernel"))
-    kind = ctx.get_str(obj, path, "kind", default=_REQUIRED)
-    if kind not in _LAW_KEYS:
-        raise ctx.fail(
-            path + ("kind",),
-            f"unknown law kind {kind!r}; expected one of {sorted(_LAW_KEYS)}",
-        )
-    ctx.require_object(obj, path, _LAW_KEYS[kind])
-    if kind == "binary_maxwell":
-        return ctx.wrap(path, lambda: BinaryMaxwell(d=ctx.get_int(obj, path, "d", default=3)))
-    if kind == "kac_toy":
-        kernel = ctx.get_str(obj, path, "kernel", default="uniform")
-        return ctx.wrap(path, lambda: KacToy(kernel=kernel))
-    k = ctx.get_int(obj, path, "k", default=2)
-    d = ctx.get_int(obj, path, "d", default=3)
-    if kind == "symmetric_k":
-        return ctx.wrap(path, lambda: SymmetricK(k=k, d=d))
-    return ctx.wrap(path, lambda: SymmetricKMomentum(k=k, d=d))
-
-
-def _build_mixture(ctx: _Ctx, value: Any, path: Path) -> MixtureSpec:
-    obj = ctx.require_object(value, path, ("laws", "beta"))
-    laws_raw = ctx.require(obj, path, "laws")
-    if not isinstance(laws_raw, list) or not laws_raw:
-        raise ctx.fail(path + ("laws",), "expected a nonempty array of law objects")
-    laws = tuple(
-        _build_law(ctx, law, path + ("laws", j)) for j, law in enumerate(laws_raw)
-    )
-    beta = ctx.get_number_list(obj, path, "beta", default=_REQUIRED)
-    return ctx.wrap(path, lambda: MixtureSpec(laws, tuple(beta)))
-
-
-def _build_initial(ctx: _Ctx, value: Any, path: Path) -> InitialLaw:
-    obj = ctx.require_object(value, path, ("kind", "a", "velocities"))
-    kinds = ("gaussian", "uniform", "two_point", "deterministic")
-    kind = ctx.get_str(obj, path, "kind", default=_REQUIRED, choices=kinds)
-    params: dict = {}
-    if kind in ("uniform", "two_point") and "a" in obj:
-        params["a"] = ctx.get_float(obj, path, "a")
-    if kind == "deterministic":
-        v = ctx.require(obj, path, "velocities")
-        if not isinstance(v, list):
-            raise ctx.fail(path + ("velocities",), "expected an array of velocity rows")
-        params["velocities"] = v
-    return ctx.wrap(path, lambda: initial_from_tag(kind, **params))
-
-
-_FACTOR_KEYS = {
-    "tanh": ("kind", "a", "s"),
-    "cos": ("kind", "xi", "s"),
-    "box": ("kind", "lower", "upper", "s"),
-}
-
-
-def _build_observable(ctx: _Ctx, value: Any, path: Path) -> ObservableSpec:
-    obj = ctx.require_object(value, path, ("kind", "a", "xi", "lower", "upper", "s"))
-    kind = ctx.get_str(obj, path, "kind", default=_REQUIRED, choices=tuple(_FACTOR_KEYS))
-    ctx.require_object(obj, path, _FACTOR_KEYS[kind])
-    if kind == "tanh":
-        factor = ctx.wrap(path, lambda: TanhFactor(a=ctx.get_float(obj, path, "a", default=1.0)))
-    elif kind == "cos":
-        xi = ctx.get_number_list(obj, path, "xi", default=[1.0])
-        factor = ctx.wrap(path, lambda: CosineFactor(tuple(xi)))
+def _build_law(o: _Obj) -> CollisionLaw:
+    kind = o.text("kind")
+    if kind not in _LAWS:
+        raise o.fail(f"unknown law kind {kind!r}; expected one of {sorted(_LAWS)}", "kind")
+    cls = _LAWS[kind]
+    if cls is KacToy:
+        params = {"kernel": o.text("kernel", cls.kernel)}
     else:
-        lower = ctx.get_number_list(obj, path, "lower", default=[-1.0])
-        upper = ctx.get_number_list(obj, path, "upper", default=[1.0])
-        factor = ctx.wrap(path, lambda: BoxFactor(tuple(lower), tuple(upper)))
-    s = ctx.get_int(obj, path, "s", default=1, minimum=1)
-    return ctx.wrap(path, lambda: ObservableSpec(tuple([factor] * s)))
+        params = {"k": o.integer("k", cls.k)} if issubclass(cls, SymmetricK) else {}
+        params["d"] = o.integer("d", cls.d)
+    return o.build(cls, **params)
+
+
+def _build_mixture(o: _Obj) -> MixtureSpec:
+    laws = o.objects("laws", _build_law, "expected a nonempty array of law objects")
+    return o.build(MixtureSpec, laws, o.numbers("beta"))
+
+
+def _build_initial(o: _Obj) -> InitialLaw:
+    cls = _INITIALS[o.text("kind", choices=tuple(_INITIALS))]
+    params: dict = {}
+    if cls is DeterministicInitial:
+        message = "expected an array of velocity rows"
+        params["velocities"] = o.array("velocities", message, lambda x, keys: x, _REQUIRED, False)
+    elif cls is not GaussianInitial:
+        params["a"] = o.number("a", cls.a)
+    return o.build(cls, **params)
+
+
+def _build_observable(o: _Obj) -> ObservableSpec:
+    kind = o.text("kind", choices=("tanh", "cos", "box"))
+    if kind == "tanh":
+        cls, params = TanhFactor, {"a": o.number("a", TanhFactor.a)}
+    elif kind == "cos":
+        cls, params = CosineFactor, {"xi": o.numbers("xi", (1.0,))}
+    else:
+        cls = BoxFactor
+        params = {"lower": o.numbers("lower", cls.lower), "upper": o.numbers("upper", cls.upper)}
+    s = o.integer("s", 1, minimum=1)
+    return o.build(lambda: ObservableSpec((cls(**params),) * s))
 
 
 @dataclass(frozen=True)
@@ -366,14 +352,16 @@ class SimSection:
     estimator: str
 
 
-def _build_sim(ctx: _Ctx, value: Any, path: Path) -> SimSection:
-    obj = ctx.require_object(value, path, ("N", "t_end", "replicas", "times", "estimator"))
-    n = ctx.get_int(obj, path, "N", default=_REQUIRED, minimum=1)
-    t_end = ctx.get_float(obj, path, "t_end", default=_REQUIRED, minimum=0.0)
-    replicas = ctx.get_int(obj, path, "replicas", default=1, minimum=1)
-    times = ctx.get_number_list(obj, path, "times", default=[t_end])
-    estimator = ctx.get_str(obj, path, "estimator", default="first", choices=ESTIMATOR_MODES)
-    return SimSection(n, t_end, replicas, tuple(times), estimator)
+def _ensemble(o: _Obj, size: str) -> tuple:
+    """Ensemble size, horizon, replicas and sample times: the keys `sim` and `meanfield` share."""
+    n = o.integer(size, minimum=1)
+    t_end = o.number("t_end", minimum=0.0)
+    return n, t_end, o.integer("replicas", 1, minimum=1), o.numbers("times", (t_end,))
+
+
+def _build_sim(o: _Obj) -> SimSection:
+    ensemble = _ensemble(o, "N")
+    return o.build(SimSection, *ensemble, o.text("estimator", "first", choices=ESTIMATOR_MODES))
 
 
 @dataclass(frozen=True)
@@ -383,6 +371,20 @@ class PicardGrid:
     n_theta: int = 64
     n_time: int = 32
     n_iter: int = 8
+
+
+def _build_grid(o: _Obj) -> PicardGrid:
+    L = o.number("L", PicardGrid.L)
+    if L <= 0.0:
+        raise o.fail(f"grid half-width L must be > 0, got {L}", "L")
+    return o.build(
+        PicardGrid,
+        L=L,
+        n_v=o.integer("n_v", PicardGrid.n_v, minimum=3),
+        n_theta=o.integer("n_theta", PicardGrid.n_theta, minimum=1),
+        n_time=o.integer("n_time", PicardGrid.n_time, minimum=2),
+        n_iter=o.integer("n_iter", PicardGrid.n_iter, minimum=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -395,32 +397,10 @@ class MeanfieldSection:
     grid: PicardGrid
 
 
-def _build_meanfield(ctx: _Ctx, value: Any, path: Path) -> MeanfieldSection:
-    obj = ctx.require_object(
-        value, path, ("n", "t_end", "replicas", "times", "solver", "grid")
-    )
-    n = ctx.get_int(obj, path, "n", default=_REQUIRED, minimum=1)
-    t_end = ctx.get_float(obj, path, "t_end", default=_REQUIRED, minimum=0.0)
-    replicas = ctx.get_int(obj, path, "replicas", default=1, minimum=1)
-    times = ctx.get_number_list(obj, path, "times", default=[t_end])
-    solver = ctx.get_str(
-        obj, path, "solver", default="meanfield", choices=("meanfield", "picard", "both")
-    )
-    gpath = path + ("grid",)
-    gobj = ctx.require_object(
-        obj.get("grid", {}), gpath, ("L", "n_v", "n_theta", "n_time", "n_iter")
-    )
-    L = ctx.get_float(gobj, gpath, "L", default=8.0)
-    if L is not None and L <= 0.0:
-        raise ctx.fail(gpath + ("L",), f"grid half-width L must be > 0, got {L}")
-    grid = PicardGrid(
-        L=L,
-        n_v=ctx.get_int(gobj, gpath, "n_v", default=513, minimum=3),
-        n_theta=ctx.get_int(gobj, gpath, "n_theta", default=64, minimum=1),
-        n_time=ctx.get_int(gobj, gpath, "n_time", default=32, minimum=2),
-        n_iter=ctx.get_int(gobj, gpath, "n_iter", default=8, minimum=1),
-    )
-    return MeanfieldSection(n, t_end, replicas, tuple(times), solver, grid)
+def _build_meanfield(o: _Obj) -> MeanfieldSection:
+    ensemble = _ensemble(o, "n")
+    solver = o.text("solver", "meanfield", choices=("meanfield", "picard", "both"))
+    return o.build(MeanfieldSection, *ensemble, solver, o.obj("grid", _build_grid, PicardGrid()))
 
 
 @dataclass(frozen=True)
@@ -434,50 +414,36 @@ class ChaosSection:
     estimator: str
 
 
-def _build_chaos(ctx: _Ctx, value: Any, path: Path) -> ChaosSection:
-    obj = ctx.require_object(
-        value,
-        path,
-        ("N_grid", "s_list", "t_list", "factors", "budget", "pass_threshold", "estimator"),
+def _chaos_factor(o: _Obj) -> Any:
+    spec = _build_observable(o)
+    if spec.s != 1:
+        raise o.fail("chaos factors are one-particle; use s_list for products")
+    return spec.factors[0]
+
+
+def _build_budget(o: _Obj) -> ChaosBudget:
+    return o.build(
+        ChaosBudget,
+        samples_per_point=o.integer("samples_per_point", ChaosBudget.samples_per_point, minimum=1),
+        min_replicas=o.integer("min_replicas", ChaosBudget.min_replicas, minimum=2),
+        ref_factor=o.integer("ref_factor", ChaosBudget.ref_factor, minimum=1),
+        ref_replicas=o.integer("ref_replicas", ChaosBudget.ref_replicas, minimum=2),
+        stderr_target=o.number("stderr_target", ChaosBudget.stderr_target, minimum=0.0),
     )
-    n_grid = ctx.get_int_list(obj, path, "N_grid", default=_REQUIRED, minimum=1)
-    s_list = ctx.get_int_list(obj, path, "s_list", default=[1, 2], minimum=1)
-    t_list = ctx.get_number_list(obj, path, "t_list", default=_REQUIRED)
-    factors: List[Any] = []
-    if "factors" in obj:
-        raw = obj["factors"]
-        if not isinstance(raw, list) or not raw:
-            raise ctx.fail(path + ("factors",), "expected a nonempty array of factor objects")
-        for j, f in enumerate(raw):
-            spec = _build_observable(ctx, f, path + ("factors", j))
-            if spec.s != 1:
-                raise ctx.fail(
-                    path + ("factors", j),
-                    "chaos factors are one-particle; use s_list for products",
-                )
-            factors.append(spec.factors[0])
-    else:
-        factors = [TanhFactor(), CosineFactor((1.0,))]
-    bpath = path + ("budget",)
-    bobj = ctx.require_object(
-        obj.get("budget", {}),
-        bpath,
-        ("samples_per_point", "min_replicas", "ref_factor", "ref_replicas", "stderr_target"),
-    )
-    budget = ChaosBudget(
-        samples_per_point=ctx.get_int(bobj, bpath, "samples_per_point", default=250_000, minimum=1),
-        min_replicas=ctx.get_int(bobj, bpath, "min_replicas", default=8, minimum=2),
-        ref_factor=ctx.get_int(bobj, bpath, "ref_factor", default=10, minimum=1),
-        ref_replicas=ctx.get_int(bobj, bpath, "ref_replicas", default=16, minimum=2),
-        stderr_target=ctx.get_float(bobj, bpath, "stderr_target", default=2e-3, minimum=0.0),
-    )
-    threshold = ctx.get_float(obj, path, "pass_threshold", default=0.95, minimum=0.0)
+
+
+def _build_chaos(o: _Obj) -> ChaosSection:
+    n_grid = o.integers("N_grid", minimum=1)
+    s_list = o.integers("s_list", (1, 2), minimum=1)
+    t_list = o.numbers("t_list")
+    message = "expected a nonempty array of factor objects"
+    factors = o.objects("factors", _chaos_factor, message, (TanhFactor(), CosineFactor((1.0,))))
+    budget = o.obj("budget", _build_budget, ChaosBudget())
+    threshold = o.number("pass_threshold", 0.95, minimum=0.0)
     if threshold > 1.0:
-        raise ctx.fail(path + ("pass_threshold",), f"must be <= 1, got {threshold}")
-    estimator = ctx.get_str(obj, path, "estimator", default="all", choices=ESTIMATOR_MODES)
-    return ChaosSection(
-        tuple(n_grid), tuple(s_list), tuple(t_list), tuple(factors), budget, threshold, estimator
-    )
+        raise o.fail(f"must be <= 1, got {threshold}", "pass_threshold")
+    estimator = o.text("estimator", "all", choices=ESTIMATOR_MODES)
+    return o.build(ChaosSection, n_grid, s_list, t_list, factors, budget, threshold, estimator)
 
 
 @dataclass(frozen=True)
@@ -489,39 +455,23 @@ class HierarchySection:
     k_list: Optional[Tuple[int, ...]]
 
 
-def _build_hierarchy(ctx: _Ctx, value: Any, path: Path) -> HierarchySection:
-    obj = ctx.require_object(value, path, ("epsilon", "T", "N_grid", "s_list", "k_list"))
-    epsilon = ctx.get_float(obj, path, "epsilon", default=_REQUIRED)
+def _build_hierarchy(o: _Obj) -> HierarchySection:
+    epsilon = o.number("epsilon")
     if not 0.0 <= epsilon < 1.0:
-        raise ctx.fail(
-            path + ("epsilon",), f"tail weight epsilon must lie in [0, 1), got {epsilon}"
-        )
-    T = ctx.get_float(obj, path, "T", minimum=0.0)
-    n_grid = ctx.get_int_list(
-        obj, path, "N_grid", default=[10, 32, 100, 316, 1000, 3162, 10000], minimum=2
-    )
-    s_list = ctx.get_int_list(obj, path, "s_list", default=[1, 2, 3, 5], minimum=1)
-    k_list = ctx.get_int_list(obj, path, "k_list", default=None, minimum=0)
-    return HierarchySection(
-        epsilon, T, tuple(n_grid), tuple(s_list), None if k_list is None else tuple(k_list)
+        raise o.fail(f"tail weight epsilon must lie in [0, 1), got {epsilon}", "epsilon")
+    return o.build(
+        HierarchySection,
+        epsilon,
+        o.number("T", None, minimum=0.0),
+        o.integers("N_grid", (10, 32, 100, 316, 1000, 3162, 10000), minimum=2),
+        o.integers("s_list", (1, 2, 3, 5), minimum=1),
+        o.integers("k_list", None, minimum=0),
     )
 
 
 # ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
-
-_SECTIONS = (
-    "mixture",
-    "initial",
-    "sim",
-    "meanfield",
-    "observables",
-    "chaos",
-    "hierarchy",
-    "seed",
-    "output_dir",
-)
 
 
 @dataclass
@@ -532,7 +482,7 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "."
     mixture: Optional[MixtureSpec] = None
-    initial: InitialLaw = field(default_factory=GaussianInitial)
+    initial: InitialLaw = GaussianInitial()
     sim: Optional[SimSection] = None
     meanfield: Optional[MeanfieldSection] = None
     observables: Tuple[ObservableSpec, ...] = ()
@@ -554,37 +504,29 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         # the file's lines at and under each overridden path.
         paths = [tuple(item.partition("=")[0].split(".")) for item in overrides]
         pos = {p: line for p, line in pos.items() if not any(p[: len(o)] == o for o in paths)}
-    ctx = _Ctx(pos)
-    obj = ctx.require_object(data, (), _SECTIONS)
-    cfg = RunConfig(raw=data)
-
-    seed = ctx.get_int(obj, (), "seed", default=0)
+    o = _Obj(data, (), pos)
+    seed = o.integer("seed", RunConfig.seed)
     if not 0 <= seed < 2**64:
-        raise ctx.fail(("seed",), f"seed must be an unsigned 64-bit integer, got {seed}")
-    cfg.seed = seed
-    out_dir = ctx.get_str(obj, (), "output_dir", default=".")
-    cfg.output_dir = out_dir
-
-    if "mixture" in obj:
-        cfg.mixture = _build_mixture(ctx, obj["mixture"], ("mixture",))
-    if "initial" in obj:
-        cfg.initial = _build_initial(ctx, obj["initial"], ("initial",))
-    if "sim" in obj:
-        cfg.sim = _build_sim(ctx, obj["sim"], ("sim",))
-    if "meanfield" in obj:
-        cfg.meanfield = _build_meanfield(ctx, obj["meanfield"], ("meanfield",))
-    if "observables" in obj:
-        raw = obj["observables"]
-        if not isinstance(raw, list):
-            raise ctx.fail(("observables",), "expected an array of observable objects")
-        cfg.observables = tuple(
-            _build_observable(ctx, item, ("observables", j)) for j, item in enumerate(raw)
-        )
-    if "chaos" in obj:
-        cfg.chaos = _build_chaos(ctx, obj["chaos"], ("chaos",))
-    if "hierarchy" in obj:
-        cfg.hierarchy = _build_hierarchy(ctx, obj["hierarchy"], ("hierarchy",))
-    return cfg
+        raise o.fail(f"seed must be an unsigned 64-bit integer, got {seed}", "seed")
+    return o.build(
+        RunConfig,
+        raw=data,
+        seed=seed,
+        output_dir=o.text("output_dir", RunConfig.output_dir),
+        mixture=o.obj("mixture", _build_mixture, RunConfig.mixture),
+        initial=o.obj("initial", _build_initial, RunConfig.initial),
+        sim=o.obj("sim", _build_sim, RunConfig.sim),
+        meanfield=o.obj("meanfield", _build_meanfield, RunConfig.meanfield),
+        observables=o.objects(
+            "observables",
+            _build_observable,
+            "expected an array of observable objects",
+            RunConfig.observables,
+            nonempty=False,
+        ),
+        chaos=o.obj("chaos", _build_chaos, RunConfig.chaos),
+        hierarchy=o.obj("hierarchy", _build_hierarchy, RunConfig.hierarchy),
+    )
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
@@ -596,4 +538,5 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
     try:
         return parse_config(text, overrides)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)  # keep the error's line and path
+        raise

@@ -13,8 +13,9 @@ isometry directly.
 Shape conventions: a velocity group is an array of shape (K, d), or (B, K, d)
 for a batch of B groups.  Scattering parameters are a scalar angle (KacToy),
 a unit vector of shape (d,) (BinaryMaxwell), or a unit vector of R^{dK} stored
-as shape (K, d) (the symmetric reflection laws); each gains a leading batch
-axis in batched calls.
+as shape (K, d) (the symmetric reflection laws).  `sample_angle(rng, size)`
+always draws a batch, so its result has a leading axis of length `size`;
+`apply` takes one group with one parameter or a batch of each.
 """
 
 from __future__ import annotations
@@ -46,21 +47,19 @@ _SPHERE_REDRAW_EPS = 1e-12
 _KACTOY_KERNELS = ("uniform", "raised_cosine")
 
 
-def _unit_vectors(rng: np.random.Generator, n: int, size) -> np.ndarray:
-    """Sample uniform points on the unit sphere of R^n as normalized Gaussians.
+def _unit_vectors(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Sample `size` uniform points on the unit sphere of R^n as normalized Gaussians.
 
-    `size` is None for a single draw or an int for a batch; degenerate draws
-    with norm below 1e-12 are redrawn.
+    Degenerate draws with norm below 1e-12 are redrawn.
     """
-    batch = 1 if size is None else int(size)
-    out = rng.standard_normal((batch, n))
+    out = rng.standard_normal((int(size), n))
     norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     while (norms < _SPHERE_REDRAW_EPS).any():
         bad = np.flatnonzero(norms < _SPHERE_REDRAW_EPS)
         out[bad] = rng.standard_normal((bad.size, n))
         norms[bad] = np.sqrt(np.einsum("ij,ij->i", out[bad], out[bad]))
     out /= norms[:, None]
-    return out[0] if size is None else out
+    return out
 
 
 class CollisionLaw:
@@ -84,7 +83,7 @@ class CollisionLaw:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def sample_angle(self, rng: np.random.Generator, size: Optional[int] = None):
+    def sample_angle(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
     def apply(self, angle, group: np.ndarray) -> np.ndarray:
@@ -144,7 +143,7 @@ class BinaryMaxwell(CollisionLaw):
     def dim(self) -> int:
         return self.d
 
-    def sample_angle(self, rng, size=None):
+    def sample_angle(self, rng, size):
         return _unit_vectors(rng, self.d, size)
 
     def apply(self, angle, group):
@@ -186,12 +185,12 @@ class KacToy(CollisionLaw):
     def dim(self) -> int:
         return 1
 
-    def sample_angle(self, rng, size=None):
+    def sample_angle(self, rng, size):
         if self.kernel == "uniform":
             return rng.uniform(-math.pi, math.pi, size=size)
         # Raised cosine by rejection against the uniform proposal, acceptance
         # probability (1 + cos t)/2.
-        batch = 1 if size is None else int(size)
+        batch = int(size)
         out = np.empty(batch)
         filled = 0
         while filled < batch:
@@ -199,7 +198,7 @@ class KacToy(CollisionLaw):
             keep = cand[rng.random(batch - filled) <= 0.5 * (1.0 + np.cos(cand))]
             out[filled : filled + keep.size] = keep
             filled += keep.size
-        return out[0] if size is None else out
+        return out
 
     def apply(self, angle, group):
         g = self._check_group(group)
@@ -248,11 +247,8 @@ class SymmetricK(CollisionLaw):
     def dim(self) -> int:
         return self.d
 
-    def sample_angle(self, rng, size=None):
-        flat = _unit_vectors(rng, self.k * self.d, size)
-        if size is None:
-            return flat.reshape(self.k, self.d)
-        return flat.reshape(-1, self.k, self.d)
+    def sample_angle(self, rng, size):
+        return _unit_vectors(rng, self.k * self.d, size).reshape(-1, self.k, self.d)
 
     def apply(self, angle, group):
         g = self._check_group(group)
@@ -280,8 +276,8 @@ class SymmetricKMomentum(SymmetricK):
         if self.d < 1:
             raise ValueError(f"{self.tag}: d must be >= 1")
 
-    def sample_angle(self, rng, size=None):
-        batch = 1 if size is None else int(size)
+    def sample_angle(self, rng, size):
+        batch = int(size)
         out = np.empty((batch, self.k, self.d))
         filled = 0
         while filled < batch:
@@ -292,7 +288,7 @@ class SymmetricKMomentum(SymmetricK):
             kept = cand[ok] / norms[ok][:, None, None]
             out[filled : filled + kept.shape[0]] = kept
             filled += kept.shape[0]
-        return out[0] if size is None else out
+        return out
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "UniformBoxInitial",
     "TwoPointInitial",
     "DeterministicInitial",
-    "initial_from_tag",
     "MasterState",
     "SimConfig",
     "MomentObserver",
@@ -138,25 +137,6 @@ class DeterministicInitial(InitialLaw):
                 f"deterministic initial law: stored shape {v.shape} does not match (N, d)=({n}, {d})"
             )
         return v.copy()
-
-
-_INITIAL_TAGS = {
-    "gaussian": GaussianInitial,
-    "uniform": UniformBoxInitial,
-    "two_point": TwoPointInitial,
-    "deterministic": DeterministicInitial,
-}
-
-
-def initial_from_tag(tag: str, **params) -> InitialLaw:
-    """Build an initial law from its configuration tag."""
-    try:
-        cls = _INITIAL_TAGS[tag]
-    except KeyError:
-        raise ValueError(
-            f"unknown initial law {tag!r}; expected one of {sorted(_INITIAL_TAGS)}"
-        ) from None
-    return cls(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from kacmix.chaos import (
 )
 from kacmix.laws import KacToy, MixtureSpec, SymmetricK
 from kacmix.observables import CosineFactor, ObservableSpec, TanhFactor
-from kacmix.simulator import DeterministicInitial, GaussianInitial, MasterState
+from kacmix.simulator import DeterministicInitial, GaussianInitial, MasterState, UniformBoxInitial
 
 TOY = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.0, 1.0))
 GAUSS = GaussianInitial()
@@ -81,6 +81,25 @@ def test_sweep_is_reproducible_and_seed_sensitive():
     assert a.slopes == b.slopes
     c = small_sweep(seed=8)
     assert c.rows != a.rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reference_of_pair_cells_is_unbiased(seed):
+    """tanh is odd and uniform data symmetric, so the limit's pair value is 0.
+
+    A reference built from squared one-particle means over n_ref = 40
+    particles sits about Var/n_ref above 0, some 14 stderr at 400 replicas.
+    """
+    report = small_sweep(
+        seed=seed,
+        initial=UniformBoxInitial(),
+        N_grid=[4],
+        s_list=[2],
+        budget=ChaosBudget(samples_per_point=32, min_replicas=8, ref_factor=10, ref_replicas=400),
+    )
+    assert report.n_ref == 40
+    (row,) = report.rows
+    assert abs(row.mf_mean) <= 4.0 * row.mf_stderr, (row.mf_mean, row.mf_stderr)
 
 
 # ---------------------------------------------------------------------------

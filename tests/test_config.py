@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacmix.chaos import ChaosBudget
 from kacmix.config import (
     ConfigError,
+    PicardGrid,
     apply_overrides,
     load_config,
     parse_config,
     parse_with_positions,
 )
-from kacmix.laws import KacToy, SymmetricK
+from kacmix.laws import BinaryMaxwell, KacToy, SymmetricK
 from kacmix.simulator import DeterministicInitial, GaussianInitial, TwoPointInitial
 
 FULL_TEXT = """{
@@ -196,6 +198,17 @@ def test_override_errors_carry_no_file_line(override):
     assert str(exc.value) == "sim.N: must be >= 1, got 0"
 
 
+def test_omitted_keys_take_the_class_defaults():
+    cfg = parse_config(
+        '{"mixture": {"laws": [{"kind": "symmetric_k", "k": 1}, {"kind": "binary_maxwell"}],'
+        ' "beta": [0.0, 1.0]},'
+        ' "meanfield": {"n": 8, "t_end": 1.0}, "chaos": {"N_grid": [8], "t_list": [0.5]}}'
+    )
+    assert cfg.mixture.laws[1] == BinaryMaxwell()
+    assert cfg.meanfield.grid == PicardGrid()
+    assert cfg.chaos.budget == ChaosBudget()
+
+
 def test_deterministic_initial_via_config():
     text = '{"initial": {"kind": "deterministic", "velocities": [[1.0], [2.0]]}}'
     cfg = parse_config(text)
@@ -280,6 +293,15 @@ def test_initial_kind_choices():
         parse_config('{"initial": {"kind": "dirac"}}')
 
 
+def test_initial_rejects_keys_of_other_kinds():
+    with pytest.raises(ConfigError, match=r"initial.a: unknown key \(allowed: kind\)"):
+        parse_config('{"initial": {"kind": "gaussian", "a": 5}}')
+    with pytest.raises(
+        ConfigError, match=r"initial.velocities: unknown key \(allowed: a, kind\)"
+    ):
+        parse_config('{"initial": {"kind": "uniform", "velocities": [[1]]}}')
+
+
 def test_observable_errors():
     with pytest.raises(ConfigError, match="observables.0.s: must be >= 1"):
         parse_config('{"observables": [{"kind": "tanh", "s": 0}]}')
@@ -324,6 +346,16 @@ def test_load_config_prefixes_path(tmp_path):
         load_config(str(p))
     assert str(p) in str(err.value)
     assert "line 2" in str(err.value)
+
+
+def test_load_config_keeps_the_error_position(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text('{\n "seed": -1\n}')
+    with pytest.raises(ConfigError) as err:
+        load_config(str(p))
+    assert err.value.line == 2
+    assert err.value.path == ("seed",)
+    assert str(err.value).startswith(f"{p}: line 2: seed: ")
 
 
 def test_load_config_missing_file():

@@ -91,7 +91,7 @@ def test_symmetric_k_formula_matches_householder():
     """v* = v - 2 <omega, v> omega with the inner product over all K*d slots."""
     law = SymmetricK(k=2, d=2)
     rng = np.random.default_rng(1)
-    omega = law.sample_angle(rng)
+    omega = law.sample_angle(rng, size=1)[0]
     group = rng.standard_normal((2, 2))
     flat_o, flat_v = omega.ravel(), group.ravel()
     expected = (flat_v - 2.0 * (flat_o @ flat_v) * flat_o).reshape(2, 2)
@@ -114,7 +114,8 @@ def test_h1_on_arbitrary_groups(data):
     """Energy is conserved for adversarial (not just Gaussian) velocities."""
     law = data.draw(st.sampled_from(ALL_LAWS))
     group = data.draw(group_strategy(law))
-    omega = law.sample_angle(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    omega = law.sample_angle(rng, size=1)[0]
     out = law.apply(omega, group)
     before = float(np.sum(group * group))
     after = float(np.sum(out * out))
@@ -133,7 +134,8 @@ def test_pointwise_involutions_square_to_identity(data):
         st.sampled_from([l for l in ALL_LAWS if l.pointwise_involution])
     )
     group = data.draw(group_strategy(law))
-    omega = law.sample_angle(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    omega = law.sample_angle(rng, size=1)[0]
     twice = law.apply(omega, law.apply(omega, group))
     assert np.allclose(twice, group, atol=1e-9), law.describe
 
@@ -194,7 +196,8 @@ def test_momentum_conserving_laws(data):
         st.sampled_from([BinaryMaxwell(d=2), SymmetricKMomentum(k=2, d=2), SymmetricKMomentum(k=4, d=1)])
     )
     group = data.draw(group_strategy(law))
-    omega = law.sample_angle(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    omega = law.sample_angle(rng, size=1)[0]
     out = law.apply(omega, group)
     before = group.sum(axis=0)
     after = out.sum(axis=0)
@@ -208,7 +211,7 @@ def test_plain_symmetric_k_breaks_momentum():
     group = np.array([[1.0], [2.0]])
     rng = np.random.default_rng(7)
     moved = [
-        abs(float(law.apply(law.sample_angle(rng), group).sum() - group.sum()))
+        abs(float(law.apply(law.sample_angle(rng, size=1)[0], group).sum() - group.sum()))
         for _ in range(50)
     ]
     assert max(moved) > 0.1

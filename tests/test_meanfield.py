@@ -62,7 +62,7 @@ class _GroupRecorder(CollisionLaw):
     def dim(self):
         return 1
 
-    def sample_angle(self, rng, size=None):
+    def sample_angle(self, rng, size):
         return np.zeros(size)
 
     def apply(self, angle, group):

@@ -21,7 +21,6 @@ from kacmix.simulator import (
     TwoPointInitial,
     UniformBoxInitial,
     _distinct_rows,
-    initial_from_tag,
     moment_channels,
     replica_rng,
     run,
@@ -54,12 +53,6 @@ def test_deterministic_initial_is_exact():
     assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError, match="does not match"):
         init.sample(np.random.default_rng(0), 3, 2)
-
-
-def test_initial_from_tag():
-    assert initial_from_tag("two_point", a=3.0).a == 3.0
-    with pytest.raises(ValueError, match="unknown initial law"):
-        initial_from_tag("cauchy")
 
 
 # ---------------------------------------------------------------------------
