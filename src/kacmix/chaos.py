@@ -163,6 +163,30 @@ def _fit_slope(n_values: Sequence[int], deltas: Sequence[float]) -> Tuple[float,
     return slope, se
 
 
+def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> None:
+    """The sweep's checks of its inputs, made before any run starts."""
+    if not n_grid or not s_vals or not times or not list(factors):
+        raise ValueError("chaos sweep: N_grid, s_list, t_list and factors must be nonempty")
+    if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"chaos sweep: t_list must be >= 0 and strictly increasing, got {times}")
+    if min(s_vals) < 1:
+        raise ValueError(f"chaos sweep: orders must be >= 1, got {s_vals}")
+    if min(n_grid) < mixture.m:
+        raise ValueError(f"chaos sweep: N >= M required (M={mixture.m}, got N={min(n_grid)})")
+    if max(s_vals) > min(n_grid):
+        raise ValueError(
+            f"chaos sweep: max order {max(s_vals)} exceeds smallest system size {min(n_grid)}"
+        )
+    if isinstance(initial, DeterministicInitial):
+        raise ValueError(
+            "chaos sweep: initial data must be an iid law (chaotic initial data); "
+            "a deterministic velocity list is not"
+        )
+    labels = [f.label for f in factors]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"chaos sweep: factor labels must be distinct, got {labels}")
+
+
 def run_chaos_sweep(
     mixture: MixtureSpec,
     initial: InitialLaw,
@@ -186,24 +210,7 @@ def run_chaos_sweep(
     n_grid = [int(n) for n in N_grid]
     s_vals = [int(s) for s in s_list]
     times = [float(t) for t in t_list]
-    if not n_grid or not s_vals or not times or not list(factors):
-        raise ValueError("chaos sweep: N_grid, s_list, t_list and factors must be nonempty")
-    if sorted(times) != times or len(set(times)) != len(times):
-        raise ValueError(f"chaos sweep: t_list must be strictly increasing, got {times}")
-    if min(s_vals) < 1:
-        raise ValueError(f"chaos sweep: orders must be >= 1, got {s_vals}")
-    if max(s_vals) > min(n_grid):
-        raise ValueError(
-            f"chaos sweep: max order {max(s_vals)} exceeds smallest system size {min(n_grid)}"
-        )
-    if isinstance(initial, DeterministicInitial):
-        raise ValueError(
-            "chaos sweep: initial data must be an iid law (chaotic initial data); "
-            "a deterministic velocity list is not"
-        )
-    labels = [f.label for f in factors]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"chaos sweep: factor labels must be distinct, got {labels}")
+    _check_sweep(mixture, initial, n_grid, s_vals, times, factors)
     t_end = times[-1]
 
     specs = {

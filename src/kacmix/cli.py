@@ -6,8 +6,9 @@ and grid solver), hierarchy (constants, horizons, coefficient sweeps), chaos
 validation of the collision laws).  Runs are described by a JSON config file
 plus dotted overrides; every subcommand is deterministic given the config
 and seed, writes a manifest before any result file, and uses the exit-code
-convention 0 = success, 1 = acceptance-threshold failure, 2 = configuration
-error.
+convention 0 = success, 1 = acceptance-threshold failure or a failed run,
+2 = configuration error (configs are checked in full before any engine
+starts).
 """
 
 from __future__ import annotations
@@ -169,8 +170,11 @@ def cmd_boltzmann(cfg: RunConfig) -> Tuple[dict, dict, int]:
     solvers: dict = {}
     if mf.solver in ("picard", "both"):
         kernel = _pure_toy_kernel(cfg)
-        check_angular_resolution(kernel, mf.grid.n_theta)
-        f0 = _picard_initial(cfg.initial, mf.grid)
+        try:  # the grid solver's checks, before any engine starts
+            check_angular_resolution(kernel, mf.grid.n_theta)
+            f0 = _picard_initial(cfg.initial, mf.grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     if mf.solver in ("meanfield", "both"):
         result = meanfield_run(
@@ -347,10 +351,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         outputs, metrics, code = _COMMANDS[args.command](cfg)
         _write_run(cfg, args.command, outputs, metrics, config_s, time.perf_counter() - start)
         return code
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:  # configs are checked up front: this is the run
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

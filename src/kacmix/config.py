@@ -26,7 +26,7 @@ from json.decoder import JSONArray, JSONObject
 from json.scanner import py_make_scanner
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .chaos import ChaosBudget
+from .chaos import ChaosBudget, _check_sweep
 from .laws import (
     BinaryMaxwell,
     CollisionLaw,
@@ -41,8 +41,12 @@ from .simulator import (
     DeterministicInitial,
     GaussianInitial,
     InitialLaw,
+    ObservableObserver,
+    Observer,
+    SimConfig,
     TwoPointInitial,
     UniformBoxInitial,
+    _check_observers,
 )
 
 __all__ = [
@@ -459,10 +463,13 @@ def _build_hierarchy(o: _Obj) -> HierarchySection:
     epsilon = o.number("epsilon")
     if not 0.0 <= epsilon < 1.0:
         raise o.fail(f"tail weight epsilon must lie in [0, 1), got {epsilon}", "epsilon")
+    T = o.number("T", None, minimum=0.0)
+    if T == 0.0:
+        raise o.fail("reference time T must be > 0", "T")
     return o.build(
         HierarchySection,
         epsilon,
-        o.number("T", None, minimum=0.0),
+        T,
         o.integers("N_grid", (10, 32, 100, 316, 1000, 3162, 10000), minimum=2),
         o.integers("s_list", (1, 2, 3, 5), minimum=1),
         o.integers("k_list", None, minimum=0),
@@ -508,7 +515,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
     seed = o.integer("seed", RunConfig.seed)
     if not 0 <= seed < 2**64:
         raise o.fail(f"seed must be an unsigned 64-bit integer, got {seed}", "seed")
-    return o.build(
+    cfg = o.build(
         RunConfig,
         raw=data,
         seed=seed,
@@ -527,6 +534,29 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
         chaos=o.obj("chaos", _build_chaos, RunConfig.chaos),
         hierarchy=o.obj("hierarchy", _build_hierarchy, RunConfig.hierarchy),
     )
+    if cfg.mixture is not None:
+        _check_runs(o, cfg, cfg.mixture)
+    return cfg
+
+
+def _check_runs(o: _Obj, cfg: RunConfig, mixture: MixtureSpec) -> None:
+    """The checks that join sections, made by each run before its engine starts, as config errors."""
+    sim, mf, chaos = cfg.sim, cfg.meanfield, cfg.chaos
+    try:
+        if sim is not None:
+            section, specs = "sim", cfg.observables
+            config = SimConfig(sim.N, mixture, sim.t_end, cfg.seed, sim.replicas, cfg.initial)
+            observer = ObservableObserver(sim.times, specs) if specs else Observer(sim.times)
+            _check_observers([observer], config)
+        if mf is not None and mf.solver != "picard":
+            section = "meanfield"
+            config = SimConfig(mf.n, mixture, mf.t_end, cfg.seed, mf.replicas, cfg.initial)
+            _check_observers([Observer(mf.times)], config)
+        if chaos is not None:
+            section = "chaos"
+            _check_sweep(mixture, cfg.initial, chaos.N_grid, chaos.s_list, chaos.t_list, chaos.factors)
+    except ValueError as exc:
+        raise o.fail(str(exc), section) from None
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:

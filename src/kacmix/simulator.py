@@ -14,11 +14,13 @@ engine.
 
 Replicas are independent and reproducible: replica r uses a counter-based
 generator seeded from (seed, spawn_key=(r,)).  Small systems run a group
-of replicas as one stacked array, so their batches are wide; replicas
-share no particles, so every replica's trajectory, and with it the output,
-depends only on the seed.  Observers sample the right-continuous
-trajectory at fixed times; the state at time tau is the state after the
-last event at or before tau.
+of replicas as one stacked array that draws its tapes together, each
+replica making the generator calls it would make alone, and applies an
+observation interval's tapes in rounds of about one event per particle.
+Replicas share no particles, so every replica's trajectory, and with it
+the output, depends only on the seed.  Observers sample the
+right-continuous trajectory at fixed times; the state at time tau is the
+state after the last event at or before tau.
 """
 
 from __future__ import annotations
@@ -234,27 +236,37 @@ def _repeated(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(same)
 
 
-def _uniform_indices(rng: np.random.Generator, n: int, shape) -> np.ndarray:
+def _indices(u: np.ndarray, n: int) -> np.ndarray:
     """Uniform integers in range(n) as floor(u * n) of 53-bit uniforms u.
 
     The relative bias is below n * 2**-52, far under any Monte-Carlo
     resolution, and u * n rounds below n, so every index is in range.  One
     `rng.random` call costs a tenth of `rng.integers` on small arrays.
     """
-    return (rng.random(shape) * n).astype(np.intp)
+    return (u * n).astype(np.intp)
 
 
-def _distinct_rows(rng: np.random.Generator, n: int, count: int, k: int) -> np.ndarray:
-    """`count` independent uniform ordered k-tuples of distinct indices in range(n).
+def _joined(parts: list) -> np.ndarray:
+    """The parts stacked along the first axis; a single part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    Rows with a repeated index are redrawn whole until none is left, so each
-    row is uniform over the n!/(n-k)! ordered tuples.
+
+def _index_rows(draws: Sequence[tuple], n: int, k: int) -> np.ndarray:
+    """`count` uniform ordered k-tuples of distinct indices in range(n) per (rng, count), stacked.
+
+    Each generator draws its rows, then redraws whole, in one call per pass,
+    those holding some index twice, as it would alone; so each row is
+    uniform over the n!/(n-k)! ordered tuples.  The arithmetic runs once on
+    the stacked rows.
     """
-    rows = _uniform_indices(rng, n, (count, k))
+    rows = _indices(_joined([rng.random((count, k)) for rng, count in draws]), n)
     if k > 1:
         bad = _repeated(rows)
         while bad.size:
-            rows[bad] = _uniform_indices(rng, n, (bad.size, k))
+            owner = np.cumsum([count for _, count in draws]).searchsorted(bad, side="right")
+            sizes = np.bincount(owner, minlength=len(draws)).tolist()
+            fresh = [draws[i][0].random((size, k)) for i, size in enumerate(sizes) if size]
+            rows[bad] = _indices(_joined(fresh), n)
             bad = bad[_repeated(rows[bad])]
     return rows
 
@@ -267,37 +279,68 @@ def _distinct_rows(rng: np.random.Generator, n: int, count: int, k: int) -> np.n
 # partners, and only the jumper moves.  On an N-particle tape it is None.
 
 
-def _draw_tape(
-    rng: np.random.Generator, mixture: MixtureSpec, n: int, count: int, meanfield: bool
-) -> list:
-    """Draw `count` events on n particles: orders, then indices and angles per order.
+def _draw_tapes(draws: Sequence[tuple], mixture: MixtureSpec, n: int, meanfield: bool) -> list:
+    """The tapes of `count` events of replica `row`, for each (row, rng, count), as one tape.
 
-    N-particle events have order K with probability beta_K; mean-field
-    events with the size-biased probability beta_K K / alpha, plus a uniform
-    slot for the jumper, which makes (jumper, ordered partners) uniform.
+    Replica `row` owns particles row n .. row n + n - 1.  Each replica draws
+    tapes of at most `_block_size` events, one per sub-pass, with the calls
+    it would make alone: order uniforms, then per order K its index rows,
+    angles and (mean-field) jumper slots.  N-particle orders have
+    probability beta_K, mean-field orders beta_K K / alpha; a uniform slot
+    makes (jumper, ordered partners) uniform.  The rest runs on the stacked
+    arrays, once per sub-pass or call; tape positions follow the draws.
     """
-    u = rng.random(count)
-    if meanfield:
-        orders = mixture.order_from_uniform_sizebiased(u)
-    else:
-        orders = mixture.order_from_uniform(u)
-    if count == 1:  # one event (`step`): nothing to sort
-        positions = [(int(orders[0]), np.zeros(1, dtype=np.intp))]
-    else:
-        by_order = orders.argsort(kind="stable")
-        ends = np.cumsum(np.bincount(orders, minlength=mixture.m + 1)).tolist()
-        positions = [(k, by_order[ends[k - 1] : ends[k]]) for k in range(1, mixture.m + 1)]
-    tape = []
-    for k, pos in positions:
-        size = pos.size
-        if size == 0:
-            continue
+    order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
+    if len(draws) == 1 and draws[0][2] == 1:  # one event (`step`): nothing to split or sort
+        row, rng, _ = draws[0]
+        k = order_of(rng.random())  # a scalar draw takes the same uniform as rng.random(1)
         law = mixture.laws[k - 1]
-        idx = _distinct_rows(rng, n, size, k)
-        angles = law.sample_angle(rng, size=size)
-        slots = _uniform_indices(rng, k, size) if meanfield else None
-        tape.append((law, pos, idx, angles, slots))
+        idx = _index_rows([(rng, 1)], n, k)
+        angles = law.sample_angle(rng, size=1)
+        slots = _indices(rng.random(1), k) if meanfield else None
+        return [(law, np.zeros(1, dtype=np.intp), idx + row * n if row else idx, angles, slots)]
+    m, block = mixture.m, _block_size(n)
+    rngs = [rng for _, rng, _ in draws]
+    offsets = np.array([row for row, _, _ in draws], dtype=np.intp) * n
+    left = np.array([count for _, _, count in draws], dtype=np.int64)
+    orders = []
+    parts: List[list] = [[] for _ in range(m)]  # per order: (idx, angles, slots) of each sub-pass
+    while left.any():
+        live = np.flatnonzero(left)
+        take = np.minimum(left[live], block)
+        left[live] -= take
+        orders.append(order_of(_joined([rngs[i].random(c) for i, c in zip(live.tolist(), take.tolist())])))
+        sizes = np.bincount(np.repeat(live, take) * m + orders[-1] - 1, minlength=len(draws) * m)
+        sizes = sizes.reshape(-1, m)
+        for k, law in enumerate(mixture.laws, start=1):
+            who = np.flatnonzero(sizes[:, k - 1])
+            if who.size:
+                counts = sizes[who, k - 1]
+                part = [(rngs[i], c) for i, c in zip(who.tolist(), counts.tolist())]
+                idx = _index_rows(part, n, k) + np.repeat(offsets[who], counts)[:, None]
+                angles = _joined([law.sample_angle(rng, size=c) for rng, c in part])
+                slots = _indices(_joined([rng.random(c) for rng, c in part]), k) if meanfield else None
+                parts[k - 1].append((idx, angles, slots))
+    order = _joined(orders)
+    by_order = order.argsort(kind="stable")
+    ends = np.cumsum(np.bincount(order, minlength=m + 1)).tolist()
+    tape = []
+    for k, law in enumerate(mixture.laws, start=1):
+        if parts[k - 1]:
+            idx, angles, slots = zip(*parts[k - 1])
+            slots = None if slots[0] is None else _joined(slots)
+            tape.append((law, by_order[ends[k - 1] : ends[k]], _joined(idx), _joined(angles), slots))
     return tape
+
+
+def _block_size(n: int) -> int:
+    """Events per replica tape on n particles: n/2, at least 32.
+
+    A function of the system size only, so each replica's tapes, hence its
+    generator calls and the output, do not depend on how replicas are
+    grouped or how tapes are gathered into rounds.
+    """
+    return max(32, n // 2)
 
 
 def _layers(tape: list, count: int, m: int) -> np.ndarray:
@@ -330,15 +373,8 @@ def _layers(tape: list, count: int, m: int) -> np.ndarray:
         layer[:count] = new
 
 
-def _apply_events(velocities: np.ndarray, order_events: tuple, sel=None) -> None:
-    """Apply the selected events (default: all) of one order at once.
-
-    The selected events must touch disjoint particles.
-    """
-    law, _, idx, angles, slots = order_events
-    if sel is not None:
-        idx, angles = idx[sel], angles[sel]
-        slots = None if slots is None else slots[sel]
+def _apply_events(velocities: np.ndarray, law, idx, angles, slots) -> None:
+    """Apply events of one order at once; they must touch disjoint particles."""
     out = law.apply(angles, velocities[idx])
     if slots is None:
         velocities[idx] = out
@@ -348,21 +384,22 @@ def _apply_events(velocities: np.ndarray, order_events: tuple, sel=None) -> None
 
 
 def _apply_tape(velocities: np.ndarray, tape: list, count: int, m: int) -> None:
-    """Apply a tape of `count` events in place, one batch per (layer, order)."""
-    if count == 1:  # one event (`step`): nothing to layer
-        _apply_events(velocities, tape[0])
-        return
+    """Apply a tape of `count` events in place, one batch (a contiguous slice) per (layer, order)."""
     layer = _layers(tape, count, m)
     depth = int(layer.max()) + 1
     plans = []
-    for order_events in tape:
-        lay = layer[order_events[1]]
+    for law, pos, idx, angles, slots in tape:
+        lay = layer[pos]
         by_layer = lay.argsort(kind="stable")
-        plans.append((order_events, by_layer, lay[by_layer].searchsorted(np.arange(depth + 1))))
+        starts = lay[by_layer].searchsorted(np.arange(depth + 1)).tolist()
+        slots = None if slots is None else slots[by_layer]
+        plans.append((law, idx[by_layer], angles[by_layer], slots, starts))
     for level in range(depth):
-        for order_events, by_layer, starts in plans:
-            if starts[level] < starts[level + 1]:
-                _apply_events(velocities, order_events, by_layer[starts[level] : starts[level + 1]])
+        for law, idx, angles, slots, starts in plans:
+            lo, hi = starts[level], starts[level + 1]
+            if lo < hi:
+                part = None if slots is None else slots[lo:hi]
+                _apply_events(velocities, law, idx[lo:hi], angles[lo:hi], part)
 
 
 def step(
@@ -381,7 +418,8 @@ def step(
     if n < mixture.m:
         raise ValueError(f"step: N >= M required (M={mixture.m}, got N={n})")
     state.time += rng.exponential(1.0 / n)
-    _apply_tape(state.velocities, _draw_tape(rng, mixture, n, 1, meanfield=False), 1, mixture.m)
+    (law, _, idx, angles, _), = _draw_tapes([(0, rng, 1)], mixture, n, False)
+    _apply_events(state.velocities, law, idx, angles, None)
     state.collision_count += 1
     return state
 
@@ -556,9 +594,6 @@ class ObservableObserver(Observer):
 
     def collect(self, velocities, events, rngs):
         g, n = velocities.shape[:2]
-        s_max = max(spec.s for spec in self.specs)
-        if s_max > n:
-            raise ValueError(f"observable reading: order s={s_max} exceeds N={n}")
         if self.mode == "all":
             return self._all_slots(velocities)
         out = np.empty((g, len(self.specs)))
@@ -566,7 +601,7 @@ class ObservableObserver(Observer):
             if self.mode == "first":
                 groups = velocities[:, : spec.s]
             else:
-                idx = np.stack([_distinct_rows(rng, n, 1, spec.s)[0] for rng in rngs])
+                idx = _index_rows([(rng, 1) for rng in rngs], n, spec.s)
                 groups = velocities[np.arange(g)[:, None], idx]
             # one (1, s, d) stack per replica: a factor's matrix products then
             # have the same shape, hence the same rounding, whatever G is
@@ -610,38 +645,6 @@ class ObservableObserver(Observer):
 GROUP_PARTICLES = 4096
 
 
-def _block_size(n: int) -> int:
-    """Events per tape on n particles: n/2, at least 32.
-
-    A function of the system size only, so the tapes, and with them the
-    output, do not depend on how replicas are grouped.  Tape memory stays
-    O(n); the layer count, hence the number of batches per tape, grows with
-    the events per particle.
-    """
-    return max(32, n // 2)
-
-
-def _stack_tapes(tapes: list, n: int, m: int) -> Tuple[list, int]:
-    """Merge (replica, count, tape) triples into one tape and its event count.
-
-    Replica r owns rows r n .. r n + n - 1 of the stacked array, so its
-    indices are offset by r n and its positions by the events before it.
-    Replicas share no particle, so each keeps its own layers.
-    """
-    by_order: List[list] = [[] for _ in range(m)]
-    base = 0
-    for r, count, tape in tapes:
-        for law, pos, idx, angles, slots in tape:
-            by_order[law.order - 1].append((law, pos + base, idx + r * n, angles, slots))
-        base += count
-    stacked = []
-    for parts in filter(None, by_order):
-        law, pos, idx, angles, slots = zip(*parts)
-        columns = [np.concatenate(column) for column in (pos, idx, angles)]
-        stacked.append((law[0], *columns, None if slots[0] is None else np.concatenate(slots)))
-    return stacked, base
-
-
 def _drive(
     velocities: np.ndarray,
     rate: float,
@@ -658,11 +661,12 @@ def _drive(
     Poisson(rate * length), independent of the other intervals, and given
     the counts the events are iid, so each replica draws its count and then
     its events as tapes of at most `_block_size` events; no event time is
-    needed.  Each round stacks the next tape of every replica with events
-    left and applies them at once.  A sample at time tau reads the state
-    after the intervals ending at or before tau (right continuity).  Returns
-    each observer's readings (G, n_times, n_channels) and the events applied
-    of each order (G, M).
+    needed.  A round draws whole tapes of the replicas with events left
+    until the interval is done or it holds about one event per particle
+    (tape memory stays O(G N)), and applies them.  A sample at time tau
+    reads the state after the intervals ending at or before tau (right
+    continuity).  Returns each observer's readings (G, n_times, n_channels)
+    and the events applied of each order (G, M).
     """
     schedule = sorted(
         (t, oi, ti)
@@ -678,21 +682,18 @@ def _drive(
     ptr = 0
     t = 0.0
     for cut in sorted({entry[0] for entry in schedule} | {t_end}):
-        todo = [int(rng.poisson(rate * (cut - t))) if cut > t else 0 for rng in rngs]
-        while True:
-            tapes = []
-            for r, rng in enumerate(rngs):
-                if todo[r] > 0:
-                    count = min(todo[r], block)
-                    tape = _draw_tape(rng, mixture, n, count, meanfield)
-                    for law, pos, _, _, _ in tape:
-                        events[r, law.order - 1] += pos.size
-                    tapes.append((r, count, tape))
-                    todo[r] -= count
-            if not tapes:
-                break
-            tape, count = _stack_tapes(tapes, n, m)
-            _apply_tape(flat, tape, count, m)
+        todo = np.array([rng.poisson(rate * (cut - t)) if cut > t else 0 for rng in rngs])
+        while todo.any():
+            reach = block  # events per replica in this round: whole sub-passes
+            while reach < todo.max() and np.minimum(todo, reach).sum() < g * n:
+                reach += block
+            take = np.minimum(todo, reach)
+            todo -= take
+            live = np.flatnonzero(take).tolist()
+            tape = _draw_tapes([(r, rngs[r], int(take[r])) for r in live], mixture, n, meanfield)
+            for law, _, idx, _, _ in tape:
+                events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
+            _apply_tape(flat, tape, int(take.sum()), m)
         t = cut
         counts = events.sum(axis=1)
         while ptr < len(schedule) and schedule[ptr][0] <= t:
@@ -798,6 +799,16 @@ def engine_metrics(results: Sequence[RunResult]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_observers(observers: Sequence[Observer], config: SimConfig) -> None:
+    """The checks of observers against a run, made before any replica starts."""
+    for obs in observers:
+        if obs.times[-1] > config.t_end:
+            raise ValueError(f"observer time {obs.times[-1]} outside [0, t_end={config.t_end}]")
+        s = max(spec.s for spec in obs.specs) if isinstance(obs, ObservableObserver) else 0
+        if s > config.N:
+            raise ValueError(f"observable order s={s} exceeds N={config.N}")
+
+
 def _run_replicas(
     solver: str,
     config: SimConfig,
@@ -815,12 +826,7 @@ def _run_replicas(
     G replicas (see GROUP_PARTICLES) run as one stacked (G, N, d) array.
     """
     observers = list(observers)
-    for obs in observers:
-        for t in obs.times:
-            if t > config.t_end:
-                raise ValueError(
-                    f"configuration error: observer time {t} outside [0, t_end={config.t_end}]"
-                )
+    _check_observers(observers, config)
     size = max(1, GROUP_PARTICLES // config.N)
     values = [
         np.empty((config.replicas, len(obs.times), len(obs.channel_names))) for obs in observers

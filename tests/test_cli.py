@@ -210,6 +210,39 @@ def test_simulate_rejects_system_smaller_than_max_order(tmp_path, capsys):
     assert "N >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("simulate", dict(simulate_doc(N=2), observables=[{"kind": "tanh", "s": 3}]), "s=3 exceeds N=2"),
+        ("simulate", simulate_doc(times=[0.0, 0.5]), "observer time 0.5 outside"),
+        ("simulate", simulate_doc(times=[0.25, 0.0]), "strictly increasing"),
+        ("simulate", dict(simulate_doc(), initial={"kind": "deterministic", "velocities": [[1.0]]}), "shape"),
+        ("boltzmann", {"mixture": TOY_MIXTURE, "meanfield": {"n": 1, "t_end": 0.1}}, "N >= M"),
+        ("chaos", {"mixture": TOY_MIXTURE, "chaos": {"N_grid": [1, 8], "t_list": [0.1]}}, "N >= M"),
+    ],
+    ids=["order", "time", "times", "deterministic", "meanfield", "chaos"],
+)
+def test_faults_across_sections_are_config_errors(tmp_path, capsys, command, doc, message):
+    """Checks that join sections run before the engine: exit 2, and nothing is written."""
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", write_config(tmp_path, doc), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_failure_inside_the_engine_exits_1(tmp_path, capsys, monkeypatch):
+    """A ValueError raised once the engine runs is a failed run, not a config error."""
+
+    def broken(self, angle, group):
+        raise ValueError("collision law broke")
+
+    monkeypatch.setattr(cli.KacToy, "apply", broken)
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", write_config(tmp_path, simulate_doc()), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "run failed: collision law broke\n"
+
+
 def test_nested_output_dir_is_created(tmp_path):
     doc = simulate_doc(t_end=0.0, times=[0.0])
     doc["output_dir"] = str(tmp_path / "deep" / "runs")

@@ -25,7 +25,7 @@ from kacmix.simulator import (
     SimConfig,
     UniformBoxInitial,
     _apply_tape,
-    _draw_tape,
+    _draw_tapes,
     _layers,
     replica_rng,
     run,
@@ -70,7 +70,7 @@ def test_layered_apply_equals_sequential_apply_bitwise(mixture, meanfield):
     for n, count in ((6, 60), (40, 400), (500, 250)):
         rng = replica_rng(31, n)
         velocities = rng.standard_normal((n, mixture.dim))
-        tape = _draw_tape(rng, mixture, n, count, meanfield)
+        tape = _draw_tapes([(0, rng, count)], mixture, n, meanfield)
         layered, sequential = velocities.copy(), velocities.copy()
         _apply_tape(layered, tape, count, mixture.m)
         apply_sequentially(sequential, tape, count)
@@ -85,7 +85,7 @@ def test_layers_follow_shared_particles():
     """Each event sits one layer above the latest earlier event on one of its particles."""
     rng = replica_rng(32, 0)
     n, count = 30, 300
-    tape = _draw_tape(rng, MIXED_1_3, n, count, meanfield=False)
+    tape = _draw_tapes([(0, rng, count)], MIXED_1_3, n, meanfield=False)
     layer = _layers(tape, count, MIXED_1_3.m)
     particles = {}
     for _, pos, idx, _, _ in tape:
@@ -97,6 +97,68 @@ def test_layers_follow_shared_particles():
         assert layer[e] == expected
         for p in particles[e]:
             last[p] = expected
+
+
+K3_ON_4 = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), SymmetricK(k=3, d=1)), (0.2, 0.3, 0.5))
+
+
+def draw_alone(rng, mixture, n, count, meanfield):
+    """The oracle: one replica's events, tape by tape, with plain generator calls.
+
+    Returns (order, particles, angle, slot) per event in tape order.
+    """
+    events = []
+    while count:
+        size = min(count, simulator._block_size(n))
+        count -= size
+        u = rng.random(size)
+        orders = mixture.order_from_uniform_sizebiased(u) if meanfield else mixture.order_from_uniform(u)
+        tape = [None] * size
+        for k, law in enumerate(mixture.laws, start=1):
+            pos = np.flatnonzero(orders == k)
+            if pos.size == 0:
+                continue
+            rows = (rng.random((pos.size, k)) * n).astype(np.intp)
+            bad = [i for i, row in enumerate(rows.tolist()) if len(set(row)) < k]
+            while bad:
+                rows[bad] = (rng.random((len(bad), k)) * n).astype(np.intp)
+                bad = [i for i in bad if len(set(rows[i].tolist())) < k]
+            angles = law.sample_angle(rng, size=pos.size)
+            slots = (rng.random(pos.size) * k).astype(np.intp) if meanfield else [None] * pos.size
+            for e, row, angle, slot in zip(pos, rows, angles, slots):
+                tape[e] = (k, row.tolist(), angle, slot)
+        events += tape
+    return events
+
+
+@pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
+def test_group_tape_matches_each_replica_drawn_alone(meanfield):
+    """Each replica's share of a group tape is the tape it draws alone, with the same calls.
+
+    k = 3 on n = 4 redraws most index rows, for a different number of passes
+    per replica; the counts include an idle replica, replicas too short to
+    hold every order, and replicas that need three and four tapes.
+    """
+    n, seed = 4, 41
+    counts = {0: 3, 2: 0, 3: 100, 5: 1, 6: 70, 9: 2}
+    draws = [(row, replica_rng(seed, row), count) for row, count in counts.items()]
+    tape = _draw_tapes(draws, K3_ON_4, n, meanfield)
+    shares = {row: {} for row in counts}
+    for law, pos, idx, angles, slots in tape:
+        assert np.all(idx // n == idx[:, :1] // n)  # no event spans two replicas
+        for e, row, angle, slot in zip(pos, idx, angles, [None] * len(pos) if slots is None else slots):
+            shares[int(row[0]) // n][int(e)] = (law.order, (row % n).tolist(), angle, slot)
+    missing = 0  # replicas with events but none of some order
+    for row, rng, count in draws:
+        alone = replica_rng(seed, row)
+        expected = draw_alone(alone, K3_ON_4, n, count, meanfield)
+        share = [shares[row][e] for e in sorted(shares[row])]
+        assert len(share) == len(expected) == count
+        for a, b in zip(share, expected):
+            assert a[:2] == b[:2] and np.array_equal(a[2], b[2]) and a[3] == b[3]
+        assert np.array_equal(rng.random(8), alone.random(8))  # the streams stand at one place
+        missing += 0 < count and len({e[0] for e in expected}) < 3
+    assert missing
 
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])

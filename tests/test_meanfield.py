@@ -19,7 +19,7 @@ from kacmix.simulator import (
     TwoPointInitial,
     UniformBoxInitial,
     _apply_tape,
-    _draw_tape,
+    _draw_tapes,
     replica_rng,
 )
 
@@ -35,7 +35,7 @@ def m4_closed_form(m2_0, m4_0, t):
 
 def one_event(particles, mixture, rng):
     """Draw and apply a one-event mean-field tape."""
-    tape = _draw_tape(rng, mixture, particles.shape[0], 1, meanfield=True)
+    tape = _draw_tapes([(0, rng, 1)], mixture, particles.shape[0], meanfield=True)
     _apply_tape(particles, tape, 1, mixture.m)
 
 

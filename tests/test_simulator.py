@@ -20,7 +20,7 @@ from kacmix.simulator import (
     SimConfig,
     TwoPointInitial,
     UniformBoxInitial,
-    _distinct_rows,
+    _index_rows,
     moment_channels,
     replica_rng,
     run,
@@ -115,8 +115,8 @@ def test_ordered_distinct_uniform_over_ordered_pairs():
     rng = np.random.default_rng(3)
     counts = {}
     n_draws = 24_000
-    rows = [_distinct_rows(rng, 4, n_draws // 2, 2)]
-    rows += [_distinct_rows(rng, 4, 1, 2) for _ in range(n_draws // 2)]
+    rows = [_index_rows([(rng, n_draws // 2)], 4, 2)]
+    rows += [_index_rows([(rng, 1)], 4, 2) for _ in range(n_draws // 2)]
     for pair in map(tuple, np.concatenate(rows).tolist()):
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 12  # all ordered pairs of distinct indices occur
@@ -336,8 +336,9 @@ def test_estimator_modes_agree_for_exchangeable_states():
 def test_observable_order_larger_than_state_rejected():
     spec = ObservableSpec(tuple([TanhFactor()] * 4))
     observer = ObservableObserver([0.0], [spec], mode="first")
-    with pytest.raises(ValueError, match="exceeds N"):
-        observer.collect(np.zeros((1, 3, 1)), np.zeros(1), [None])
+    config = SimConfig(N=3, mixture=TOY_MIX, t_end=0.0, seed=0)
+    with pytest.raises(ValueError, match="exceeds N"):  # before any replica starts
+        run(config, [observer])
 
 
 @settings(max_examples=30, deadline=None)
