@@ -32,13 +32,9 @@ from kacmix.chaos import (
 from kacmix.hierarchy import (
     HierarchyConstants,
     TraceIdentityReport,
-    bound_C,
-    bound_R,
-    bound_rho,
     coeff_leading,
     duhamel_remainder_factor,
     hierarchy_constants,
-    horizon_T_star,
     remainder_bound,
     verify_trace_identity,
 )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +28,6 @@ from .laws import CollisionLaw
 
 __all__ = [
     "coeff_leading",
-    "bound_R",
-    "bound_rho",
-    "bound_C",
-    "Horizon",
-    "horizon_T_star",
     "HierarchyConstants",
     "hierarchy_constants",
     "remainder_bound",
@@ -40,19 +35,6 @@ __all__ = [
     "TraceIdentityReport",
     "verify_trace_identity",
 ]
-
-
-def _check_betas(M: int, betas: Sequence[float]) -> Tuple[float, ...]:
-    b = tuple(float(x) for x in betas)
-    if M < 1:
-        raise ValueError(f"hierarchy constants: M must be >= 1, got {M}")
-    if len(b) != M:
-        raise ValueError(f"hierarchy constants: expected {M} weights, got {len(b)}")
-    if any(x < 0 for x in b):
-        raise ValueError("hierarchy constants: weights must be nonnegative")
-    if abs(sum(b) - 1.0) > 1e-12:
-        raise ValueError(f"hierarchy constants: weights sum to {sum(b)!r}, expected 1")
-    return b
 
 
 def coeff_leading(N: int, s: int, k: int) -> float:
@@ -75,85 +57,22 @@ def coeff_leading(N: int, s: int, k: int) -> float:
     return float(lam)
 
 
-def bound_R(M: int, betas: Sequence[float], epsilon: float) -> np.ndarray:
-    """Finite-N operator norm constants R_0..R_{M-1}.
-
-    R_k = 2 * sum_{l=k+1}^{M} beta_l * (1-epsilon)^{-l} * binom(l, k), valid
-    whenever the system is large enough that M/N <= epsilon.  epsilon = 0 is
-    accepted (it is the exact N -> infinity limit of the constants).
-    """
-    b = _check_betas(M, betas)
-    if not (0.0 <= epsilon < 1.0):
-        raise ValueError(f"hierarchy constants: epsilon must be in [0, 1), got {epsilon}")
-    out = np.zeros(M)
-    for k in range(M):
-        out[k] = 2.0 * sum(
-            b[ell - 1] * (1.0 - epsilon) ** (-ell) * math.comb(ell, k)
-            for ell in range(k + 1, M + 1)
-        )
-    return out
-
-
-def bound_rho(M: int, betas: Sequence[float]) -> np.ndarray:
-    """Limit operator norm constants rho_0..rho_{M-1}: rho_k = 2 beta_{k+1} (k+1)."""
-    b = _check_betas(M, betas)
-    return np.array([2.0 * b[k] * (k + 1) for k in range(M)])
-
-
-def bound_C(M: int, betas: Sequence[float], epsilon: float) -> np.ndarray:
-    """Remainder constants C_0..C_{M-1}.
-
-    C_k = sum_{l=k+2}^{M} (1-epsilon)^{-l} * beta_l * binom(l, k); the sum is
-    empty (zero) for k >= M-1.
-    """
-    b = _check_betas(M, betas)
-    if not (0.0 <= epsilon < 1.0):
-        raise ValueError(f"hierarchy constants: epsilon must be in [0, 1), got {epsilon}")
-    out = np.zeros(M)
-    for k in range(M):
-        out[k] = sum(
-            (1.0 - epsilon) ** (-ell) * b[ell - 1] * math.comb(ell, k)
-            for ell in range(k + 2, M + 1)
-        )
-    return out
-
-
-@dataclass(frozen=True)
-class Horizon:
-    """The convergence horizon of the iterated mild expansion."""
-
-    T_star: float
-    T_max: float
-
-
-def horizon_T_star(R: Sequence[float], rho: Sequence[float], m: int) -> Horizon:
-    """T_star = min of the reciprocals of sum R_k e^k and sum rho_k e^k.
-
-    Hierarchy-expansion results need T < T_max = T_star / m with m = M - 1;
-    for m = 0 there is a single coupling order, the 1/m reduction is vacuous
-    and T_max is defined as T_star itself.
-    """
-    R = np.asarray(R, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if m < 0:
-        raise ValueError(f"horizon: m must be >= 0, got {m}")
-    if R.shape != (m + 1,) or rho.shape != (m + 1,):
-        raise ValueError(
-            f"horizon: expected vectors of length m+1={m + 1}, got {R.shape} and {rho.shape}"
-        )
-    weights = np.exp(np.arange(m + 1))
-    sum_R = float(R @ weights)
-    sum_rho = float(rho @ weights)
-    if sum_R <= 0 or sum_rho <= 0:
-        raise ValueError("horizon: constant vectors must have positive weighted sums")
-    t_star = min(1.0 / sum_R, 1.0 / sum_rho)
-    t_max = t_star / m if m >= 1 else t_star
-    return Horizon(T_star=t_star, T_max=t_max)
-
-
 @dataclass(frozen=True)
 class HierarchyConstants:
     """All scalar constants of the hierarchy bounds for one mixture.
+
+    R_k = 2 * sum_{l=k+1}^{M} beta_l * (1-epsilon)^{-l} * binom(l, k) are the
+    finite-N operator norm constants, valid whenever the system is large
+    enough that M/N <= epsilon (epsilon = 0 gives their exact N -> infinity
+    limit); rho_k = 2 * beta_{k+1} * (k+1) are the limit operator norm
+    constants; C_k = sum_{l=k+2}^{M} (1-epsilon)^{-l} * beta_l * binom(l, k)
+    are the remainder constants, zero for k >= M-1.  All three run over
+    k = 0..M-1.
+
+    T_star is the smaller of the reciprocals of sum R_k e^k and sum rho_k e^k.
+    Hierarchy-expansion results need T < T_max = T_star / m with m = M - 1;
+    for m = 0 there is a single coupling order, the 1/m reduction is vacuous
+    and T_max is T_star itself.
 
     theta1 and theta2 are the contraction factors T * sum R_k e^k and
     T * sum rho_k e^k at the stored reference time T; both must be in (0,1)
@@ -184,17 +103,38 @@ def hierarchy_constants(
     The reference time T defaults to T_max / 2, the midpoint of the proven
     horizon; any T in (0, T_star) gives theta factors below 1.
     """
-    b = _check_betas(M, betas)
-    R = bound_R(M, b, epsilon)
-    rho = bound_rho(M, b)
-    C = bound_C(M, b, epsilon)
-    hor = horizon_T_star(R, rho, M - 1)
-    t_ref = hor.T_max / 2.0 if T is None else float(T)
+    b = tuple(float(x) for x in betas)
+    if M < 1:
+        raise ValueError(f"hierarchy constants: M must be >= 1, got {M}")
+    if len(b) != M:
+        raise ValueError(f"hierarchy constants: expected {M} weights, got {len(b)}")
+    if any(x < 0 for x in b):
+        raise ValueError("hierarchy constants: weights must be nonnegative")
+    if abs(sum(b) - 1.0) > 1e-12:
+        raise ValueError(f"hierarchy constants: weights sum to {sum(b)!r}, expected 1")
+    if not (0.0 <= epsilon < 1.0):
+        raise ValueError(f"hierarchy constants: epsilon must be in [0, 1), got {epsilon}")
+    R = np.zeros(M)
+    C = np.zeros(M)
+    for k in range(M):
+        R[k] = 2.0 * sum(
+            b[ell - 1] * (1.0 - epsilon) ** (-ell) * math.comb(ell, k)
+            for ell in range(k + 1, M + 1)
+        )
+        C[k] = sum(
+            (1.0 - epsilon) ** (-ell) * b[ell - 1] * math.comb(ell, k)
+            for ell in range(k + 2, M + 1)
+        )
+    rho = np.array([2.0 * b[k] * (k + 1) for k in range(M)])
+    # both weighted sums are positive: the weights are nonnegative and sum to 1
+    weights = np.exp(np.arange(M))
+    sum_R = float(R @ weights)
+    sum_rho = float(rho @ weights)
+    t_star = min(1.0 / sum_R, 1.0 / sum_rho)
+    t_max = t_star / (M - 1) if M >= 2 else t_star
+    t_ref = t_max / 2.0 if T is None else float(T)
     if not (t_ref > 0 and math.isfinite(t_ref)):
         raise ValueError(f"hierarchy constants: reference time must be positive, got {t_ref}")
-    weights = np.exp(np.arange(M))
-    theta1 = t_ref * float(R @ weights)
-    theta2 = t_ref * float(rho @ weights)
     return HierarchyConstants(
         M=M,
         betas=b,
@@ -202,11 +142,11 @@ def hierarchy_constants(
         R=tuple(R),
         rho=tuple(rho),
         C=tuple(C),
-        T_star=hor.T_star,
-        T_max=hor.T_max,
+        T_star=t_star,
+        T_max=t_max,
         T=t_ref,
-        theta1=theta1,
-        theta2=theta2,
+        theta1=t_ref * sum_R,
+        theta2=t_ref * sum_rho,
     )
 
 
@@ -228,7 +168,7 @@ def remainder_bound(
         raise ValueError(f"remainder bound: requires 1 <= s <= N, got s={s}")
     if k < 0:
         raise ValueError(f"remainder bound: k must be >= 0, got {k}")
-    C = bound_C(M, betas, epsilon)
+    C = hierarchy_constants(M, betas, epsilon).C
     c_k = float(C[k]) if k < M else 0.0
     return c_k * s * s / N
 
@@ -246,7 +186,7 @@ def duhamel_remainder_factor(s: int, n: int, m: int, T: float, T_star: float) ->
             f"remainder factor: need s >= 1, n >= 0, m >= 1, got s={s}, n={n}, m={m}"
         )
     if not (T > 0 and T_star > 0 and math.isfinite(T) and math.isfinite(T_star)):
-        raise ValueError(f"remainder factor: need finite positive T and T_star")
+        raise ValueError("remainder factor: need finite positive T and T_star")
     log_val = (
         math.log(s)
         + (n + 1) * math.log(m * T / T_star)
@@ -264,8 +204,8 @@ def duhamel_remainder_factor(s: int, n: int, m: int, T: float, T_star: float) ->
 # ---------------------------------------------------------------------------
 
 
-def _product_tanh_probe(groups: np.ndarray) -> np.ndarray:
-    """Default bounded probe: product over slots of tanh(sum of coordinates)."""
+def _probe(groups: np.ndarray) -> np.ndarray:
+    """Bounded probe: product over slots of tanh(sum of coordinates)."""
     return np.prod(np.tanh(groups.sum(axis=-1)), axis=-1)
 
 
@@ -309,7 +249,6 @@ def verify_trace_identity(
     n_overlap: int,
     N: int,
     s: int,
-    probe: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     n_samples: int = 10**6,
     rng: Optional[np.random.Generator] = None,
 ) -> TraceIdentityReport:
@@ -317,7 +256,8 @@ def verify_trace_identity(
 
     One collision of order K touches `n_overlap` of the first s (observed)
     particles plus r = K - n_overlap unobserved ones.  The identity states
-    that pairing the observed marginal change against a probe gives the same
+    that pairing the observed marginal change against the bounded probe
+    prod_j tanh(sum of the coordinates of v_j), j = 1..s, gives the same
     value whether the unobserved colliders are r of the remaining N - s
     particles of the full Gaussian system (left side) or r fresh particles
     appended to the s-particle marginal (right side).
@@ -344,8 +284,6 @@ def verify_trace_identity(
         )
     if n_samples < 2:
         raise ValueError(f"trace identity: n_samples must be >= 2, got {n_samples}")
-    if probe is None:
-        probe = _product_tanh_probe
     gen = rng if rng is not None else np.random.default_rng()
 
     sums = np.zeros(3)  # A, B, D = A - B
@@ -357,15 +295,15 @@ def verify_trace_identity(
         tail_full = gen.standard_normal((b, r, d))
         tail_marg = gen.standard_normal((b, r, d))
         omega = law.sample_angle(gen, size=b)
-        base = probe(observed)
+        base = _probe(observed)
         group_full = np.concatenate([observed[:, :n_overlap], tail_full], axis=1)
         group_marg = np.concatenate([observed[:, :n_overlap], tail_marg], axis=1)
         out_full = law.apply(omega, group_full)
         out_marg = law.apply(omega, group_marg)
         starred_full = np.concatenate([out_full[:, :n_overlap], observed[:, n_overlap:]], axis=1)
         starred_marg = np.concatenate([out_marg[:, :n_overlap], observed[:, n_overlap:]], axis=1)
-        a = probe(starred_full) - base
-        bb = probe(starred_marg) - base
+        a = _probe(starred_full) - base
+        bb = _probe(starred_marg) - base
         dd = a - bb
         sums += (a.sum(), bb.sum(), dd.sum())
         sums_sq += ((a * a).sum(), (bb * bb).sum(), (dd * dd).sum())

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "check_h2_involution",
     "check_h3_symmetry",
     "HypothesisReport",
-    "default_probe",
 ]
 
 # Norm below which a Gaussian draw is rejected before normalizing to the
@@ -402,8 +401,8 @@ class HypothesisReport:
         return abs(self.difference) <= 3.0 * self.combined_stderr
 
 
-def default_probe(group: np.ndarray) -> np.ndarray:
-    """Bounded default test function: tanh of the first slot's coordinate sum.
+def _probe(group: np.ndarray) -> np.ndarray:
+    """Bounded test function: tanh of the first slot's coordinate sum.
 
     Deliberately not symmetric under slot permutations, so it can expose a
     labeling dependence if one existed.
@@ -411,10 +410,11 @@ def default_probe(group: np.ndarray) -> np.ndarray:
     return np.tanh(np.sum(group[..., 0, :], axis=-1))
 
 
-def _default_group(law: CollisionLaw) -> np.ndarray:
-    """Deterministic non-degenerate group used when the caller supplies no V."""
+def _fixed_group(law: CollisionLaw, n_samples: int) -> np.ndarray:
+    """A deterministic non-degenerate group, repeated n_samples times."""
     base = np.arange(1, law.order * law.dim + 1, dtype=np.float64)
-    return (0.5 * base * (-1.0) ** base).reshape(law.order, law.dim)
+    V = (0.5 * base * (-1.0) ** base).reshape(law.order, law.dim)
+    return np.broadcast_to(V, (n_samples, law.order, law.dim))
 
 
 def _paired_report(law, hypothesis, forward, reference):
@@ -437,8 +437,6 @@ def _paired_report(law, hypothesis, forward, reference):
 
 def check_h2_involution(
     law: CollisionLaw,
-    probe: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    V: Optional[np.ndarray] = None,
     n_samples: int = 10**5,
     rng: Optional[np.random.Generator] = None,
 ) -> HypothesisReport:
@@ -450,53 +448,32 @@ def check_h2_involution(
     passes when |difference| <= 3 * combined_stderr.
     """
     rng = np.random.default_rng() if rng is None else rng
-    probe = default_probe if probe is None else probe
-    if V is None:
-        V = _default_group(law)
-    group = np.broadcast_to(
-        np.asarray(V, dtype=np.float64), (n_samples, law.order, law.dim)
-    )
+    group = _fixed_group(law, n_samples)
     omega = law.sample_angle(rng, size=n_samples)
-    forward = probe(law.apply(omega, group))
-    inverse = probe(law.apply_inverse(omega, group))
+    forward = _probe(law.apply(omega, group))
+    inverse = _probe(law.apply_inverse(omega, group))
     return _paired_report(law, "H2", forward, inverse)
 
 
 def check_h3_symmetry(
     law: CollisionLaw,
-    probe: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    V: Optional[np.ndarray] = None,
-    perm: Optional[Sequence[int]] = None,
     n_samples: int = 10**5,
     rng: Optional[np.random.Generator] = None,
 ) -> HypothesisReport:
     """Check that relabeling the K slots does not change omega-averages.
 
     Compares E_omega[probe(sigma T^omega sigma^-1 V)] with
-    E_omega[probe(T^omega V)] on paired omega draws, where sigma permutes the
-    group slots: the action used is (sigma X)_i = X_perm[i].  The default
-    permutation swaps the first two slots (identity when K = 1, making the
-    check trivially exact).
+    E_omega[probe(T^omega V)] on paired omega draws for a fixed group V,
+    where sigma swaps the first two slots (the identity when K = 1, making
+    the check trivially exact).
     """
     rng = np.random.default_rng() if rng is None else rng
-    probe = default_probe if probe is None else probe
-    if V is None:
-        V = _default_group(law)
-    K = law.order
-    if perm is None:
-        perm = list(range(K))
-        if K >= 2:
-            perm[0], perm[1] = perm[1], perm[0]
-    perm = np.asarray(perm, dtype=np.intp)
-    if sorted(perm.tolist()) != list(range(K)):
-        raise ValueError(f"{law.tag}: perm must be a permutation of 0..{K - 1}")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(K)
-
-    group = np.broadcast_to(np.asarray(V, dtype=np.float64), (n_samples, K, law.dim))
+    swap = np.arange(law.order)  # sigma, its own inverse
+    swap[:2] = swap[:2][::-1]
+    group = _fixed_group(law, n_samples)
     omega = law.sample_angle(rng, size=n_samples)
-    plain = probe(law.apply(omega, group))
-    conjugated = probe(law.apply(omega, group[:, inv, :])[:, perm, :])
+    plain = _probe(law.apply(omega, group))
+    conjugated = _probe(law.apply(omega, group[:, swap, :])[:, swap, :])
     return _paired_report(law, "H3", conjugated, plain)
 
 

@@ -14,7 +14,7 @@ rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class ObservableSpec:
     """
 
     factors: Tuple
-    name: Optional[str] = None
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -146,8 +145,11 @@ class ObservableSpec:
             if not hasattr(f, "evaluate") or not hasattr(f, "label"):
                 raise TypeError(f"observable: {f!r} is not a factor (needs evaluate/label)")
         object.__setattr__(self, "factors", factors)
-        if self.name is None:
-            object.__setattr__(self, "name", "*".join(f.label for f in factors))
+
+    @property
+    def name(self) -> str:
+        """The factor labels joined by ``*``, e.g. ``tanh[1]*cos[1]``."""
+        return "*".join(f.label for f in self.factors)
 
     @property
     def s(self) -> int:

@@ -14,22 +14,21 @@ Bobylev 1975 does in Fourier variables): with (v, w) = r (cos phi, sin phi)
 and g_k(r) the k-th Fourier coefficient of f x f on the circle of radius r,
 Qplus(v) = alpha int dw sum_k B_k g_k(r) exp(i k phi), B_k = int b exp(i k theta).
 Only the kernel's harmonics are kept: k = 0 (circle averages) for `uniform`,
-|k| <= 1 for `raised_cosine`, and for a callable k = 0 plus each |k| < n_theta
-with |B_k| > 1e-12 B_0; `n_theta` bounds the harmonics the solver carries.
+|k| <= 1 for `raised_cosine`; `n_theta` bounds the harmonics the solver carries.
 f x f is sampled on circles of radius 0, h, 2h, ... beyond L sqrt(2) at
 4 n_theta angles (odd circles turned by half a spacing) and B_k is the
 midpoint rule on 4 n_theta angles.
 One synthesis matrix (sum over w, linear interpolation in r, exp(i k phi)),
 built once per grid, n_theta and kernel, takes the harmonics to the lattice.
 A per-row factor (a + c v^2) then makes the discrete gain mass and energy
-exactly alpha B_0 M^2 and alpha (B_0 M m2 + m1^2 int b sin(2 theta)), the
-exact operator's values (B_0 = 1 for the built-in kernels).
+exactly alpha B_0 M^2 and alpha B_0 M m2, the exact operator's values for an
+angle density that is even in theta, as both kernels are (B_0 = 1).
 
 The iteration is a contraction only on a short horizon, so the solver
 refuses t_end at or beyond a guard time and tells the caller to sub-step;
 `picard_evolve_toy` does that sub-stepping for any horizon.
 Mass (the plain h * sum functional) is tracked after every sweep and a drift
-beyond `mass_tol` aborts the solve: it means the grid is too coarse or too
+beyond `MASS_TOL_TOY` aborts the solve: it means the grid is too coarse or too
 short for the requested horizon, and silently continuing would return a
 density that no longer represents a probability.
 """
@@ -39,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,6 +57,8 @@ __all__ = [
 ALPHA_TOY = 2.0
 # Horizon below which the Picard sweep is trusted to contract.
 T_GUARD_TOY = 0.25 / ALPHA_TOY
+# Largest drift of the discrete mass from 1 that a solve accepts.
+MASS_TOL_TOY = 1e-4
 
 # name: (angle density b(theta), highest angular harmonic of b)
 _KERNELS = {
@@ -114,10 +115,10 @@ class GridDensity:
         return self.h * float(np.sum(v**p * self.value_array()))
 
 
-def gaussian_grid_density(L: float = 8.0, n_v: int = 513, sigma: float = 1.0) -> GridDensity:
-    """A standard (or scaled) Gaussian on the grid, normalized to mass 1."""
+def gaussian_grid_density(L: float = 8.0, n_v: int = 513) -> GridDensity:
+    """The standard Gaussian on the grid, normalized to mass 1."""
     v = np.linspace(-L, L, n_v)
-    vals = np.exp(-0.5 * (v / sigma) ** 2)
+    vals = np.exp(-0.5 * v**2)
     h = 2.0 * L / (n_v - 1)
     vals /= h * vals.sum()
     return GridDensity(L=L, values=tuple(vals))
@@ -145,18 +146,10 @@ def angular_nodes(n_theta: int) -> int:
     return 4 * n_theta
 
 
-def check_angular_resolution(kernel: Union[str, Callable], n_theta: int):
-    """(angle density, highest harmonic it may carry); raises unless it is below n_theta.
-
-    A callable may carry any harmonic below n_theta; the gain operator keeps
-    those whose quadrature coefficient is not zero to rounding.
-    """
-    if callable(kernel):
-        return kernel, n_theta - 1
+def check_angular_resolution(kernel: str, n_theta: int):
+    """(angle density, highest harmonic) of a named kernel; raises unless the harmonic is below n_theta."""
     if kernel not in _KERNELS:
-        raise ValueError(
-            f"unknown scattering kernel {kernel!r}; expected one of {sorted(_KERNELS)} or a callable density"
-        )
+        raise ValueError(f"unknown scattering kernel {kernel!r}; expected one of {sorted(_KERNELS)}")
     density, k_max = _KERNELS[kernel]
     if k_max >= n_theta:
         raise ValueError(
@@ -169,21 +162,15 @@ def check_angular_resolution(kernel: Union[str, Callable], n_theta: int):
 class _PolarGain:
     """Qplus[f, f] on the grid from the circle harmonics of f x f (see the module docstring)."""
 
-    def __init__(self, L: float, n_v: int, n_theta: int, kernel) -> None:
+    def __init__(self, L: float, n_v: int, n_theta: int, kernel: str) -> None:
         density, k_max = check_angular_resolution(kernel, n_theta)
         n_psi = angular_nodes(n_theta)
         h = 2.0 * L / (n_v - 1)
         theta = -math.pi + (2.0 * math.pi / n_psi) * (np.arange(n_psi) + 0.5)
-        b = np.asarray(density(theta), dtype=float)
-        if b.shape != theta.shape or not np.all(np.isfinite(b)) or np.any(b < 0):
-            raise ValueError("scattering kernel must map angles to finite nonnegative densities")
-        b = b * (2.0 * math.pi / n_psi)
+        b = density(theta) * (2.0 * math.pi / n_psi)
         ks = np.arange(k_max + 1)
         harmonics = np.exp(1j * np.outer(ks, theta)) @ b
-        kept = np.abs(harmonics) > 1e-12 * abs(harmonics[0])
-        kept[0] = True
-        ks, harmonics = ks[kept], harmonics[kept]
-        self.b0, self.sin2 = float(harmonics[0].real), float(b @ np.sin(2.0 * theta))
+        self.b0 = float(harmonics[0].real)
 
         # f at r cos(psi) for radius r = j h and angle psi: lattice cell and
         # fraction of the linear interpolant, cell n_v (a zero row) outside
@@ -235,10 +222,10 @@ class _PolarGain:
 
         # conservative correction gain * (a + c v^2): exact discrete mass and energy
         v = self.v
-        mass, m1, m2 = (self.h * f_rows @ np.stack([v**0, v, v**2], axis=1)).T
+        mass, m2 = (self.h * f_rows @ np.stack([v**0, v**2], axis=1)).T
         mu0, mu2, mu4 = (self.h * gain @ np.stack([v**0, v**2, v**4], axis=1)).T
         t0 = ALPHA_TOY * self.b0 * mass**2
-        t2 = ALPHA_TOY * (self.b0 * mass * m2 + self.sin2 * m1**2)
+        t2 = ALPHA_TOY * (self.b0 * mass * m2)
         det = mu0 * mu4 - mu2**2
         det[det <= 0.0] = np.inf  # only an all-zero gain; it stays zero
         a, c = (t0 * mu4 - t2 * mu2) / det, (t2 * mu0 - t0 * mu2) / det
@@ -246,7 +233,7 @@ class _PolarGain:
 
 
 @functools.lru_cache(maxsize=4)
-def _polar_gain(L: float, n_v: int, n_theta: int, kernel) -> _PolarGain:
+def _polar_gain(L: float, n_v: int, n_theta: int, kernel: str) -> _PolarGain:
     """The gain operator of a grid, built once and reused across sweeps and solves."""
     return _PolarGain(L, n_v, n_theta, kernel)
 
@@ -275,13 +262,12 @@ class PicardResult:
 
 
 def picard_solve_toy(
-    kernel: Union[str, Callable],
+    kernel: str,
     f0: GridDensity,
     t_end: float,
     n_iter: int = 8,
     n_theta: int = 64,
     n_time: int = 32,
-    mass_tol: float = 1e-4,
 ) -> PicardResult:
     """Iterate the mild equation to t_end on the grid of f0.
 
@@ -290,7 +276,7 @@ def picard_solve_toy(
     guard horizon (contraction is only guaranteed on short intervals; solve
     to a shorter time and restart from the result to go further), when
     n_theta is too small for the kernel, and when the discrete mass drifts
-    beyond mass_tol after any sweep.
+    beyond MASS_TOL_TOY after any sweep.
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
@@ -333,9 +319,9 @@ def picard_solve_toy(
         node_mass = h * iterate.sum(axis=1)
         mass_drift = max(mass_drift, float(np.abs(node_mass - 1.0).max()))
         min_value = min(min_value, float(iterate.min()))
-        if mass_drift > mass_tol:
+        if mass_drift > MASS_TOL_TOY:
             raise RuntimeError(
-                f"picard solve: mass drifted to {mass_drift:.3e} (> {mass_tol:.1e}) "
+                f"picard solve: mass drifted to {mass_drift:.3e} (> {MASS_TOL_TOY:.1e}) "
                 f"after sweep {sweep + 1}; refine the grid or shorten the horizon"
             )
 
@@ -355,7 +341,7 @@ def picard_solve_toy(
 
 
 def picard_evolve_toy(
-    kernel: Union[str, Callable],
+    kernel: str,
     f0: GridDensity,
     t_end: float,
     n_iter: int = 8,

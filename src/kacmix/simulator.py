@@ -158,11 +158,6 @@ class MasterState:
     time: float = 0.0
     collision_count: int = 0
 
-    def energy(self) -> float:
-        """Total squared speed, the quantity isometric collisions preserve."""
-        v = self.velocities
-        return float((v * v).sum())
-
 
 @dataclass(frozen=True)
 class SimConfig:

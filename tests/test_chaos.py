@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kacmix import chaos
 from kacmix.chaos import (
     ChaosBudget,
     ChaosReport,
@@ -137,6 +138,15 @@ def test_sweep_rejects_duplicate_factor_labels():
         small_sweep(factors=[TanhFactor(), TanhFactor()])
 
 
+def test_sweep_rejects_unknown_mode_before_any_run(monkeypatch):
+    def no_reference_run(*args, **kwargs):
+        pytest.fail("the mean-field reference ran before the mode was checked")
+
+    monkeypatch.setattr(chaos, "meanfield_run", no_reference_run)
+    with pytest.raises(ValueError, match="'bogus'"):
+        small_sweep(mode="bogus")
+
+
 # ---------------------------------------------------------------------------
 # report helpers
 # ---------------------------------------------------------------------------
@@ -197,6 +207,17 @@ def test_correlation_vanishes_for_iid_velocities():
     assert est.n_replicas == 40
     assert est.stderr > 0.0
     assert abs(est.cov) <= 4.0 * est.stderr
+
+
+def test_correlation_stderr_is_calibrated_on_iid_data():
+    """cov / stderr spreads about 1 across seeds for a factor of nonzero mean;
+    counting each replica's mean once in the spread gave 0.15 here."""
+    z = []
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        est = correlation_decay(_ensemble_from(rng.standard_normal((32, 50, 1))), CosineFactor((1.0,)))
+        z.append(est.cov / est.stderr)
+    assert 0.8 <= np.std(z, ddof=1) <= 1.4
 
 
 def test_correlation_detects_fully_correlated_replicas():

@@ -14,13 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacmix.hierarchy import (
-    bound_C,
-    bound_R,
-    bound_rho,
     coeff_leading,
     duhamel_remainder_factor,
     hierarchy_constants,
-    horizon_T_star,
     remainder_bound,
     verify_trace_identity,
 )
@@ -90,22 +86,23 @@ def test_coeff_validates_arguments():
 def test_bound_tables_hand_values():
     # M=2, beta=(1/2,1/2), eps=0: R_0 = 2*(b1*C(1,0) + b2*C(2,0)) = 2,
     # R_1 = 2*b2*C(2,1) = 2; rho_0 = 2*b1*1 = 1, rho_1 = 2*b2*2 = 2.
-    np.testing.assert_array_equal(bound_R(2, HALF_HALF, 0.0), [2.0, 2.0])
-    np.testing.assert_array_equal(bound_rho(2, HALF_HALF), [1.0, 2.0])
+    hc = hierarchy_constants(2, HALF_HALF, epsilon=0.0)
+    assert hc.R == (2.0, 2.0)
+    assert hc.rho == (1.0, 2.0)
     # C_0 = (1-eps)^-2 * b2 * C(2,0) = 1/2 at eps=0; C_1 = 0 (no higher order)
-    np.testing.assert_array_equal(bound_C(2, HALF_HALF, 0.0), [0.5, 0.0])
+    assert hc.C == (0.5, 0.0)
 
 
 def test_bound_R_single_law_with_tail_weight():
     # M=1, beta=(1,), eps=1/4: R_0 = 2*(3/4)^-1*1 = 8/3
-    np.testing.assert_allclose(bound_R(1, (1.0,), 0.25), [8.0 / 3.0], rtol=1e-15)
+    np.testing.assert_allclose(hierarchy_constants(1, (1.0,), 0.25).R, [8.0 / 3.0], rtol=1e-15)
 
 
 def test_bound_R_monotone_in_epsilon():
-    values = [bound_R(2, HALF_HALF, e)[0] for e in (0.0, 0.2, 0.5, 0.8)]
+    values = [hierarchy_constants(2, HALF_HALF, e).R[0] for e in (0.0, 0.2, 0.5, 0.8)]
     assert values == sorted(values)
     with pytest.raises(ValueError, match="epsilon"):
-        bound_R(2, HALF_HALF, 1.0)
+        hierarchy_constants(2, HALF_HALF, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,19 +112,19 @@ def test_bound_R_monotone_in_epsilon():
 def test_rho_sum_is_bounded_by_2m(betas):
     total = sum(betas)
     b = tuple(x / total for x in betas)
-    rho = bound_rho(len(b), b)
+    rho = hierarchy_constants(len(b), b, epsilon=0.0).rho
     # sum_k rho_k = 2 sum_K beta_K K <= 2M
     assert sum(rho) <= 2 * len(b) + 1e-12
 
 
 def test_horizon_hand_value():
-    R = bound_R(2, HALF_HALF, 0.0)
-    rho = bound_rho(2, HALF_HALF)
-    hor = horizon_T_star(R, rho, m=1)
+    hor = hierarchy_constants(2, HALF_HALF, epsilon=0.0)
     # theta = T*(R_0 + R_1 e) and T*(rho_0 + rho_1 e); the binding sum is 2+2e
     assert hor.T_star == pytest.approx(1.0 / (2.0 + 2.0 * math.e), abs=1e-15)
-    assert hor.T_max == pytest.approx(hor.T_star, abs=1e-15)  # m = 1
-    zero = horizon_T_star((2.0,), (1.0,), m=0)
+    assert hor.T_max == pytest.approx(hor.T_star, abs=1e-15)  # m = M - 1 = 1
+    # M = 1 (m = 0): R_0 = rho_0 = 2, so T_star = 1/2
+    zero = hierarchy_constants(1, (1.0,), epsilon=0.0)
+    assert zero.T_star == 0.5
     assert zero.T_max == zero.T_star  # documented m = 0 edge
 
 
@@ -208,21 +205,6 @@ def test_trace_identity_full_overlap_cancels_exactly():
     )
     assert rep.difference == 0.0 and rep.diff_stderr == 0.0
     assert rep.passed
-
-
-def test_trace_identity_constant_probe_is_exact_zero():
-    """Both sides track the probe's change, which a constant probe kills."""
-    rep = verify_trace_identity(
-        SymmetricK(k=3, d=1),
-        n_overlap=2,
-        N=6,
-        s=2,
-        probe=lambda groups: np.ones(groups.shape[0]),
-        n_samples=4000,
-        rng=np.random.default_rng(32),
-    )
-    assert rep.lhs_mean == 0.0 and rep.rhs_mean == 0.0
-    assert rep.difference == 0.0 and rep.diff_stderr == 0.0
 
 
 @pytest.mark.parametrize(

@@ -179,11 +179,6 @@ def test_h3_symmetric_k_statistical():
     assert rep.passed, (rep.difference, rep.combined_stderr)
 
 
-def test_h3_rejects_non_permutation():
-    with pytest.raises(ValueError, match="perm"):
-        check_h3_symmetry(SymmetricK(k=2, d=1), perm=[0, 0], n_samples=10)
-
-
 # ---------------------------------------------------------------------------
 # momentum behavior
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ def test_observable_spec_product_and_name():
     groups = np.array([[[0.5], [0.0]]])  # one group of two 1-d velocities
     expected = np.tanh(0.5) * np.cos(0.0)
     assert np.allclose(spec.evaluate(groups), [expected])
-    named = ObservableSpec((TanhFactor(),), name="probe")
-    assert named.name == "probe"
 
 
 def test_spec_requires_factors():

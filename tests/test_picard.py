@@ -56,11 +56,6 @@ KERNEL_DENSITIES = {
 }
 
 
-def sin_2theta(theta):
-    """A callable kernel without reflection symmetry: harmonics 0 and 2 only."""
-    return (1.0 + np.sin(2.0 * theta)) / (2.0 * math.pi)
-
-
 def oracle_gain(f, density, n_theta):
     """Brute-force Qplus[f, f]: midpoint rule in theta, lattice sum over w,
     linear interpolation of f at the pre-collisional pair (v c - w s, v s + w c)."""
@@ -130,13 +125,16 @@ def test_gain_of_gaussian_is_gaussian_scaled():
 
 
 def test_gain_preserves_energy_functional():
-    """Energy of the gain is alpha (M m2 + m1^2 int b sin 2theta), also for a
-    callable kernel without reflection symmetry (here int b sin 2theta = 1/2)."""
+    """Energy of the gain is alpha (M m2 + m1^2 int b sin 2theta), and the
+    sin 2theta term vanishes for both kernels because they are even in
+    theta: the gain of data with a large mean m1 carries no m1^2 term."""
     f = DATA["shifted_gaussian"](129)
-    g = gain(f, kernel=lambda theta: (1.0 + np.sin(2.0 * theta)) / (2.0 * math.pi), n_theta=8)
     mass, m1, m2 = f.mass(), f.moment(1), f.moment(2)
-    assert g.mass() == pytest.approx(ALPHA_TOY * mass**2, rel=1e-12, abs=0.0)
-    assert g.moment(2) == pytest.approx(ALPHA_TOY * (mass * m2 + 0.5 * m1**2), rel=1e-12, abs=0.0)
+    assert m1 == pytest.approx(1.0, abs=1e-6)
+    for kernel in ("uniform", "raised_cosine"):
+        g = gain(f, kernel=kernel, n_theta=8)
+        assert g.mass() == pytest.approx(ALPHA_TOY * mass**2, rel=1e-12, abs=0.0), kernel
+        assert g.moment(2) == pytest.approx(ALPHA_TOY * mass * m2, rel=1e-12, abs=0.0), kernel
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
@@ -151,7 +149,7 @@ def test_gain_fourth_moment_converges_with_the_grid(kernel):
         assert errors[2] < errors[1] < errors[0], (name, errors)
 
 
-@pytest.mark.parametrize("kernel", ["uniform", "raised_cosine", sin_2theta])
+@pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
 def test_polar_gain_matches_brute_force_quadrature(kernel):
     """Against the (theta, w) midpoint quadrature, on asymmetric two-bump data.
 
@@ -159,28 +157,8 @@ def test_polar_gain_matches_brute_force_quadrature(kernel):
     """
     f = grid_density(lambda v: np.exp(-2.0 * (v + 0.8) ** 2) + 0.5 * np.exp(-0.78 * (v - 1.2) ** 2), 65, L=6.0)
     polar = gain(f, kernel, n_theta=128).value_array()
-    brute = oracle_gain(f, KERNEL_DENSITIES.get(kernel, kernel), n_theta=256)
+    brute = oracle_gain(f, KERNEL_DENSITIES[kernel], n_theta=256)
     assert np.max(np.abs(polar - brute)) <= 5e-3
-
-
-def test_callable_kernel_keeps_every_harmonic():
-    """A callable carries all harmonics below n_theta; the ones the named
-    kernel drops are zero, so both give the same gain."""
-    f = DATA["shifted_gaussian"](65)
-    named = gain(f, "raised_cosine", n_theta=16).value_array()
-    called = gain(f, KERNEL_DENSITIES["raised_cosine"], n_theta=16).value_array()
-    assert np.max(np.abs(named - called)) <= 1e-13
-
-
-def test_callable_kernel_drops_harmonics_that_are_zero_to_rounding():
-    """Only the harmonics a callable kernel carries enter its operator, so it
-    is as small as the named kernel's; the kept set need not be contiguous."""
-    named = picard._PolarGain(8.0, 65, 64, "raised_cosine")
-    called = picard._PolarGain(8.0, 65, 64, KERNEL_DENSITIES["raised_cosine"])
-    assert called.synthesis.shape == named.synthesis.shape
-    assert called.analysis.shape == named.analysis.shape
-    sin2 = picard._PolarGain(8.0, 65, 64, sin_2theta)
-    assert sin2.analysis.shape == named.analysis.shape  # cos 0, cos 2 psi, sin 2 psi
 
 
 def test_n_theta_must_carry_the_kernel_harmonics():
@@ -312,9 +290,10 @@ def test_unknown_kernel_rejected():
 
 
 def test_mass_tolerance_violation_raises():
+    """One trapezoid step in time drifts the mass by 1e-3, beyond MASS_TOL_TOY."""
     coarse = gaussian_grid_density(L=8.0, n_v=17)
     with pytest.raises(RuntimeError, match="refine the grid"):
-        picard_solve_toy("uniform", coarse, t_end=0.1, n_theta=8, n_time=8, mass_tol=1e-10)
+        picard_solve_toy("uniform", coarse, t_end=0.12, n_theta=8, n_time=1)
 
 
 def test_determinism():
