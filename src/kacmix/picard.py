@@ -15,14 +15,36 @@ and g_k(r) the k-th Fourier coefficient of f x f on the circle of radius r,
 Qplus(v) = alpha int dw sum_k B_k g_k(r) exp(i k phi), B_k = int b exp(i k theta).
 Only the kernel's harmonics are kept: k = 0 (circle averages) for `uniform`,
 |k| <= 1 for `raised_cosine`; `n_theta` bounds the harmonics the solver carries.
-f x f is sampled on circles of radius 0, h, 2h, ... beyond L sqrt(2) at
-4 n_theta angles (odd circles turned by half a spacing) and B_k is the
-midpoint rule on 4 n_theta angles.
+The circles have radius 0, h, 2h, ... beyond L sqrt(2), each with the
+n_psi = 4 n_theta angles psi_i = 2 pi i / n_psi (odd circles turned by half
+a spacing), and B_k is the midpoint rule on 4 n_theta angles.
 One synthesis matrix (sum over w, linear interpolation in r, exp(i k phi)),
 built once per grid, n_theta and kernel, takes the harmonics to the lattice.
+The lattice sum over w meets (v, w) and (v, -w) at one radius and opposite
+phi, so the sine part of g_k reaches the grid only through Im B_k, which is
+zero for an angle density even in theta: only the cos(k psi) sums are taken.
+
+Those sums fold onto a quarter circle.  Each circle's angle set is closed
+under psi -> -psi and psi -> pi - psi, and the grid is symmetric about 0, so
+with the even and odd parts e = (f + f[::-1]) / 2 and o = (f - f[::-1]) / 2
+the orbit {psi, -psi, pi - psi, pi + psi} contributes
+
+    sum cos(k psi') f(r cos psi') f(r sin psi') = 4 cos(k psi) p_k(x) e(y),
+    p_k = e for even k, o for odd k,   x = r cos psi,  y = r sin psi.
+
+Even circles sample i = 0..n_theta, where the orbits of psi = 0 and pi / 2
+have two points (orbit weight 2, else 4); odd circles sample i < n_theta,
+all of weight 4.  y is x at the partner angle pi / 2 - psi, i.e. the quarter
+reversed (partner n_theta - i on even circles, n_theta - 1 - i on odd ones),
+so only e and o are interpolated, at about n_psi / 4 angles per circle.
+This is the full-circle sum up to rounding.
 A per-row factor (a + c v^2) then makes the discrete gain mass and energy
 exactly alpha B_0 M^2 and alpha B_0 M m2, the exact operator's values for an
 angle density that is even in theta, as both kernels are (B_0 = 1).
+
+Node 0 of every Picard iterate is f0, and so is every node of the first,
+so a solve takes the gain of f0 once and then the gain of the n_time later
+nodes per sweep: 1 + (n_iter - 1) n_time rows in all.
 
 The iteration is a contraction only on a short horizon, so the solver
 refuses t_end at or beyond a guard time and tells the caller to sub-step;
@@ -172,53 +194,71 @@ class _PolarGain:
         harmonics = np.exp(1j * np.outer(ks, theta)) @ b
         self.b0 = float(harmonics[0].real)
 
-        # f at r cos(psi) for radius r = j h and angle psi: lattice cell and
-        # fraction of the linear interpolant, cell n_v (a zero row) outside
-        n_r = int(math.sqrt(2.0) * (n_v - 1) / 2.0) + 2
-        j = np.arange(n_r)[:, None]
-        psi = (2.0 * math.pi / n_psi) * (np.arange(n_psi) + 0.5 * (j % 2))
-        u = j * np.cos(psi) + (n_v - 1) / 2.0
-        self.cell = np.minimum(np.clip(u, 0.0, n_v - 1.0).astype(np.intp), n_v - 2)
-        self.frac = (u - self.cell)[..., None]
-        self.cell[(u < 0.0) | (u > n_v - 1.0)] = n_v
-        # circle features: cos(k psi) / n_psi for k >= 0, then sin(k psi) / n_psi for k >= 1
-        kpsi = ks[:, None] * psi[:, None, :]
-        self.analysis = np.concatenate([np.cos(kpsi), np.sin(kpsi[:, 1:])], axis=1) / n_psi
-
         # Harmonic k of a lattice pair (v_i, w) at radius r and angle phi
-        # contributes 2 Re(B_k exp(i k phi) g_k(r)) (B_0 g_0 for k = 0); g_k is
-        # interpolated linearly between the circles j = floor(r / h) and j + 1.
+        # contributes 2 Re(B_k exp(i k phi)) times the cosine sum of g_k(r) (B_0 g_0
+        # for k = 0), interpolated linearly between the circles j = floor(r / h)
+        # and j + 1.
+        n_r = int(math.sqrt(2.0) * (n_v - 1) / 2.0) + 2
         v = np.linspace(-L, L, n_v)
         rad = np.hypot(v[:, None], v[None, :]) / h
         j = rad.astype(np.intp)
         lam = rad - j
         phase = 2.0 * harmonics[1:, None, None] * np.exp(1j * ks[1:, None, None] * np.arctan2(v, v[:, None]))
         cell = (j * n_v + np.arange(n_v)[:, None]).ravel()
-        synth = np.empty((n_r, 2 * ks.size - 1, n_v))
-        for q, coef in enumerate([np.full_like(rad, self.b0), *phase.real, *phase.imag]):
+        synth = np.empty((n_r, ks.size, n_v))
+        for k, coef in enumerate([np.full_like(rad, self.b0), *phase.real]):
             w = ALPHA_TOY * h * coef
             col = np.bincount(cell, (w * (1.0 - lam)).ravel(), minlength=n_r * n_v)
             col += np.bincount(cell + n_v, (w * lam).ravel(), minlength=n_r * n_v)
-            synth[:, q] = col.reshape(n_r, n_v)
-        self.synthesis = synth.reshape(-1, n_v).T.copy()
+            synth[:, k] = col.reshape(n_r, n_v)
+
+        # Circle feature k sums cos(k psi) p(r cos psi) (f + f[::-1])(r sin psi) over a
+        # quarter circle, with the part p = f + f[::-1] = 2 e for even k and
+        # f - f[::-1] = 2 o for odd k (see the module docstring).
+        self.n_parts = min(2, ks.size)
+        self.stacks, blocks = [], []
+        for parity in (0, 1):
+            # circles j = parity, parity + 2, ... at psi_i = 2 pi i / n_psi, i = 0..n_theta
+            # (even j) or 2 pi (i + 1/2) / n_psi, i < n_theta (odd j): f at r cos psi_i,
+            # lattice cell and fraction of the linear interpolant, cell n_v (zero) outside
+            js = np.arange(parity, n_r, 2)
+            psi = (2.0 * math.pi / n_psi) * (np.arange(n_theta + 1 - parity) + 0.5 * parity)
+            u = js[:, None] * np.cos(psi) + (n_v - 1) / 2.0
+            cell = np.minimum(np.clip(u, 0.0, n_v - 1.0).astype(np.intp), n_v - 2)
+            frac = u - cell
+            cell[(u < 0.0) | (u > n_v - 1.0)] = n_v
+            # orbit weight (2 at psi = 0 and pi / 2, else 4) / n_psi, over 4 for the doubled parts
+            orbit = np.full(psi.size, 1.0 / n_psi)
+            if parity == 0:
+                orbit[[0, -1]] *= 0.5
+            coefs = []
+            for part in range(self.n_parts):
+                k = ks[part::2]
+                coefs.append(orbit[:, None] * np.cos(k * psi[:, None]))
+                blocks.append(synth[parity::2, k].reshape(-1, n_v))
+            self.stacks.append((cell, frac, coefs))
+        self.synthesis = np.concatenate(blocks)
         self.h, self.v = h, v
 
     def gain_batch(self, f_rows: np.ndarray) -> np.ndarray:
         """Qplus[f, f] on the grid for a stack of value vectors (shape (m, n_v))."""
         m, n_v = f_rows.shape
-        table = np.zeros((n_v + 1, m))
-        table[:n_v] = f_rows.T
-        slope = np.zeros((n_v + 1, m))
-        slope[: n_v - 1] = np.diff(f_rows.T, axis=0)
-        gain = np.empty((n_v, m))
-        chunk = max(1, 2**15 // self.cell.size)  # rows per pass, sized for the cache
-        for lo in range(0, m, chunk):
-            cols = slice(lo, lo + chunk)
-            fx = np.take(table[:, cols], self.cell, axis=0)
-            fx += self.frac * np.take(slope[:, cols], self.cell, axis=0)
-            fx *= np.roll(fx, fx.shape[1] // 4, axis=1)  # f(r sin psi) = f(r cos(psi - pi / 2))
-            gain[:, cols] = self.synthesis @ np.matmul(self.analysis, fx).reshape(-1, fx.shape[-1])
-        gain = gain.T
+        mirror = f_rows[:, ::-1]
+        parts = f_rows + mirror if self.n_parts == 1 else np.concatenate([f_rows + mirror, f_rows - mirror])
+        # values and slopes of the parts on the lattice cells (cell n_v is zero)
+        table = np.zeros((2, parts.shape[0], n_v + 1))
+        table[0, :, :n_v] = parts
+        table[1, :, : n_v - 1] = np.diff(parts, axis=1)
+        features = []
+        for cell, frac, coefs in self.stacks:
+            x, slope = np.take(table, cell, axis=2)
+            slope *= frac
+            x += slope
+            x = x.reshape(-1, m, *cell.shape)
+            y = x[0, ..., ::-1]  # r sin psi is r cos(pi / 2 - psi): the quarter reversed
+            for part, coef in enumerate(coefs):
+                features.append(((x[part] * y).reshape(-1, cell.shape[1]) @ coef).reshape(m, -1))
+        gain = np.concatenate(features, axis=1) @ self.synthesis
 
         # conservative correction gain * (a + c v^2): exact discrete mass and energy
         v = self.v
@@ -236,6 +276,11 @@ class _PolarGain:
 def _polar_gain(L: float, n_v: int, n_theta: int, kernel: str) -> _PolarGain:
     """The gain operator of a grid, built once and reused across sweeps and solves."""
     return _PolarGain(L, n_v, n_theta, kernel)
+
+
+def _check_t_end(t_end: float) -> None:
+    if not (t_end >= 0.0 and math.isfinite(t_end)):
+        raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
 
 
 @dataclass(frozen=True)
@@ -278,8 +323,7 @@ def picard_solve_toy(
     n_theta is too small for the kernel, and when the discrete mass drifts
     beyond MASS_TOL_TOY after any sweep.
     """
-    if not (t_end >= 0.0 and math.isfinite(t_end)):
-        raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
+    _check_t_end(t_end)
     if t_end >= T_GUARD_TOY:
         raise ValueError(
             f"picard solve: t_end={t_end} is at or beyond the stability horizon "
@@ -307,12 +351,16 @@ def picard_solve_toy(
     weights[np.diag_indices(n_nodes)] *= 0.5
     weights[0] = 0.0
 
+    # Every node of the first iterate is f0, and node 0 of every later one
+    # (decay[0] == 1, weights[0] == 0): one gain row of f0 serves them all.
     iterate = np.tile(f0_vals, (n_nodes, 1))
+    gains = np.tile(quad.gain_batch(f0_vals[None, :]), (n_nodes, 1))
     increments: List[float] = []
     mass_drift, min_value = start.mass_drift, start.min_value
     h = f0.h
     for sweep in range(n_iter):
-        gains = quad.gain_batch(iterate)
+        if sweep:
+            gains[1:] = quad.gain_batch(iterate[1:])
         new = decay[:, None] * f0_vals[None, :] + weights @ gains
         increments.append(h * float(np.abs(new - iterate).sum(axis=1).max()))
         iterate = new
@@ -356,6 +404,7 @@ def picard_evolve_toy(
     ten sub-steps of 0.1, not ten and a near-empty eleventh); t_end = 0
     returns f0 without a solve.
     """
+    _check_t_end(t_end)
     n_steps = math.ceil(t_end / (0.8 * T_GUARD_TOY) - 1e-9)
     steps = [PicardResult(f0, 0, (), (), abs(f0.mass() - 1.0), min(f0.values))]
     for _ in range(n_steps):

@@ -70,6 +70,71 @@ def oracle_gain(f, density, n_theta):
     return ALPHA_TOY * f.h * out
 
 
+def full_circle_gain(f_rows, L, n_theta, kernel):
+    """Qplus[f, f] of each row from f x f sampled on whole circles, at all
+    4 n_theta angles of each, with the sine harmonics kept and the sum over
+    w taken pair by pair: the sum that the solver's quarter-circle fold
+    reproduces.  The conservative correction is the solver's."""
+    n_v = f_rows.shape[1]
+    k_max = {"uniform": 0, "raised_cosine": 1}[kernel]
+    n_psi = 4 * n_theta
+    h = 2.0 * L / (n_v - 1)
+    theta = -math.pi + (2.0 * math.pi / n_psi) * (np.arange(n_psi) + 0.5)
+    ks = np.arange(k_max + 1)
+    harmonics = np.exp(1j * np.outer(ks, theta)) @ (KERNEL_DENSITIES[kernel](theta) * (2.0 * math.pi / n_psi))
+    b0 = float(harmonics[0].real)
+
+    # f x f at the lattice cells of r cos(psi) and r sin(psi), cell n_v outside
+    n_r = int(math.sqrt(2.0) * (n_v - 1) / 2.0) + 2
+    j = np.arange(n_r)[:, None]
+    psi = (2.0 * math.pi / n_psi) * (np.arange(n_psi) + 0.5 * (j % 2))
+    u = j * np.cos(psi) + (n_v - 1) / 2.0
+    cell = np.minimum(np.clip(u, 0.0, n_v - 1.0).astype(np.intp), n_v - 2)
+    frac = (u - cell)[..., None]
+    cell[(u < 0.0) | (u > n_v - 1.0)] = n_v
+    kpsi = ks[:, None] * psi[:, None, :]
+    analysis = np.concatenate([np.cos(kpsi), np.sin(kpsi[:, 1:])], axis=1) / n_psi
+    table = np.zeros((n_v + 1, f_rows.shape[0]))
+    table[:n_v] = f_rows.T
+    slope = np.zeros_like(table)
+    slope[: n_v - 1] = np.diff(f_rows.T, axis=0)
+    fx = np.take(table, cell, axis=0) + frac * np.take(slope, cell, axis=0)
+    fx *= np.roll(fx, n_psi // 4, axis=1)
+    circle = np.matmul(analysis, fx)  # (n_r, features, rows)
+
+    # back to the lattice: linear in r between circles, exp(i k phi) per harmonic
+    v = np.linspace(-L, L, n_v)
+    rad = np.hypot(v[:, None], v[None, :]) / h
+    jr = rad.astype(np.intp)
+    lam = (rad - jr)[..., None]
+    phase = 2.0 * harmonics[1:, None, None] * np.exp(1j * ks[1:, None, None] * np.arctan2(v, v[:, None]))
+    coefs = [np.full_like(rad, b0), *phase.real, *phase.imag]
+    gain = np.zeros((n_v, f_rows.shape[0]))
+    for q, coef in enumerate(coefs):
+        g = np.concatenate([circle[:, q], np.zeros((1, f_rows.shape[0]))])
+        gain += ALPHA_TOY * h * (coef[..., None] * ((1.0 - lam) * g[jr] + lam * g[jr + 1])).sum(axis=1)
+    gain = gain.T
+
+    mass, m2 = (h * f_rows @ np.stack([v**0, v**2], axis=1)).T
+    mu0, mu2, mu4 = (h * gain @ np.stack([v**0, v**2, v**4], axis=1)).T
+    t0, t2 = ALPHA_TOY * b0 * mass**2, ALPHA_TOY * b0 * mass * m2
+    det = mu0 * mu4 - mu2**2
+    a, c = (t0 * mu4 - t2 * mu2) / det, (t2 * mu0 - t0 * mu2) / det
+    return gain * (a[:, None] + c[:, None] * v**2)
+
+
+def asymmetric_rows(n_v, L=6.0):
+    """The two-bump data of the brute-force test, a shifted Gaussian and two random rows."""
+    v = np.linspace(-L, L, n_v)
+    rng = np.random.default_rng(n_v)
+    return np.stack([
+        np.exp(-2.0 * (v + 0.8) ** 2) + 0.5 * np.exp(-0.78 * (v - 1.2) ** 2),
+        np.exp(-0.5 * (v - 1.0) ** 2),
+        rng.random(n_v),
+        rng.random(n_v) * np.exp(-0.1 * (v - 2.0) ** 2),
+    ])
+
+
 def m4_closed_form(m2_0, m4_0, t):
     return 3.0 * m2_0**2 + (m4_0 - 3.0 * m2_0**2) * np.exp(-0.5 * t)
 
@@ -159,6 +224,48 @@ def test_polar_gain_matches_brute_force_quadrature(kernel):
     polar = gain(f, kernel, n_theta=128).value_array()
     brute = oracle_gain(f, KERNEL_DENSITIES[kernel], n_theta=256)
     assert np.max(np.abs(polar - brute)) <= 5e-3
+
+
+@pytest.mark.parametrize("kernel, n_theta", [("uniform", 1)] + [
+    (kernel, n_theta) for kernel in ("uniform", "raised_cosine") for n_theta in (2, 3, 7, 32)
+])
+@pytest.mark.parametrize("n_v", [3, 64, 65, 97])
+def test_quarter_circle_fold_matches_the_full_circle(kernel, n_theta, n_v):
+    """The folded gain is the full-circle quadrature up to rounding.
+
+    Odd n_theta makes the quarter odd, and even n_v puts the grid centre
+    between two nodes, so the mirror f[::-1] pairs no node with itself.
+    """
+    rows = asymmetric_rows(n_v)
+    folded = picard._PolarGain(6.0, n_v, n_theta, kernel).gain_batch(rows)
+    full = full_circle_gain(rows, 6.0, n_theta, kernel)
+    assert np.max(np.abs(folded - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "raised_cosine"])
+def test_gain_of_a_row_does_not_depend_on_its_batch(kernel):
+    rows = asymmetric_rows(97)
+    op = picard._PolarGain(6.0, 97, 32, kernel)
+    batch = op.gain_batch(rows)
+    for i in range(rows.shape[0]):
+        alone = op.gain_batch(rows[i : i + 1])[0]
+        assert np.max(np.abs(batch[i] - alone)) <= 1e-14 * np.max(np.abs(alone)), i
+
+
+@pytest.mark.parametrize("n_iter", [1, 2, 5])
+def test_solve_evaluates_the_gain_of_f0_once(monkeypatch, n_iter):
+    """Node 0 is f0 in every sweep and every node is f0 in the first: a solve
+    evaluates 1 + (n_iter - 1) n_time gain rows."""
+    rows = []
+    gain_batch = picard._PolarGain.gain_batch
+
+    def counting(self, f_rows):
+        rows.append(f_rows.shape[0])
+        return gain_batch(self, f_rows)
+
+    monkeypatch.setattr(picard._PolarGain, "gain_batch", counting)
+    picard_solve_toy("uniform", small_gaussian(n_v=65), t_end=0.1, n_iter=n_iter, n_theta=8, n_time=12)
+    assert sum(rows) == 1 + (n_iter - 1) * 12
 
 
 def test_n_theta_must_carry_the_kernel_harmonics():
@@ -275,6 +382,12 @@ def test_evolve_substep_count(monkeypatch, t_end, n_solves):
 def test_horizon_guard():
     with pytest.raises(ValueError, match="sub-step"):
         picard_solve_toy("uniform", small_gaussian(), t_end=0.2, **SMALL)
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+def test_evolve_rejects_a_negative_or_non_finite_horizon(t_end):
+    with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+        picard_evolve_toy("uniform", small_gaussian(n_v=33), t_end)
 
 
 def test_t_end_zero_returns_initial_density():
