@@ -48,8 +48,8 @@ def meanfield_run(
 
     The result has the same shape as the N-particle driver's output (solver
     tag "meanfield"), so the two can be differenced row by row in
-    convergence studies.  Both run on the same replica driver, so substreams
-    and merge order follow the same determinism contract.
+    convergence studies.  Both run on the same replica driver, so group
+    streams and merge order follow the same determinism contract.
     """
     if n < mixture.m:
         raise ValueError(f"mean-field run: n >= M required (M={mixture.m}, got n={n})")

@@ -12,15 +12,15 @@ events one by one, so the simulation is exact (no thinning or time
 discretization is involved).  The mean-field sampler runs on the same
 engine.
 
-Replicas are independent and reproducible: replica r uses a counter-based
-generator seeded from (seed, spawn_key=(r,)).  Small systems run a group
-of replicas as one stacked array that draws its tapes together, each
-replica making the generator calls it would make alone, and applies an
-observation interval's tapes in rounds of about one event per particle.
-Replicas share no particles, so every replica's trajectory, and with it
-the output, depends only on the seed.  Observers sample the
-right-continuous trajectory at fixed times; the state at time tau is the
-state after the last event at or before tau.
+Replicas are independent and reproducible.  Small systems run a group of
+replicas as one stacked array that shares no particles between replicas
+and draws everything from one counter-based generator, seeded from (seed,
+spawn_key=(r,)) with r the group's first replica; it applies each
+observation interval's events in rounds of at most `_block_size` events
+per replica.  The grouping depends on N only, so the output depends only
+on the configuration.  Observers sample the right-continuous trajectory at
+fixed times; the state at time tau is the state after the last event at or
+before tau.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class InitialLaw:
 
     The iid entries produce exchangeable states by construction; the
     deterministic entry is for regression tests and frozen scenarios.
+    `sample` returns n particles; a group of G replicas asks for its G N
+    particles in one call, replica by replica.
     """
 
     tag = "abstract"
@@ -119,7 +121,7 @@ class TwoPointInitial(InitialLaw):
 
 @dataclass(frozen=True)
 class DeterministicInitial(InitialLaw):
-    """A fixed list of velocities, one row per particle."""
+    """A fixed list of velocities, one row per particle, repeated for each replica."""
 
     velocities: Tuple
     tag = "deterministic"
@@ -134,11 +136,11 @@ class DeterministicInitial(InitialLaw):
 
     def sample(self, rng, n, d):
         v = np.asarray(self.velocities, dtype=float)
-        if v.shape != (n, d):
+        if v.shape[1] != d or n % v.shape[0]:
             raise ValueError(
                 f"deterministic initial law: stored shape {v.shape} does not match (N, d)=({n}, {d})"
             )
-        return v.copy()
+        return np.tile(v, (n // v.shape[0], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ class SimConfig:
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """The counter-based generator owned by one replica of one run."""
+    """The counter-based stream of the replica group starting at `replica` in a run of `seed`."""
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(replica),))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -241,27 +243,17 @@ def _indices(u: np.ndarray, n: int) -> np.ndarray:
     return (u * n).astype(np.intp)
 
 
-def _joined(parts: list) -> np.ndarray:
-    """The parts stacked along the first axis; a single part as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _index_rows(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
+    """`count` uniform ordered k-tuples of distinct indices in range(n).
 
-
-def _index_rows(draws: Sequence[tuple], n: int, k: int) -> np.ndarray:
-    """`count` uniform ordered k-tuples of distinct indices in range(n) per (rng, count), stacked.
-
-    Each generator draws its rows, then redraws whole, in one call per pass,
-    those holding some index twice, as it would alone; so each row is
-    uniform over the n!/(n-k)! ordered tuples.  The arithmetic runs once on
-    the stacked rows.
+    Rows holding some index twice are redrawn whole, in one call per pass,
+    so each row is uniform over the n!/(n-k)! ordered tuples.
     """
-    rows = _indices(_joined([rng.random((count, k)) for rng, count in draws]), n)
+    rows = _indices(rng.random((count, k)), n)
     if k > 1:
         bad = _repeated(rows)
         while bad.size:
-            owner = np.cumsum([count for _, count in draws]).searchsorted(bad, side="right")
-            sizes = np.bincount(owner, minlength=len(draws)).tolist()
-            fresh = [draws[i][0].random((size, k)) for i, size in enumerate(sizes) if size]
-            rows[bad] = _indices(_joined(fresh), n)
+            rows[bad] = _indices(rng.random((bad.size, k)), n)
             bad = bad[_repeated(rows[bad])]
     return rows
 
@@ -274,66 +266,39 @@ def _index_rows(draws: Sequence[tuple], n: int, k: int) -> np.ndarray:
 # partners, and only the jumper moves.  On an N-particle tape it is None.
 
 
-def _draw_tapes(draws: Sequence[tuple], mixture: MixtureSpec, n: int, meanfield: bool) -> list:
-    """The tapes of `count` events of replica `row`, for each (row, rng, count), as one tape.
+def _draw_tape(
+    rng: np.random.Generator, counts: np.ndarray, mixture: MixtureSpec, n: int, meanfield: bool
+) -> list:
+    """The tape of `counts[r]` events of each replica r of a group, drawn from the group's generator.
 
-    Replica `row` owns particles row n .. row n + n - 1.  Each replica draws
-    tapes of at most `_block_size` events, one per sub-pass, with the calls
-    it would make alone: order uniforms, then per order K its index rows,
+    Replica r owns particles r n .. r n + n - 1, and its events take the
+    tape positions after those of the replicas before it.  One pass draws
+    the order uniforms of all events, then per order K its index rows,
     angles and (mean-field) jumper slots.  N-particle orders have
     probability beta_K, mean-field orders beta_K K / alpha; a uniform slot
-    makes (jumper, ordered partners) uniform.  The rest runs on the stacked
-    arrays, once per sub-pass or call; tape positions follow the draws.
+    makes (jumper, ordered partners) uniform.
     """
     order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
-    if len(draws) == 1 and draws[0][2] == 1:  # one event (`step`): nothing to split or sort
-        row, rng, _ = draws[0]
-        k = order_of(rng.random())  # a scalar draw takes the same uniform as rng.random(1)
-        law = mixture.laws[k - 1]
-        idx = _index_rows([(rng, 1)], n, k)
-        angles = law.sample_angle(rng, size=1)
-        slots = _indices(rng.random(1), k) if meanfield else None
-        return [(law, np.zeros(1, dtype=np.intp), idx + row * n if row else idx, angles, slots)]
-    m, block = mixture.m, _block_size(n)
-    rngs = [rng for _, rng, _ in draws]
-    offsets = np.array([row for row, _, _ in draws], dtype=np.intp) * n
-    left = np.array([count for _, _, count in draws], dtype=np.int64)
-    orders = []
-    parts: List[list] = [[] for _ in range(m)]  # per order: (idx, angles, slots) of each sub-pass
-    while left.any():
-        live = np.flatnonzero(left)
-        take = np.minimum(left[live], block)
-        left[live] -= take
-        orders.append(order_of(_joined([rngs[i].random(c) for i, c in zip(live.tolist(), take.tolist())])))
-        sizes = np.bincount(np.repeat(live, take) * m + orders[-1] - 1, minlength=len(draws) * m)
-        sizes = sizes.reshape(-1, m)
-        for k, law in enumerate(mixture.laws, start=1):
-            who = np.flatnonzero(sizes[:, k - 1])
-            if who.size:
-                counts = sizes[who, k - 1]
-                part = [(rngs[i], c) for i, c in zip(who.tolist(), counts.tolist())]
-                idx = _index_rows(part, n, k) + np.repeat(offsets[who], counts)[:, None]
-                angles = _joined([law.sample_angle(rng, size=c) for rng, c in part])
-                slots = _indices(_joined([rng.random(c) for rng, c in part]), k) if meanfield else None
-                parts[k - 1].append((idx, angles, slots))
-    order = _joined(orders)
+    offset = np.repeat(np.arange(len(counts)) * n, counts)  # first particle of each event's replica
+    order = order_of(rng.random(offset.size))
     by_order = order.argsort(kind="stable")
-    ends = np.cumsum(np.bincount(order, minlength=m + 1)).tolist()
+    ends = np.cumsum(np.bincount(order, minlength=mixture.m + 1)).tolist()
     tape = []
     for k, law in enumerate(mixture.laws, start=1):
-        if parts[k - 1]:
-            idx, angles, slots = zip(*parts[k - 1])
-            slots = None if slots[0] is None else _joined(slots)
-            tape.append((law, by_order[ends[k - 1] : ends[k]], _joined(idx), _joined(angles), slots))
+        pos = by_order[ends[k - 1] : ends[k]]
+        if pos.size:
+            idx = _index_rows(rng, pos.size, n, k) + offset[pos, None]
+            angles = law.sample_angle(rng, size=pos.size)
+            slots = _indices(rng.random(pos.size), k) if meanfield else None
+            tape.append((law, pos, idx, angles, slots))
     return tape
 
 
 def _block_size(n: int) -> int:
-    """Events per replica tape on n particles: n/2, at least 32.
+    """Events per replica in one engine round on n particles: n/2, at least 32.
 
-    A function of the system size only, so each replica's tapes, hence its
-    generator calls and the output, do not depend on how replicas are
-    grouped or how tapes are gathered into rounds.
+    It keeps a round's tape O(G n) and, being a function of n only, fixes
+    a group's generator calls, hence the output, for a given seed.
     """
     return max(32, n // 2)
 
@@ -404,17 +369,18 @@ def step(
 ) -> MasterState:
     """Advance the state by exactly one jump event.
 
-    Draws the Exp(N) waiting time, then a one-event tape (collision order
-    with probability beta_K, a uniform ordered tuple of distinct indices and
-    the scattering parameter) and applies it in place.  Returns the same
-    state.
+    Draws the Exp(N) waiting time, the collision order (probability
+    beta_K), a uniform ordered tuple of distinct indices and the scattering
+    parameter, and applies the event in place.  Returns the same state.
     """
     n = state.velocities.shape[0]
     if n < mixture.m:
         raise ValueError(f"step: N >= M required (M={mixture.m}, got N={n})")
     state.time += rng.exponential(1.0 / n)
-    (law, _, idx, angles, _), = _draw_tapes([(0, rng, 1)], mixture, n, False)
-    _apply_events(state.velocities, law, idx, angles, None)
+    k = mixture.order_from_uniform(rng.random())
+    law = mixture.laws[k - 1]
+    idx = _index_rows(rng, 1, n, k)
+    _apply_events(state.velocities, law, idx, law.sample_angle(rng, size=1), None)
     state.collision_count += 1
     return state
 
@@ -430,8 +396,8 @@ class Observer:
     Subclasses define the channel names and how a group of snapshots maps to
     one value per replica and channel.  The run driver calls `collect` once
     per (replica group, time), in time order, with the group's velocities
-    (G, N, d), each replica's event count (G,) and each replica's own
-    generator, and takes back a (G, channels) array.
+    (G, N, d), each replica's event count (G,) and the group's generator,
+    and takes back a (G, channels) array.
     """
 
     def __init__(self, times: Sequence[float]):
@@ -448,9 +414,7 @@ class Observer:
     def channel_names(self) -> Tuple[str, ...]:
         raise NotImplementedError
 
-    def collect(
-        self, velocities: np.ndarray, events: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
+    def collect(self, velocities: np.ndarray, events: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -511,7 +475,7 @@ class MomentObserver(Observer):
     def channel_names(self) -> Tuple[str, ...]:
         return MOMENT_CHANNELS
 
-    def collect(self, velocities, events, rngs):
+    def collect(self, velocities, events, rng):
         return moment_channels(velocities, events)
 
 
@@ -553,7 +517,7 @@ class ObservableObserver(Observer):
 
     * ``"first"``: the first s slots of the state,
     * ``"random"``: a fresh uniform ordered draw of s distinct slots per
-      reading (consumes the replica stream, so it stays reproducible),
+      reading (consumes the group's stream, so it stays reproducible),
     * ``"all"``: the exchangeable average over every ordered s-tuple of
       distinct slots, in closed form from particle sums of factor products:
       O(2^s) partition terms per spec, fixed when the observer is built, and
@@ -587,7 +551,7 @@ class ObservableObserver(Observer):
     def channel_names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.specs)
 
-    def collect(self, velocities, events, rngs):
+    def collect(self, velocities, events, rng):
         g, n = velocities.shape[:2]
         if self.mode == "all":
             return self._all_slots(velocities)
@@ -596,7 +560,7 @@ class ObservableObserver(Observer):
             if self.mode == "first":
                 groups = velocities[:, : spec.s]
             else:
-                idx = _index_rows([(rng, 1) for rng in rngs], n, spec.s)
+                idx = _index_rows(rng, g, n, spec.s)
                 groups = velocities[np.arange(g)[:, None], idx]
             # one (1, s, d) stack per replica: a factor's matrix products then
             # have the same shape, hence the same rounding, whatever G is
@@ -634,9 +598,9 @@ class ObservableObserver(Observer):
 # ---------------------------------------------------------------------------
 
 # Particles per replica group.  A group of G = max(1, GROUP_PARTICLES // N)
-# replicas runs as one stacked (G N, d) array, so small systems get their
-# batch width from the replica axis.  G depends on N only, and replicas
-# never share particles, so every replica's trajectory is the same at any G.
+# replicas runs as one stacked (G N, d) array with one generator, so small
+# systems get their batch width from the replica axis.  G depends on N only,
+# so the grouping, and with it the output, depends only on the config.
 GROUP_PARTICLES = 4096
 
 
@@ -645,23 +609,22 @@ def _drive(
     rate: float,
     meanfield: bool,
     mixture: MixtureSpec,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     t_end: float,
     observers: Sequence[Observer],
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Evolve a group of replicas (G, N, d) to the horizon in place, sampling observers.
 
-    Replica r draws everything from `rngs[r]`.  The observer times and t_end
-    cut [0, t_end] into intervals.  The number of events in each interval is
-    Poisson(rate * length), independent of the other intervals, and given
-    the counts the events are iid, so each replica draws its count and then
-    its events as tapes of at most `_block_size` events; no event time is
-    needed.  A round draws whole tapes of the replicas with events left
-    until the interval is done or it holds about one event per particle
-    (tape memory stays O(G N)), and applies them.  A sample at time tau
-    reads the state after the intervals ending at or before tau (right
-    continuity).  Returns each observer's readings (G, n_times, n_channels)
-    and the events applied of each order (G, M).
+    The group draws everything from `rng`.  The observer times and t_end cut
+    [0, t_end] into intervals.  The number of events of a replica in each
+    interval is Poisson(rate * length), independent of the other intervals
+    and replicas, and given the counts the events are iid, so the group
+    draws the G counts and then the events; no event time is needed.  Each
+    round draws and applies one tape of at most `_block_size` events of
+    every replica with events left.  A sample at time tau reads the state
+    after the intervals ending at or before tau (right continuity).
+    Returns each observer's readings (G, n_times, n_channels) and the
+    events applied of each order (G, M).
     """
     schedule = sorted(
         (t, oi, ti)
@@ -677,15 +640,11 @@ def _drive(
     ptr = 0
     t = 0.0
     for cut in sorted({entry[0] for entry in schedule} | {t_end}):
-        todo = np.array([rng.poisson(rate * (cut - t)) if cut > t else 0 for rng in rngs])
+        todo = rng.poisson(rate * (cut - t), size=g) if cut > t else np.zeros(g, dtype=np.int64)
         while todo.any():
-            reach = block  # events per replica in this round: whole sub-passes
-            while reach < todo.max() and np.minimum(todo, reach).sum() < g * n:
-                reach += block
-            take = np.minimum(todo, reach)
+            take = np.minimum(todo, block)
             todo -= take
-            live = np.flatnonzero(take).tolist()
-            tape = _draw_tapes([(r, rngs[r], int(take[r])) for r in live], mixture, n, meanfield)
+            tape = _draw_tape(rng, take, mixture, n, meanfield)
             for law, _, idx, _, _ in tape:
                 events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
             _apply_tape(flat, tape, int(take.sum()), m)
@@ -693,7 +652,7 @@ def _drive(
         counts = events.sum(axis=1)
         while ptr < len(schedule) and schedule[ptr][0] <= t:
             _, oi, ti = schedule[ptr]
-            readings[oi][:, ti] = observers[oi].collect(velocities, counts, rngs)
+            readings[oi][:, ti] = observers[oi].collect(velocities, counts, rng)
             ptr += 1
     return readings, events
 
@@ -815,10 +774,11 @@ def _run_replicas(
 ) -> RunResult:
     """The replica driver behind `run` and `meanfield_run`.
 
-    Each replica draws its initial state and its events from its own
-    substream (seed, replica index) and jumps at total `rate`, with
-    N-particle events or, when `meanfield`, mean-field events.  Groups of
-    G replicas (see GROUP_PARTICLES) run as one stacked (G, N, d) array.
+    Groups of G replicas (see GROUP_PARTICLES) run as one stacked
+    (G, N, d) array.  A group draws its initial states and its events from
+    the stream of its first replica, `replica_rng(seed, lo)`, and each of
+    its replicas jumps at total `rate`, with N-particle events or, when
+    `meanfield`, mean-field events.
     """
     observers = list(observers)
     _check_observers(observers, config)
@@ -831,12 +791,11 @@ def _run_replicas(
     start = time.perf_counter()
     for lo in range(0, config.replicas, size):
         hi = min(lo + size, config.replicas)
-        rngs = [replica_rng(config.seed, r) for r in range(lo, hi)]
-        velocities = np.array(
-            [config.initial.sample(rng, config.N, config.d) for rng in rngs], dtype=float
-        )
+        rng = replica_rng(config.seed, lo)
+        velocities = config.initial.sample(rng, (hi - lo) * config.N, config.d)
+        velocities = velocities.reshape(hi - lo, config.N, config.d)
         readings, events[lo:hi] = _drive(
-            velocities, rate, meanfield, config.mixture, rngs, config.t_end, observers
+            velocities, rate, meanfield, config.mixture, rng, config.t_end, observers
         )
         for series_values, block in zip(values, readings):
             series_values[lo:hi] = block
@@ -873,8 +832,8 @@ def run(
 ) -> RunResult:
     """Evolve an ensemble of independent replicas and merge their statistics.
 
-    Each replica owns the substream (seed, replica index), so the output is
-    a deterministic function of the configuration alone.  The run is one
-    process: replicas advance in stacked groups of one engine pass each.
+    Replicas advance in stacked groups, one engine pass and one generator
+    stream each (see `_run_replicas`), so the output is a deterministic
+    function of the configuration alone.  The run is one process.
     """
     return _run_replicas("kac", config, float(config.N), False, observers, keep_final, keep_raw)

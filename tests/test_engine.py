@@ -4,9 +4,11 @@ A tape is a block of events drawn ahead of time; the engine applies it in
 layers of events on disjoint particles, one batch per (layer, order).  The
 oracle for that is sequential application of the same tape, one event at a
 time, which must give bit-for-bit the same velocities.  The dynamics are
-checked against the closed-form fourth-moment relaxation of the toy model
-from non-equilibrium (uniform) data, where an engine that applied nothing,
-or applied events at the wrong rate, would be far off.
+checked against the closed-form fourth-moment relaxation of the limit
+equation from non-equilibrium (uniform) data, for the toy law alone and
+for a mixture of orders 1 and 2, where an engine that applied nothing,
+applied events at the wrong rate or weighted the orders wrongly would be
+far off.
 """
 
 import math
@@ -14,7 +16,6 @@ import math
 import numpy as np
 import pytest
 
-from kacmix import simulator
 from kacmix.cli import BUILTIN_LAWS
 from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK, SymmetricKMomentum
 from kacmix.meanfield import meanfield_run
@@ -25,7 +26,7 @@ from kacmix.simulator import (
     SimConfig,
     UniformBoxInitial,
     _apply_tape,
-    _draw_tapes,
+    _draw_tape,
     _layers,
     replica_rng,
     run,
@@ -70,7 +71,7 @@ def test_layered_apply_equals_sequential_apply_bitwise(mixture, meanfield):
     for n, count in ((6, 60), (40, 400), (500, 250)):
         rng = replica_rng(31, n)
         velocities = rng.standard_normal((n, mixture.dim))
-        tape = _draw_tapes([(0, rng, count)], mixture, n, meanfield)
+        tape = _draw_tape(rng, np.array([count]), mixture, n, meanfield)
         layered, sequential = velocities.copy(), velocities.copy()
         _apply_tape(layered, tape, count, mixture.m)
         apply_sequentially(sequential, tape, count)
@@ -85,7 +86,7 @@ def test_layers_follow_shared_particles():
     """Each event sits one layer above the latest earlier event on one of its particles."""
     rng = replica_rng(32, 0)
     n, count = 30, 300
-    tape = _draw_tapes([(0, rng, count)], MIXED_1_3, n, meanfield=False)
+    tape = _draw_tape(rng, np.array([count]), MIXED_1_3, n, meanfield=False)
     layer = _layers(tape, count, MIXED_1_3.m)
     particles = {}
     for _, pos, idx, _, _ in tape:
@@ -102,63 +103,25 @@ def test_layers_follow_shared_particles():
 K3_ON_4 = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), SymmetricK(k=3, d=1)), (0.2, 0.3, 0.5))
 
 
-def draw_alone(rng, mixture, n, count, meanfield):
-    """The oracle: one replica's events, tape by tape, with plain generator calls.
-
-    Returns (order, particles, angle, slot) per event in tape order.
-    """
-    events = []
-    while count:
-        size = min(count, simulator._block_size(n))
-        count -= size
-        u = rng.random(size)
-        orders = mixture.order_from_uniform_sizebiased(u) if meanfield else mixture.order_from_uniform(u)
-        tape = [None] * size
-        for k, law in enumerate(mixture.laws, start=1):
-            pos = np.flatnonzero(orders == k)
-            if pos.size == 0:
-                continue
-            rows = (rng.random((pos.size, k)) * n).astype(np.intp)
-            bad = [i for i, row in enumerate(rows.tolist()) if len(set(row)) < k]
-            while bad:
-                rows[bad] = (rng.random((len(bad), k)) * n).astype(np.intp)
-                bad = [i for i in bad if len(set(rows[i].tolist())) < k]
-            angles = law.sample_angle(rng, size=pos.size)
-            slots = (rng.random(pos.size) * k).astype(np.intp) if meanfield else [None] * pos.size
-            for e, row, angle, slot in zip(pos, rows, angles, slots):
-                tape[e] = (k, row.tolist(), angle, slot)
-        events += tape
-    return events
-
-
 @pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
-def test_group_tape_matches_each_replica_drawn_alone(meanfield):
-    """Each replica's share of a group tape is the tape it draws alone, with the same calls.
+def test_group_tape_keeps_each_event_inside_its_replica(meanfield):
+    """Replica r's events hold only its particles and take its block of tape positions.
 
-    k = 3 on n = 4 redraws most index rows, for a different number of passes
-    per replica; the counts include an idle replica, replicas too short to
-    hold every order, and replicas that need three and four tapes.
+    k = 3 on n = 4 redraws most index rows; the counts include an idle
+    replica and replicas with unequal counts.
     """
-    n, seed = 4, 41
-    counts = {0: 3, 2: 0, 3: 100, 5: 1, 6: 70, 9: 2}
-    draws = [(row, replica_rng(seed, row), count) for row, count in counts.items()]
-    tape = _draw_tapes(draws, K3_ON_4, n, meanfield)
-    shares = {row: {} for row in counts}
-    for law, pos, idx, angles, slots in tape:
-        assert np.all(idx // n == idx[:, :1] // n)  # no event spans two replicas
-        for e, row, angle, slot in zip(pos, idx, angles, [None] * len(pos) if slots is None else slots):
-            shares[int(row[0]) // n][int(e)] = (law.order, (row % n).tolist(), angle, slot)
-    missing = 0  # replicas with events but none of some order
-    for row, rng, count in draws:
-        alone = replica_rng(seed, row)
-        expected = draw_alone(alone, K3_ON_4, n, count, meanfield)
-        share = [shares[row][e] for e in sorted(shares[row])]
-        assert len(share) == len(expected) == count
-        for a, b in zip(share, expected):
-            assert a[:2] == b[:2] and np.array_equal(a[2], b[2]) and a[3] == b[3]
-        assert np.array_equal(rng.random(8), alone.random(8))  # the streams stand at one place
-        missing += 0 < count and len({e[0] for e in expected}) < 3
-    assert missing
+    n = 4
+    counts = np.array([3, 0, 100, 1, 70, 2])
+    tape = _draw_tape(replica_rng(41, 0), counts, K3_ON_4, n, meanfield)
+    owner = np.repeat(np.arange(counts.size), counts)  # the replica of each tape position
+    seen = np.zeros(counts.sum(), dtype=int)
+    for law, pos, idx, _, slots in tape:
+        assert np.all(idx // n == owner[pos][:, None])  # no event spans two replicas
+        assert all(len(set(row)) == law.order for row in idx.tolist())
+        assert (slots is not None) == meanfield
+        seen[pos] += 1
+    assert np.all(seen == 1)
+    assert {law.order for law, *_ in tape} == {1, 2, 3}
 
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
@@ -219,44 +182,59 @@ MIXED_SPECS = (
 
 @pytest.mark.parametrize("mode", ["first", "random", "all"])
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
-def test_replica_grouping_does_not_change_results(engine, mode, monkeypatch):
-    """One replica per pass, the default groups, or all replicas in one pass: same bits.
-
-    At N = 600 the default group holds 6 replicas, so 10 replicas run as
-    6 + 4; offsetting a replica's particles wrongly in the stacked array
-    would mix replicas and change their states.
-    """
+def test_rerun_gives_the_same_bits_and_another_seed_does_not(engine, mode):
+    """At N = 600 the groups hold 6 + 4 replicas; the seed alone fixes every reading."""
     observers = [
         MomentObserver([0.0, 0.3, 0.6]),
         ObservableObserver([0.2, 0.6], MIXED_SPECS, mode=mode),
     ]
-    results = {}
-    for label, particles in (("one", 600), ("default", simulator.GROUP_PARTICLES), ("all", 6000)):
-        monkeypatch.setattr(simulator, "GROUP_PARTICLES", particles)
-        results[label] = stacked_run(engine, 10, observers)
-    assert [results[k].replica_group for k in ("one", "default", "all")] == [1, 6, 10]
-    for label in ("default", "all"):
-        assert_same_replicas(results["one"], results[label], 10)
-        assert results["one"].events_by_order == results[label].events_by_order
+    first, again = stacked_run(engine, 10, observers), stacked_run(engine, 10, observers)
+    other = stacked_run(engine, 10, observers, seed=38)
+    assert first.replica_group == 6
+    assert_same_replicas(first, again, 10)
+    assert first.events_by_order == again.events_by_order
+    assert not np.array_equal(first.raw[0], other.raw[0])
+    assert not np.array_equal(first.final_states[0].velocities, other.final_states[0].velocities)
+
+
+def test_each_replica_of_a_group_conserves_its_own_energy():
+    """A stacked N-particle group moves energy between no two replicas.
+
+    An event whose particles spanned two replicas would move energy from
+    one to the other; each law conserves the energy of its own group.
+    """
+    result = stacked_run("kac", 10, [MomentObserver([0.0, 0.6])])
+    names = list(result.series[0].names)
+    energy = result.raw[0][:, :, names.index("energy")]
+    assert result.replica_group == 6
+    assert np.all(result.raw[0][:, -1, names.index("events")] > 0)
+    assert len(set(energy[:, 0].tolist())) == 10  # distinct initial states
+    np.testing.assert_allclose(energy[:, 1], energy[:, 0], rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
 def test_replica_prefix_is_stable(engine):
-    """Replicas 0-6 of a 7-replica run equal those of a 10-replica run, bit for bit.
+    """The full groups of a 7-replica run equal those of a 10-replica run, bit for bit.
 
-    At N = 1024 the groups are 4 + 3 and 4 + 4 + 2, so replicas 4-6 share
-    their pass with different neighbours in the two runs.
+    At N = 1024 the groups are 4 + 3 and 4 + 4 + 2: replicas 0-3 form the
+    same group in both runs.  Replicas 4-6 are drawn in a group of 3 and
+    of 4, from the same stream but with a different count of each draw, so
+    their values may differ.
     """
     observers = [MomentObserver([0.3]), ObservableObserver([0.3], MIXED_SPECS, mode="random")]
     seven = stacked_run(engine, 7, observers, n=1024)
     ten = stacked_run(engine, 10, observers, n=1024)
     assert seven.replica_group == ten.replica_group == 4
-    assert_same_replicas(seven, ten, 7)
+    assert_same_replicas(seven, ten, 4)
 
 
-def toy_m4(t, m2=1.0, m4_0=9.0 / 5.0):
-    """Closed-form m4(t) of the toy limit equation: 3 m2^2 + (m4(0) - 3 m2^2) e^(-t/2)."""
-    return 3.0 * m2**2 + (m4_0 - 3.0 * m2**2) * math.exp(-0.5 * t)
+def toy_m4(t, beta2=1.0, m2=1.0, m4_0=9.0 / 5.0):
+    """Closed-form m4(t) of the d = 1 limit equation with `KacToy` at weight beta2, the rest order 1.
+
+    m4(t) = 3 m2^2 + (m4(0) - 3 m2^2) e^(-beta2 t / 2).  An order-1 law in
+    d = 1 only flips signs, so only `KacToy` moves m4.
+    """
+    return 3.0 * m2**2 + (m4_0 - 3.0 * m2**2) * math.exp(-0.5 * beta2 * t)
 
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
@@ -279,3 +257,40 @@ def test_fourth_moment_relaxes_from_uniform_data(engine):
         assert abs(m4[ti] - target) <= 4.0 * se[ti] + 1.0 / n, (engine, t, m4[ti], target, se[ti])
     # the gate excludes an engine that applies nothing: m4(1) - m4(0) = 0.47
     assert abs(m4[0] - toy_m4(1.0)) > 2.0 * (4.0 * se[-1] + 1.0 / n)
+
+
+HALF_MIX = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.5, 0.5))
+
+
+def half_mix_misses(engine):
+    """(t, m4, closed form, stderr) where an engine's m4 on HALF_MIX misses 4 sigma + 1/N."""
+    times = [0.0, 1.0, 2.0]
+    if engine == "kac":
+        n = 200
+        cfg = SimConfig(N=n, mixture=HALF_MIX, t_end=2.0, seed=39, replicas=400, initial=UNIFORM)
+        result = run(cfg, [MomentObserver(times)])
+    else:
+        n = 2000
+        result = meanfield_run(
+            HALF_MIX, UNIFORM, n=n, t_end=2.0, seed=39, replicas=200, observers=[MomentObserver(times)]
+        )
+    m4, se = result.series[0].mean("m4"), result.series[0].stderr("m4")
+    cells = [(t, m4[ti], toy_m4(t, beta2=0.5), se[ti]) for ti, t in enumerate(times)]
+    return [c for c in cells if abs(c[1] - c[2]) > 4.0 * c[3] + 1.0 / n]
+
+
+@pytest.mark.parametrize("engine", ["kac", "meanfield"])
+def test_mixed_orders_follow_the_limit_closure(engine, monkeypatch):
+    """Orders 1 and 2 at weight 1/2 each: m4(t) = 3 + (9/5 - 3) e^(-t/4) within 4 sigma + 1/N.
+
+    Each particle meets an order-2 event at rate 2 beta_2 = 1 in both
+    engines: the N-particle engine draws orders with probability beta_K at
+    total rate N, the mean-field sampler size-biased, beta_K K / alpha, at
+    rate alpha = 3/2 per particle.  With the two order draws swapped that
+    rate becomes 4/3 (N-particle) or 3/4 (mean-field), which the gate sees.
+    """
+    assert half_mix_misses(engine) == []
+    plain, biased = MixtureSpec.order_from_uniform, MixtureSpec.order_from_uniform_sizebiased
+    monkeypatch.setattr(MixtureSpec, "order_from_uniform", biased)
+    monkeypatch.setattr(MixtureSpec, "order_from_uniform_sizebiased", plain)
+    assert half_mix_misses(engine)

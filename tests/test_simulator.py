@@ -57,6 +57,8 @@ def test_deterministic_initial_is_exact():
     init = DeterministicInitial(velocities=((1.0, 2.0), (3.0, 4.0)))
     out = init.sample(np.random.default_rng(0), 2, 2)
     assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+    stack = init.sample(np.random.default_rng(0), 4, 2)  # a group of two replicas
+    assert np.array_equal(stack, [[1.0, 2.0], [3.0, 4.0]] * 2)
     with pytest.raises(ValueError, match="does not match"):
         init.sample(np.random.default_rng(0), 3, 2)
 
@@ -121,8 +123,8 @@ def test_ordered_distinct_uniform_over_ordered_pairs():
     rng = np.random.default_rng(3)
     counts = {}
     n_draws = 24_000
-    rows = [_index_rows([(rng, n_draws // 2)], 4, 2)]
-    rows += [_index_rows([(rng, 1)], 4, 2) for _ in range(n_draws // 2)]
+    rows = [_index_rows(rng, n_draws // 2, 4, 2)]
+    rows += [_index_rows(rng, 1, 4, 2) for _ in range(n_draws // 2)]
     for pair in map(tuple, np.concatenate(rows).tolist()):
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 12  # all ordered pairs of distinct indices occur
@@ -297,7 +299,7 @@ def test_all_mode_equals_ordered_tuple_enumeration(s):
     velocities = rng.standard_normal((7, 1))
     spec = ObservableSpec(tuple([TanhFactor()] * s))
     observer = ObservableObserver([0.0], [spec], mode="all")
-    fast = observer.collect(velocities[None], np.zeros(1), [None])[0, 0]
+    fast = observer.collect(velocities[None], np.zeros(1), None)[0, 0]
     slow = brute_force_all_mode(spec, velocities)
     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
 
@@ -310,7 +312,7 @@ def test_all_mode_mixed_factors_on_stacked_replicas():
     observer = ObservableObserver([0.0], specs, mode="all")
     rng = np.random.default_rng(14)
     stack = rng.standard_normal((5, 6, 2))
-    readings = observer.collect(stack, np.zeros(5), [None] * 5)
+    readings = observer.collect(stack, np.zeros(5), None)
     assert readings.shape == (5, 4)
     for g, velocities in enumerate(stack):
         for c, spec in enumerate(specs):
@@ -328,7 +330,7 @@ def test_estimator_modes_agree_for_exchangeable_states():
 
     def estimate(mode, rng=None):
         observer = ObservableObserver([0.5], [spec], mode=mode)
-        vals = observer.collect(states, np.zeros(len(states)), [rng] * len(states))[:, 0]
+        vals = observer.collect(states, np.zeros(len(states)), rng)[:, 0]
         return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
     first_mean, first_se = estimate("first")
