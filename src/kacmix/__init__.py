@@ -25,8 +25,6 @@ from kacmix.chaos import (
     ChaosBudget,
     ChaosReport,
     ChaosRow,
-    CovarianceEstimate,
-    correlation_decay,
     run_chaos_sweep,
 )
 from kacmix.hierarchy import (

@@ -40,7 +40,6 @@ from .simulator import (
     ESTIMATOR_MODES,
     DeterministicInitial,
     InitialLaw,
-    MasterState,
     ObservableObserver,
     SimConfig,
     engine_metrics,
@@ -53,8 +52,6 @@ __all__ = [
     "SlopeFit",
     "ChaosReport",
     "run_chaos_sweep",
-    "CovarianceEstimate",
-    "correlation_decay",
 ]
 
 
@@ -188,6 +185,8 @@ def _check_sweep(mixture, initial, n_grid, s_vals, times, factors, mode) -> None
     labels = [f.label for f in factors]
     if len(set(labels)) != len(labels):
         raise ValueError(f"chaos sweep: factor labels must be distinct, got {labels}")
+    for f in factors:  # each factor checks its own dimension
+        f.evaluate(np.zeros((1, mixture.dim)))
 
 
 def run_chaos_sweep(
@@ -294,64 +293,3 @@ def run_chaos_sweep(
         ref_replicas=budget.ref_replicas,
         engine=engine_metrics(runs),
     )
-
-
-# ---------------------------------------------------------------------------
-# correlation diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Replica-level estimate of cov(g(v_1), g(v_2)) under the pair marginal."""
-
-    cov: float
-    stderr: float
-    n_replicas: int
-
-
-def correlation_decay(ensemble: Sequence[MasterState], factor) -> CovarianceEstimate:
-    """Unbiased covariance of a one-particle observable across particle pairs.
-
-    Within each replica the pair mean over ordered distinct pairs estimates
-    E[g(v_1) g(v_2)]; the product term E[g(v_1)] E[g(v_2)] is estimated
-    without within-replica bias by pairing each replica's mean with the mean
-    of the other replicas: the per-replica combination
-    u_r = pair_r - m_r * mean(m_(others)) averages to the unbiased estimate.
-    Each replica's mean enters that product term twice, as m_r and inside
-    the others' means, so the standard error is the replica spread of
-    pair_r - 2 * m_r * mean(m_(others)) over sqrt(R).  Vanishing of this
-    covariance as N grows is exactly the factorization the sweep tests.
-
-    Calibration on iid Gaussian data (N = 50, 4000 seeds): the z-score
-    cov / stderr has spread 1.05 for cos[1] at R = 32 replicas (1.09 at
-    R = 64), with |z| > 3 in 1.5 percent of seeds.  For a factor of mean
-    zero such as tanh[1] the product term multiplies two near-zero means and
-    the estimate is not normal: the spread is 1.23 and |z| > 3 in 3.2
-    percent of seeds at R = 32 (1.12 and 1.8 percent at R = 64).  This is
-    a diagnostic, not an acceptance gate.
-    """
-    states = list(ensemble)
-    n_rep = len(states)
-    if n_rep < 2:
-        raise ValueError(f"correlation decay: at least 2 replicas required, got {n_rep}")
-    if getattr(states[0].velocities, "shape", (0,))[0] < 2:
-        raise ValueError("correlation decay: N >= 2 required for particle pairs")
-    spec = factor if isinstance(factor, ObservableSpec) else ObservableSpec((factor,))
-    if spec.s != 1:
-        raise ValueError(f"correlation decay: a one-particle observable is required, got s={spec.s}")
-
-    means = np.empty(n_rep)
-    pairs = np.empty(n_rep)
-    for i, st in enumerate(states):
-        vals = spec.factors[0].evaluate(st.velocities)
-        n = vals.size
-        total = float(vals.sum())
-        means[i] = total / n
-        pairs[i] = (total * total - float(vals @ vals)) / (n * (n - 1))
-
-    sum_m = float(means.sum())
-    others = (sum_m - means) / (n_rep - 1)
-    cov = float((pairs - means * others).mean())
-    stderr = float((pairs - 2.0 * means * others).std(ddof=1) / math.sqrt(n_rep))
-    return CovarianceEstimate(cov=cov, stderr=stderr, n_replicas=n_rep)

@@ -36,7 +36,7 @@ from .laws import (
 )
 from .meanfield import meanfield_run
 from .picard import angular_nodes, check_angular_resolution, gaussian_grid_density
-from .picard import picard_evolve_toy, uniform_grid_density
+from .picard import picard_solve_toy, uniform_grid_density
 from .runio import (
     chaos_summary,
     run_result_header,
@@ -191,7 +191,7 @@ def cmd_boltzmann(cfg: RunConfig) -> Tuple[dict, dict, int]:
 
     if mf.solver in ("picard", "both"):
         solve_start = time.perf_counter()
-        solved = picard_evolve_toy(
+        solved = picard_solve_toy(
             kernel, f0, mf.t_end, n_iter=mf.grid.n_iter, n_theta=mf.grid.n_theta, n_time=mf.grid.n_time
         )
         density = solved.density

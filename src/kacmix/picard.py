@@ -42,13 +42,12 @@ A per-row factor (a + c v^2) then makes the discrete gain mass and energy
 exactly alpha B_0 M^2 and alpha B_0 M m2, the exact operator's values for an
 angle density that is even in theta, as both kernels are (B_0 = 1).
 
-Node 0 of every Picard iterate is f0, and so is every node of the first,
-so a solve takes the gain of f0 once and then the gain of the n_time later
-nodes per sweep: 1 + (n_iter - 1) n_time rows in all.
-
-The iteration is a contraction only on a short horizon, so the solver
-refuses t_end at or beyond a guard time and tells the caller to sub-step;
-`picard_evolve_toy` does that sub-stepping for any horizon.
+The iteration is a contraction only on a short horizon, so a solve cuts
+t_end into equal sub-steps below a guard time and restarts the iteration
+from the density reached at the end of each.  Node 0 of every Picard iterate
+is the sub-step's initial density, and so is every node of the first, so a
+sub-step takes the gain of that density once and then the gain of the n_time
+later nodes per sweep: 1 + (n_iter - 1) n_time rows in all.
 Mass (the plain h * sum functional) is tracked after every sweep and a drift
 beyond `MASS_TOL_TOY` aborts the solve: it means the grid is too coarse or too
 short for the requested horizon, and silently continuing would return a
@@ -70,7 +69,6 @@ __all__ = [
     "gaussian_grid_density",
     "uniform_grid_density",
     "picard_solve_toy",
-    "picard_evolve_toy",
     "PicardResult",
     "angular_nodes",
     "check_angular_resolution",
@@ -278,23 +276,18 @@ def _polar_gain(L: float, n_v: int, n_theta: int, kernel: str) -> _PolarGain:
     return _PolarGain(L, n_v, n_theta, kernel)
 
 
-def _check_t_end(t_end: float) -> None:
-    if not (t_end >= 0.0 and math.isfinite(t_end)):
-        raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
-
-
 @dataclass(frozen=True)
 class PicardResult:
     """Output of a Picard solve: the final density plus diagnostics.
 
-    `contraction_factors[i]` is the ratio of successive sup-in-time L1
-    increments between sweeps i+1 and i+2; values below 1 certify the
-    iteration contracted on the requested horizon.  `mass_drift` is the
-    worst deviation of the discrete mass from 1 over all time nodes of the
-    final iterate, and `min_value` the most negative grid value produced.
-    A result of `picard_evolve_toy` covers `substeps` restarted solves:
-    `n_iter` counts all their sweeps, the increments and factors are
-    concatenated, and `mass_drift` and `min_value` are the worst over all.
+    A solve runs `substeps` restarted iterations of equal length (none at
+    t_end = 0), and `n_iter` counts the sweeps of all of them.  `increments`
+    holds the sup-in-time L1 increment of every sweep, and
+    `contraction_factors` the ratios of successive increments within each
+    sub-step; values below 1 certify that the iteration contracted.
+    `mass_drift` is the worst deviation of the discrete mass from 1 over all
+    time nodes of all iterates, and `min_value` the most negative grid value
+    produced.
     """
 
     density: GridDensity
@@ -303,7 +296,7 @@ class PicardResult:
     contraction_factors: Tuple[float, ...]
     mass_drift: float
     min_value: float
-    substeps: int = 1
+    substeps: int
 
 
 def picard_solve_toy(
@@ -314,105 +307,76 @@ def picard_solve_toy(
     n_theta: int = 64,
     n_time: int = 32,
 ) -> PicardResult:
-    """Iterate the mild equation to t_end on the grid of f0.
+    """Iterate the mild equation to any horizon t_end on the grid of f0.
 
-    Returns the n_iter-th Picard iterate evaluated at t_end together with
-    contraction and conservation diagnostics.  Raises when t_end reaches the
-    guard horizon (contraction is only guaranteed on short intervals; solve
-    to a shorter time and restart from the result to go further), when
-    n_theta is too small for the kernel, and when the discrete mass drifts
-    beyond MASS_TOL_TOY after any sweep.
+    The horizon is cut into the fewest equal sub-steps no longer than
+    0.8 * T_GUARD_TOY, up to rounding (1.0 is ten sub-steps of 0.1, not ten
+    and a near-empty eleventh).  Each sub-step runs n_iter sweeps restarted
+    from the previous density; t_end = 0 returns f0 without a sweep.  Raises
+    when t_end is negative or not finite, when n_theta is too small for the
+    kernel, and when the discrete mass drifts beyond MASS_TOL_TOY after any
+    sweep.
     """
-    _check_t_end(t_end)
-    if t_end >= T_GUARD_TOY:
-        raise ValueError(
-            f"picard solve: t_end={t_end} is at or beyond the stability horizon "
-            f"t_guard={T_GUARD_TOY}; sub-step instead (solve to t < t_guard, rebuild "
-            f"f0 from the result, and repeat until the target time is reached)"
-        )
+    if not (t_end >= 0.0 and math.isfinite(t_end)):
+        raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
     if n_iter < 1:
         raise ValueError(f"picard solve: n_iter must be >= 1, got {n_iter}")
     if n_time < 1 or n_theta < 1:
         raise ValueError("picard solve: n_time and n_theta must be >= 1")
 
     quad = _polar_gain(f0.L, f0.n_v, n_theta, kernel)
-    f0_vals = f0.value_array()
-    start = PicardResult(f0, 0, (), (), abs(f0.mass() - 1.0), float(f0_vals.min()))
+    mass_drift, min_value = abs(f0.mass() - 1.0), min(f0.values)
     if t_end == 0.0:
-        return start
+        return PicardResult(f0, 0, (), (), mass_drift, min_value, substeps=0)
+    n_steps = max(1, math.ceil(t_end / (0.8 * T_GUARD_TOY) - 1e-9))
+    dt = t_end / n_steps
 
     # Trapezoid weights against the memory kernel: for target node j,
     # weight_ji = dt * exp(-alpha (t_j - t_i)) * (1/2 at i in {0, j}, else 1).
     n_nodes = n_time + 1
-    times = np.linspace(0.0, t_end, n_nodes)
+    times = np.linspace(0.0, dt, n_nodes)
     decay = np.exp(-ALPHA_TOY * times)
-    weights = np.tril(np.exp(-ALPHA_TOY * (times[:, None] - times[None, :]))) * (t_end / n_time)
+    weights = np.tril(np.exp(-ALPHA_TOY * (times[:, None] - times[None, :]))) * (dt / n_time)
     weights[:, 0] *= 0.5
     weights[np.diag_indices(n_nodes)] *= 0.5
     weights[0] = 0.0
 
-    # Every node of the first iterate is f0, and node 0 of every later one
-    # (decay[0] == 1, weights[0] == 0): one gain row of f0 serves them all.
-    iterate = np.tile(f0_vals, (n_nodes, 1))
-    gains = np.tile(quad.gain_batch(f0_vals[None, :]), (n_nodes, 1))
     increments: List[float] = []
-    mass_drift, min_value = start.mass_drift, start.min_value
+    factors: List[float] = []
     h = f0.h
-    for sweep in range(n_iter):
-        if sweep:
-            gains[1:] = quad.gain_batch(iterate[1:])
-        new = decay[:, None] * f0_vals[None, :] + weights @ gains
-        increments.append(h * float(np.abs(new - iterate).sum(axis=1).max()))
-        iterate = new
-        node_mass = h * iterate.sum(axis=1)
-        mass_drift = max(mass_drift, float(np.abs(node_mass - 1.0).max()))
-        min_value = min(min_value, float(iterate.min()))
-        if mass_drift > MASS_TOL_TOY:
-            raise RuntimeError(
-                f"picard solve: mass drifted to {mass_drift:.3e} (> {MASS_TOL_TOY:.1e}) "
-                f"after sweep {sweep + 1}; refine the grid or shorten the horizon"
-            )
+    f = f0
+    for _ in range(n_steps):
+        f_vals = f.value_array()
+        mass_drift = max(mass_drift, abs(f.mass() - 1.0))
+        # Every node of the first iterate is f, and node 0 of every later one
+        # (decay[0] == 1, weights[0] == 0): one gain row of f serves them all.
+        iterate = np.tile(f_vals, (n_nodes, 1))
+        gains = np.tile(quad.gain_batch(f_vals[None, :]), (n_nodes, 1))
+        step: List[float] = []
+        for sweep in range(n_iter):
+            if sweep:
+                gains[1:] = quad.gain_batch(iterate[1:])
+            new = decay[:, None] * f_vals[None, :] + weights @ gains
+            step.append(h * float(np.abs(new - iterate).sum(axis=1).max()))
+            iterate = new
+            node_mass = h * iterate.sum(axis=1)
+            mass_drift = max(mass_drift, float(np.abs(node_mass - 1.0).max()))
+            min_value = min(min_value, float(iterate.min()))
+            if mass_drift > MASS_TOL_TOY:
+                raise RuntimeError(
+                    f"picard solve: mass drifted to {mass_drift:.3e} (> {MASS_TOL_TOY:.1e}) "
+                    f"after sweep {sweep + 1}; refine the grid or shorten the horizon"
+                )
+        increments += step
+        factors += [b / a for a, b in zip(step, step[1:]) if a > 0.0]
+        f = GridDensity(L=f0.L, values=tuple(iterate[-1]))
 
-    factors = tuple(
-        increments[i + 1] / increments[i]
-        for i in range(len(increments) - 1)
-        if increments[i] > 0.0
-    )
     return PicardResult(
-        density=GridDensity(L=f0.L, values=tuple(iterate[-1])),
-        n_iter=n_iter,
+        density=f,
+        n_iter=n_steps * n_iter,
         increments=tuple(increments),
-        contraction_factors=factors,
+        contraction_factors=tuple(factors),
         mass_drift=mass_drift,
         min_value=min_value,
-    )
-
-
-def picard_evolve_toy(
-    kernel: str,
-    f0: GridDensity,
-    t_end: float,
-    n_iter: int = 8,
-    n_theta: int = 64,
-    n_time: int = 32,
-) -> PicardResult:
-    """The solution at any horizon t_end, as equal sub-steps of Picard solves.
-
-    The horizon is cut into the fewest equal sub-steps no longer than
-    0.8 * T_GUARD_TOY (up to rounding), and each sub-step is one `picard_solve_toy` restarted
-    from the previous density.  The count absorbs rounding in t_end (1.0 is
-    ten sub-steps of 0.1, not ten and a near-empty eleventh); t_end = 0
-    returns f0 without a solve.
-    """
-    _check_t_end(t_end)
-    n_steps = math.ceil(t_end / (0.8 * T_GUARD_TOY) - 1e-9)
-    steps = [PicardResult(f0, 0, (), (), abs(f0.mass() - 1.0), min(f0.values))]
-    for _ in range(n_steps):
-        steps.append(picard_solve_toy(
-            kernel, steps[-1].density, t_end=t_end / n_steps, n_iter=n_iter, n_theta=n_theta, n_time=n_time
-        ))
-    return PicardResult(
-        steps[-1].density, sum(r.n_iter for r in steps), sum((r.increments for r in steps), ()),
-        sum((r.contraction_factors for r in steps), ()), max(r.mass_drift for r in steps),
-        min(r.min_value for r in steps), substeps=n_steps,
+        substeps=n_steps,
     )

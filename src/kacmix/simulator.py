@@ -758,9 +758,12 @@ def _check_observers(observers: Sequence[Observer], config: SimConfig) -> None:
     for obs in observers:
         if obs.times[-1] > config.t_end:
             raise ValueError(f"observer time {obs.times[-1]} outside [0, t_end={config.t_end}]")
-        s = max(spec.s for spec in obs.specs) if isinstance(obs, ObservableObserver) else 0
+        specs = obs.specs if isinstance(obs, ObservableObserver) else ()
+        s = max((spec.s for spec in specs), default=0)
         if s > config.N:
             raise ValueError(f"observable order s={s} exceeds N={config.N}")
+        for spec in specs:  # each factor checks its own dimension
+            spec.evaluate(np.zeros((1, spec.s, config.d)))
 
 
 def _run_replicas(

@@ -52,9 +52,7 @@ PUBLIC = {
     "ChaosBudget",
     "ChaosReport",
     "ChaosRow",
-    "CovarianceEstimate",
     "run_chaos_sweep",
-    "correlation_decay",
 }
 
 
@@ -64,5 +62,5 @@ def test_public_names_are_pinned():
         for name in dir(kacmix)
         if not name.startswith("_") and not inspect.ismodule(getattr(kacmix, name))
     }
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 42
     assert exported == PUBLIC, (sorted(exported - PUBLIC), sorted(PUBLIC - exported))

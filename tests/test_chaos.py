@@ -1,4 +1,4 @@
-"""Chaos harness: sweep bookkeeping, reproducibility, correlation diagnostic."""
+"""Chaos harness: sweep bookkeeping and reproducibility."""
 
 import math
 
@@ -11,12 +11,11 @@ from kacmix.chaos import (
     ChaosReport,
     ChaosRow,
     _fit_slope,
-    correlation_decay,
     run_chaos_sweep,
 )
 from kacmix.laws import KacToy, MixtureSpec, SymmetricK
-from kacmix.observables import CosineFactor, ObservableSpec, TanhFactor
-from kacmix.simulator import DeterministicInitial, GaussianInitial, MasterState, UniformBoxInitial
+from kacmix.observables import TanhFactor
+from kacmix.simulator import DeterministicInitial, GaussianInitial, UniformBoxInitial
 
 TOY = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.0, 1.0))
 GAUSS = GaussianInitial()
@@ -189,72 +188,3 @@ def test_fit_slope_recovers_power_law_and_flags_degenerate_input():
     assert math.isnan(slope) and math.isnan(se)
     slope, se = _fit_slope([10, 100], [0.0, 1e-3])
     assert math.isnan(slope)  # a single positive gap cannot fix a line
-
-
-# ---------------------------------------------------------------------------
-# correlation diagnostic
-# ---------------------------------------------------------------------------
-
-
-def _ensemble_from(velocity_arrays):
-    return [MasterState(np.asarray(v, dtype=float)) for v in velocity_arrays]
-
-
-def test_correlation_vanishes_for_iid_velocities():
-    rng = np.random.default_rng(5)
-    ensemble = _ensemble_from(rng.standard_normal((40, 200, 1)))
-    est = correlation_decay(ensemble, TanhFactor())
-    assert est.n_replicas == 40
-    assert est.stderr > 0.0
-    assert abs(est.cov) <= 4.0 * est.stderr
-
-
-def test_correlation_stderr_is_calibrated_on_iid_data():
-    """cov / stderr spreads about 1 across seeds for a factor of nonzero mean;
-    counting each replica's mean once in the spread gave 0.15 here."""
-    z = []
-    for seed in range(400):
-        rng = np.random.default_rng(seed)
-        est = correlation_decay(_ensemble_from(rng.standard_normal((32, 50, 1))), CosineFactor((1.0,)))
-        z.append(est.cov / est.stderr)
-    assert 0.8 <= np.std(z, ddof=1) <= 1.4
-
-
-def test_correlation_detects_fully_correlated_replicas():
-    rng = np.random.default_rng(6)
-    # all particles within a replica share one velocity: cov = Var(tanh V) > 0
-    shared = rng.standard_normal((60, 1, 1))
-    ensemble = _ensemble_from(np.repeat(shared, 50, axis=1))
-    est = correlation_decay(ensemble, TanhFactor())
-    assert est.cov > 5.0 * est.stderr
-    assert est.cov == pytest.approx(np.tanh(shared[:, 0, 0]).var(ddof=0), rel=0.5)
-
-
-def test_correlation_identical_replicas_have_zero_spread():
-    base = np.linspace(-1.0, 1.0, 30).reshape(30, 1)
-    ensemble = _ensemble_from([base, base, base, base])
-    est = correlation_decay(ensemble, TanhFactor())
-    assert est.stderr == 0.0
-    assert math.isfinite(est.cov)
-
-
-def test_correlation_accepts_single_factor_spec():
-    rng = np.random.default_rng(7)
-    ensemble = _ensemble_from(rng.standard_normal((8, 20, 1)))
-    spec = ObservableSpec((CosineFactor((1.0,)),))
-    est = correlation_decay(ensemble, spec)
-    assert math.isfinite(est.cov)
-
-
-def test_correlation_validation_errors():
-    rng = np.random.default_rng(8)
-    one = _ensemble_from(rng.standard_normal((1, 20, 1)))
-    with pytest.raises(ValueError, match="at least 2 replicas"):
-        correlation_decay(one, TanhFactor())
-    tiny = _ensemble_from(rng.standard_normal((4, 1, 1)))
-    with pytest.raises(ValueError, match="N >= 2"):
-        correlation_decay(tiny, TanhFactor())
-    pair_spec = ObservableSpec((TanhFactor(), TanhFactor()))
-    good = _ensemble_from(rng.standard_normal((4, 20, 1)))
-    with pytest.raises(ValueError, match="one-particle"):
-        correlation_decay(good, pair_spec)

@@ -219,8 +219,25 @@ def test_simulate_rejects_system_smaller_than_max_order(tmp_path, capsys):
         ("simulate", dict(simulate_doc(), initial={"kind": "deterministic", "velocities": [[1.0]]}), "shape"),
         ("boltzmann", {"mixture": TOY_MIXTURE, "meanfield": {"n": 1, "t_end": 0.1}}, "N >= M"),
         ("chaos", {"mixture": TOY_MIXTURE, "chaos": {"N_grid": [1, 8], "t_list": [0.1]}}, "N >= M"),
+        (
+            "simulate",
+            dict(simulate_doc(), observables=[{"kind": "cos", "xi": [1, 1]}]),
+            "sim: cos[1,1]: points have d=1, frequency has d=2",
+        ),
+        (
+            "chaos",
+            {
+                "mixture": TOY_MIXTURE,
+                "chaos": {
+                    "N_grid": [8, 16],
+                    "t_list": [0.1],
+                    "factors": [{"kind": "box", "lower": [-1, -1], "upper": [1, 1]}],
+                },
+            },
+            "chaos: box[-1,-1:1,1]: bounds have length 2, points have d=1",
+        ),
     ],
-    ids=["order", "time", "times", "deterministic", "meanfield", "chaos"],
+    ids=["order", "time", "times", "deterministic", "meanfield", "chaos", "factor-dim", "chaos-factor-dim"],
 )
 def test_faults_across_sections_are_config_errors(tmp_path, capsys, command, doc, message):
     """Checks that join sections run before the engine: exit 2, and nothing is written."""

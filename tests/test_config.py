@@ -31,7 +31,7 @@ FULL_TEXT = """{
  "meanfield": {"n": 64, "t_end": 0.5, "solver": "both", "grid": {"n_v": 65}},
  "observables": [
   {"kind": "tanh", "a": 0.5, "s": 2},
-  {"kind": "cos", "xi": [1.0, 2.0]},
+  {"kind": "cos", "xi": [2.0]},
   {"kind": "box", "lower": [-1.0], "upper": [1.0]}
  ],
  "chaos": {"N_grid": [8, 16], "t_list": [0.5], "budget": {"ref_factor": 2}},
@@ -165,7 +165,7 @@ def test_full_document_builds_every_section():
     assert cfg.meanfield.solver == "both" and cfg.meanfield.grid.n_v == 65
     assert cfg.meanfield.grid.L == 8.0  # untouched grid keys keep defaults
     names = [spec.name for spec in cfg.observables]
-    assert names == ["tanh[0.5]*tanh[0.5]", "cos[1,2]", "box[-1:1]"]
+    assert names == ["tanh[0.5]*tanh[0.5]", "cos[2]", "box[-1:1]"]
     assert cfg.chaos.N_grid == (8, 16) and cfg.chaos.budget.ref_factor == 2
     assert cfg.chaos.budget.samples_per_point == 250_000
     assert cfg.chaos.pass_threshold == 0.95
@@ -202,7 +202,8 @@ def test_omitted_keys_take_the_class_defaults():
     cfg = parse_config(
         '{"mixture": {"laws": [{"kind": "symmetric_k", "k": 1}, {"kind": "binary_maxwell"}],'
         ' "beta": [0.0, 1.0]},'
-        ' "meanfield": {"n": 8, "t_end": 1.0}, "chaos": {"N_grid": [8], "t_list": [0.5]}}'
+        ' "meanfield": {"n": 8, "t_end": 1.0},'
+        ' "chaos": {"N_grid": [8], "t_list": [0.5], "factors": [{"kind": "tanh"}]}}'
     )
     assert cfg.mixture.laws[1] == BinaryMaxwell()
     assert cfg.meanfield.grid == PicardGrid()

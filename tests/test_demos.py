@@ -10,7 +10,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 # script stem -> (first line of its output, text of its last table's title)
 TABLES = {
     "relaxation": ("fourth moment, two-point initial data", "m2 drift across the run:"),
-    "chaos_sweep": ("N-particle marginals vs the tensorized", "pair covariance of tanh(v)"),
+    "chaos_sweep": ("N-particle marginals vs the tensorized", "pair gap E[v1^2 v2^2] - mu2^2"),
     "hierarchy_tour": ("pair/triple mixture: M=2", "integral remainder factor"),
 }
 

@@ -294,3 +294,46 @@ def test_mixed_orders_follow_the_limit_closure(engine, monkeypatch):
     monkeypatch.setattr(MixtureSpec, "order_from_uniform", biased)
     monkeypatch.setattr(MixtureSpec, "order_from_uniform_sizebiased", plain)
     assert half_mix_misses(engine)
+
+
+def toy_m4_finite_n(t, n, mu2=1.0, mu4=9.0 / 5.0):
+    """Exact E v_1^4 of the N-particle `KacToy` process from iid even data of moments mu2, mu4.
+
+    Particle 1 collides at rate 2, and the angle average gives
+    dm4/dt = (3/2) q - (1/2) m4 with q = E v_1^2 v_2^2.  The energy is
+    conserved along every path, so exchangeability gives
+    q = mu2^2 + (mu4 - m4) / (N - 1), and m4_N(t) = m4* + (mu4 - m4*) e^(-B t)
+    with B = 1/2 + 3 / (2 (N - 1)) and m4* = (3 mu2^2 (N - 1) + 3 mu4) / (N + 2).
+    """
+    rate = 0.5 + 1.5 / (n - 1)
+    m4_star = (3.0 * mu2**2 * (n - 1) + 3.0 * mu4) / (n + 2)
+    return m4_star + (mu4 - m4_star) * math.exp(-rate * t)
+
+
+def finite_n_misses():
+    """(N, t, channel, z) where the N-particle engine misses the exact finite-N m4 or pair_v2v2 by 4 sigma."""
+    times = [0.0, 1.0, 3.0]
+    misses = []
+    for n, replicas in ((6, 4000), (20, 2000)):
+        cfg = SimConfig(N=n, mixture=TOY_MIX, t_end=3.0, seed=41, replicas=replicas, initial=UNIFORM)
+        series = run(cfg, [MomentObserver(times)]).series[0]
+        for ti, t in enumerate(times):
+            m4 = toy_m4_finite_n(t, n)
+            exact = {"m4": m4, "pair_v2v2": 1.0 + (9.0 / 5.0 - m4) / (n - 1)}
+            for channel, value in exact.items():
+                z = (series.mean(channel)[ti] - value) / series.stderr(channel)[ti]
+                if abs(z) > 4.0:
+                    misses.append((n, t, channel, float(z)))
+    return misses
+
+
+def test_n_particle_engine_follows_the_exact_finite_n_closure(monkeypatch):
+    """m4 and pair_v2v2 at N = 6 and 20 against their exact finite-N means, with no 1/N slack.
+
+    The limit closure (`toy_m4`) reads about 9 sigma off at N = 6, t = 3, so
+    the gate tells the finite-N process from its limit; an engine that
+    applies nothing stays at m4 = 9/5 and fails it.
+    """
+    assert finite_n_misses() == []
+    monkeypatch.setattr(KacToy, "apply", lambda self, angle, group: group)
+    assert finite_n_misses()

@@ -21,7 +21,6 @@ from kacmix.picard import (
     ALPHA_TOY,
     GridDensity,
     gaussian_grid_density,
-    picard_evolve_toy,
     picard_solve_toy,
     uniform_grid_density,
 )
@@ -343,35 +342,37 @@ def test_kernels_differ_on_asymmetric_data():
 
 
 def test_evolve_across_substeps_matches_closed_form():
-    """Two restarted solves of 0.1 follow the m4 relaxation from uniform data,
-    on one gain operator built for the first and reused by the second."""
+    """Two restarted sub-steps of 0.1 follow the m4 relaxation from uniform data,
+    on one gain operator built once for the whole solve."""
     f0 = uniform_grid_density(math.sqrt(3.0), n_v=97)
     t = 0.2
     picard._polar_gain.cache_clear()
-    res = picard_evolve_toy("uniform", f0, t_end=t, n_iter=6, n_theta=32, n_time=16)
+    res = picard_solve_toy("uniform", f0, t_end=t, n_iter=6, n_theta=32, n_time=16)
     info = picard._polar_gain.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
     assert (res.substeps, res.n_iter) == (2, 12)
     assert res.mass_drift <= 1e-4
     target = m4_closed_form(f0.moment(2), f0.moment(4), t)
     assert abs(res.density.moment(4) - target) <= 0.03, (res.density.moment(4), target)
 
 
-@pytest.mark.parametrize("t_end, n_solves", [(0.0, 0), (0.4, 4), (1.0, 10)])
-def test_evolve_substep_count(monkeypatch, t_end, n_solves):
+def test_one_solve_equals_chained_solves():
+    """A solve to 0.2 restarts at 0.1 exactly as a second solve from the first's density."""
+    f0 = uniform_grid_density(math.sqrt(3.0), n_v=97)
+    grid = dict(n_iter=6, n_theta=32, n_time=16)
+    whole = picard_solve_toy("uniform", f0, t_end=0.2, **grid)
+    first = picard_solve_toy("uniform", f0, t_end=0.1, **grid)
+    second = picard_solve_toy("uniform", first.density, t_end=0.1, **grid)
+    assert whole.density.values == second.density.values
+    assert whole.increments == first.increments + second.increments
+    assert whole.contraction_factors == first.contraction_factors + second.contraction_factors
+
+
+@pytest.mark.parametrize("t_end, substeps", [(0.0, 0), (0.4, 4), (1.0, 10)])
+def test_evolve_substep_count(t_end, substeps):
     """Sub-steps are counted robustly: no trailing solve over a rounding remainder."""
-    lengths = []
-
-    def counting_solve(kernel, f, t_end, **grid):
-        lengths.append(t_end)
-        return picard.PicardResult(f, 1, (), (), 0.0, 0.0)
-
-    monkeypatch.setattr(picard, "picard_solve_toy", counting_solve)
-    f0 = small_gaussian(n_v=33)
-    res = picard_evolve_toy("uniform", f0, t_end)
-    assert res.density is f0
-    assert (res.substeps, res.n_iter) == (n_solves, n_solves)
-    assert lengths == [0.1] * n_solves
+    res = picard_solve_toy("uniform", small_gaussian(n_v=33), t_end, n_iter=2, n_theta=4, n_time=32)
+    assert (res.substeps, res.n_iter, len(res.increments)) == (substeps, 2 * substeps, 2 * substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +380,10 @@ def test_evolve_substep_count(monkeypatch, t_end, n_solves):
 # ---------------------------------------------------------------------------
 
 
-def test_horizon_guard():
-    with pytest.raises(ValueError, match="sub-step"):
-        picard_solve_toy("uniform", small_gaussian(), t_end=0.2, **SMALL)
-
-
 @pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
 def test_evolve_rejects_a_negative_or_non_finite_horizon(t_end):
     with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
-        picard_evolve_toy("uniform", small_gaussian(n_v=33), t_end)
+        picard_solve_toy("uniform", small_gaussian(n_v=33), t_end)
 
 
 def test_t_end_zero_returns_initial_density():
