@@ -37,7 +37,6 @@ from .laws import MixtureSpec
 from .meanfield import meanfield_run
 from .observables import ObservableSpec
 from .simulator import (
-    ESTIMATOR_MODES,
     DeterministicInitial,
     InitialLaw,
     ObservableObserver,
@@ -54,6 +53,10 @@ __all__ = [
     "run_chaos_sweep",
 ]
 
+# A cell whose combined standard error exceeds this is flagged as
+# underpowered (a warning, never a failure).
+STDERR_TARGET = 2e-3
+
 
 @dataclass(frozen=True)
 class ChaosBudget:
@@ -62,15 +65,12 @@ class ChaosBudget:
     `samples_per_point` is the target particle-sample count N * replicas at
     each grid point, so smaller systems get proportionally more replicas;
     `ref_factor` scales the mean-field ensemble relative to the largest N.
-    A cell whose combined standard error exceeds `stderr_target` is flagged
-    as underpowered (a warning, never a failure).
     """
 
     samples_per_point: int = 250_000
     min_replicas: int = 8
     ref_factor: int = 10
     ref_replicas: int = 16
-    stderr_target: float = 2e-3
 
     def replicas_for(self, n: int) -> int:
         return max(self.min_replicas, -(-self.samples_per_point // n))
@@ -161,10 +161,8 @@ def _fit_slope(n_values: Sequence[int], deltas: Sequence[float]) -> Tuple[float,
     return slope, se
 
 
-def _check_sweep(mixture, initial, n_grid, s_vals, times, factors, mode) -> None:
+def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> None:
     """The sweep's checks of its inputs, made before any run starts."""
-    if mode not in ESTIMATOR_MODES:
-        raise ValueError(f"chaos sweep: unknown estimator mode {mode!r}, expected {ESTIMATOR_MODES}")
     if not n_grid or not s_vals or not times or not list(factors):
         raise ValueError("chaos sweep: N_grid, s_list, t_list and factors must be nonempty")
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
@@ -198,21 +196,20 @@ def run_chaos_sweep(
     factors: Sequence,
     budget: ChaosBudget = ChaosBudget(),
     seed: int = 0,
-    mode: str = "all",
 ) -> ChaosReport:
     """Sweep system sizes and compare marginals against the tensorized limit.
 
     `factors` are single-velocity bounded primitives; for each factor g and
     each s in s_list the harness forms the product observable g(v_1)...g(v_s),
-    estimates it on the N-particle ensembles, and compares against the same
-    product averaged over distinct s-tuples of a single large mean-field run
+    averages it over the distinct s-tuples of each N-particle replica, and
+    compares against the same average over a single large mean-field run
     (n = ref_factor * max N).  Every run draws its seed from one spawning
     sequence, so the whole report is reproducible from (inputs, seed).
     """
     n_grid = [int(n) for n in N_grid]
     s_vals = [int(s) for s in s_list]
     times = [float(t) for t in t_list]
-    _check_sweep(mixture, initial, n_grid, s_vals, times, factors, mode)
+    _check_sweep(mixture, initial, n_grid, s_vals, times, factors)
     t_end = times[-1]
 
     specs = {
@@ -233,7 +230,7 @@ def run_chaos_sweep(
         t_end=t_end,
         seed=seeds[0],
         replicas=budget.ref_replicas,
-        observers=[ObservableObserver(times, all_specs, mode="all")],
+        observers=[ObservableObserver(times, all_specs)],
     )
     ref_ser = ref.series[0]
 
@@ -249,7 +246,7 @@ def run_chaos_sweep(
             replicas=budget.replicas_for(n),
             initial=initial,
         )
-        result = run(config, [ObservableObserver(times, all_specs, mode=mode)])
+        result = run(config, [ObservableObserver(times, all_specs)])
         runs.append(result)
         ser = result.series[0]
         for fi in range(len(factors)):
@@ -275,7 +272,7 @@ def run_chaos_sweep(
                             mf_stderr=mf_se,
                             delta=delta,
                             pass_3sigma=delta <= 3.0 * combined,
-                            underpowered=combined > budget.stderr_target,
+                            underpowered=combined > STDERR_TARGET,
                         )
                     )
                     deltas.setdefault((s, t, name), []).append(delta)

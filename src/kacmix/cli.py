@@ -123,7 +123,7 @@ def cmd_simulate(cfg: RunConfig) -> Tuple[dict, dict, int]:
     sim = cfg.require("sim")
     observers = [MomentObserver(sim.times)]
     if cfg.observables:
-        observers.append(ObservableObserver(sim.times, cfg.observables, mode=sim.estimator))
+        observers.append(ObservableObserver(sim.times, cfg.observables))
     config = SimConfig(
         N=sim.N,
         mixture=mixture,
@@ -250,7 +250,6 @@ def cmd_chaos(cfg: RunConfig) -> Tuple[dict, dict, int]:
         factors=chaos.factors,
         budget=chaos.budget,
         seed=cfg.seed,
-        mode=chaos.estimator,
     )
     outputs = {
         "chaos.csv": (len(report.rows), lambda path: write_chaos_csv(path, report)),

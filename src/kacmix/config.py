@@ -37,7 +37,6 @@ from .laws import (
 )
 from .observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
 from .simulator import (
-    ESTIMATOR_MODES,
     DeterministicInitial,
     GaussianInitial,
     InitialLaw,
@@ -365,7 +364,8 @@ def _ensemble(o: _Obj, size: str) -> tuple:
 
 def _build_sim(o: _Obj) -> SimSection:
     ensemble = _ensemble(o, "N")
-    return o.build(SimSection, *ensemble, o.text("estimator", "first", choices=ESTIMATOR_MODES))
+    # `estimator` accepts only "all"; benchmarks/child.py is its last reader.
+    return o.build(SimSection, *ensemble, o.text("estimator", "all", choices=("all",)))
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,6 @@ class ChaosSection:
     factors: Tuple[Any, ...]
     budget: ChaosBudget
     pass_threshold: float
-    estimator: str
 
 
 def _chaos_factor(o: _Obj) -> Any:
@@ -432,7 +431,6 @@ def _build_budget(o: _Obj) -> ChaosBudget:
         min_replicas=o.integer("min_replicas", ChaosBudget.min_replicas, minimum=2),
         ref_factor=o.integer("ref_factor", ChaosBudget.ref_factor, minimum=1),
         ref_replicas=o.integer("ref_replicas", ChaosBudget.ref_replicas, minimum=2),
-        stderr_target=o.number("stderr_target", ChaosBudget.stderr_target, minimum=0.0),
     )
 
 
@@ -446,8 +444,7 @@ def _build_chaos(o: _Obj) -> ChaosSection:
     threshold = o.number("pass_threshold", 0.95, minimum=0.0)
     if threshold > 1.0:
         raise o.fail(f"must be <= 1, got {threshold}", "pass_threshold")
-    estimator = o.text("estimator", "all", choices=ESTIMATOR_MODES)
-    return o.build(ChaosSection, n_grid, s_list, t_list, factors, budget, threshold, estimator)
+    return o.build(ChaosSection, n_grid, s_list, t_list, factors, budget, threshold)
 
 
 @dataclass(frozen=True)
@@ -554,9 +551,7 @@ def _check_runs(o: _Obj, cfg: RunConfig, mixture: MixtureSpec) -> None:
             _check_observers([Observer(mf.times)], config)
         if chaos is not None:
             section = "chaos"
-            _check_sweep(
-                mixture, cfg.initial, chaos.N_grid, chaos.s_list, chaos.t_list, chaos.factors, chaos.estimator
-            )
+            _check_sweep(mixture, cfg.initial, chaos.N_grid, chaos.s_list, chaos.t_list, chaos.factors)
     except ValueError as exc:
         raise o.fail(str(exc), section) from None
 

@@ -3,8 +3,8 @@
 An observable of order ``s`` is a product of ``s`` per-slot factors, each a
 bounded function of a single velocity in R^d.  Marginal pairings are always
 estimated against such products, so the product structure is part of the
-contract here rather than an optimization: every estimator in
-:mod:`kacmix.simulator` may assume the observable factorizes slot by slot.
+contract here rather than an optimization: the all-slot average in
+:mod:`kacmix.simulator` is built from particle sums of factor products.
 
 All factors have sup-norm at most 1, which keeps every Monte-Carlo estimate
 in [-1, 1] and makes 3-sigma acceptance thresholds meaningful without
@@ -38,6 +38,8 @@ def _fmt_vec(xs) -> str:
 class CosineFactor:
     """cos(xi . v) for a fixed frequency vector xi in R^d.
 
+    A one-entry frequency is shared by all d coordinates, as a box's scalar
+    bounds are, so cos[1] reads cos(v_1 + ... + v_d) in any dimension.
     With xi = 0 this is the constant 1, which is the canonical way to build
     a trivial observable (useful for normalization checks).
     """
@@ -56,6 +58,8 @@ class CosineFactor:
         """Evaluate on points of shape (..., d); returns shape (...)."""
         pts = np.asarray(points, dtype=float)
         xi = np.asarray(self.xi, dtype=float)
+        if xi.shape[0] == 1:
+            xi = np.repeat(xi, pts.shape[-1])
         if pts.shape[-1] != xi.shape[0]:
             raise ValueError(
                 f"{self.label}: points have d={pts.shape[-1]}, frequency has d={xi.shape[0]}"

@@ -55,8 +55,6 @@ __all__ = [
     "engine_metrics",
 ]
 
-ESTIMATOR_MODES = ("first", "random", "all")
-
 
 # ---------------------------------------------------------------------------
 # initial laws
@@ -396,8 +394,8 @@ class Observer:
     Subclasses define the channel names and how a group of snapshots maps to
     one value per replica and channel.  The run driver calls `collect` once
     per (replica group, time), in time order, with the group's velocities
-    (G, N, d), each replica's event count (G,) and the group's generator,
-    and takes back a (G, channels) array.
+    (G, N, d) and each replica's event count (G,), and takes back a
+    (G, channels) array.
     """
 
     def __init__(self, times: Sequence[float]):
@@ -414,7 +412,7 @@ class Observer:
     def channel_names(self) -> Tuple[str, ...]:
         raise NotImplementedError
 
-    def collect(self, velocities: np.ndarray, events: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def collect(self, velocities: np.ndarray, events: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -475,7 +473,7 @@ class MomentObserver(Observer):
     def channel_names(self) -> Tuple[str, ...]:
         return MOMENT_CHANNELS
 
-    def collect(self, velocities, events, rng):
+    def collect(self, velocities, events):
         return moment_channels(velocities, events)
 
 
@@ -513,28 +511,23 @@ def _partition_terms(ids: Sequence[int]) -> Tuple[Tuple[float, tuple], ...]:
 class ObservableObserver(Observer):
     """Records marginal-observable readings at each sample time.
 
-    `mode` selects which particle slots feed each observable:
-
-    * ``"first"``: the first s slots of the state,
-    * ``"random"``: a fresh uniform ordered draw of s distinct slots per
-      reading (consumes the group's stream, so it stays reproducible),
-    * ``"all"``: the exchangeable average over every ordered s-tuple of
-      distinct slots, in closed form from particle sums of factor products:
-      O(2^s) partition terms per spec, fixed when the observer is built, and
-      one pass over the ensemble per distinct block, shared by all specs.
-
-    All three have the same expectation by exchangeability; "all" has by far
-    the smallest variance and is the right choice for convergence studies.
+    Each reading of a spec of order s is its average over every ordered
+    s-tuple of distinct particles of a replica: the pairing with the
+    s-particle marginal of the symmetrized state, which for an exchangeable
+    law is the s-particle marginal itself.  It is computed in closed form
+    from particle sums of factor products: O(2^s) partition terms per spec,
+    fixed when the observer is built, and one pass over the ensemble per
+    distinct block, shared by all specs.
     """
 
-    def __init__(self, times: Sequence[float], specs: Sequence[ObservableSpec], mode: str = "first"):
+    # `mode` accepts only "all"; benchmarks/child.py is its last caller.
+    def __init__(self, times: Sequence[float], specs: Sequence[ObservableSpec], mode: str = "all"):
         super().__init__(times)
         self.specs: Tuple[ObservableSpec, ...] = tuple(specs)
         if len(self.specs) == 0:
             raise ValueError("observable observer: at least one observable is required")
-        if mode not in ESTIMATOR_MODES:
-            raise ValueError(f"observable observer: unknown mode {mode!r}, expected {ESTIMATOR_MODES}")
-        self.mode = mode
+        if mode != "all":
+            raise ValueError(f"observable observer: unknown mode {mode!r}, expected 'all'")
         self._factors: list = []  # the distinct factors of all specs
         self._terms = tuple(
             _partition_terms([self._factor_id(f) for f in spec.factors]) for spec in self.specs
@@ -551,23 +544,7 @@ class ObservableObserver(Observer):
     def channel_names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.specs)
 
-    def collect(self, velocities, events, rng):
-        g, n = velocities.shape[:2]
-        if self.mode == "all":
-            return self._all_slots(velocities)
-        out = np.empty((g, len(self.specs)))
-        for c, spec in enumerate(self.specs):
-            if self.mode == "first":
-                groups = velocities[:, : spec.s]
-            else:
-                idx = _index_rows(rng, g, n, spec.s)
-                groups = velocities[np.arange(g)[:, None], idx]
-            # one (1, s, d) stack per replica: a factor's matrix products then
-            # have the same shape, hence the same rounding, whatever G is
-            out[:, c] = spec.evaluate(groups[:, None])[:, 0]
-        return out
-
-    def _all_slots(self, velocities: np.ndarray) -> np.ndarray:
+    def collect(self, velocities, events):
         """Average of each spec over all ordered distinct s-tuples, per replica."""
         g, n = velocities.shape[:2]
         values = [f.evaluate(velocities) for f in self._factors]  # (G, N) each
@@ -652,7 +629,7 @@ def _drive(
         counts = events.sum(axis=1)
         while ptr < len(schedule) and schedule[ptr][0] <= t:
             _, oi, ti = schedule[ptr]
-            readings[oi][:, ti] = observers[oi].collect(velocities, counts, rng)
+            readings[oi][:, ti] = observers[oi].collect(velocities, counts)
             ptr += 1
     return readings, events
 

@@ -336,7 +336,6 @@ def _criterion10_pipeline(out_path) -> tuple:
         factors=[TanhFactor(), CosineFactor((1.0,))],
         budget=ChaosBudget(),
         seed=1010,
-        mode="all",
     )
     write_chaos_csv(out_path, report)
     return report, out_path.read_bytes()

@@ -137,13 +137,13 @@ def test_sweep_rejects_duplicate_factor_labels():
         small_sweep(factors=[TanhFactor(), TanhFactor()])
 
 
-def test_sweep_rejects_unknown_mode_before_any_run(monkeypatch):
+def test_sweep_checks_its_inputs_before_any_run(monkeypatch):
     def no_reference_run(*args, **kwargs):
-        pytest.fail("the mean-field reference ran before the mode was checked")
+        pytest.fail("the mean-field reference ran before the inputs were checked")
 
     monkeypatch.setattr(chaos, "meanfield_run", no_reference_run)
-    with pytest.raises(ValueError, match="'bogus'"):
-        small_sweep(mode="bogus")
+    with pytest.raises(ValueError, match="distinct"):
+        small_sweep(factors=[TanhFactor(), TanhFactor()])
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_full_document_builds_every_section():
     assert cfg.mixture.beta == (0.0, 1.0)
     assert isinstance(cfg.initial, TwoPointInitial) and cfg.initial.a == 2.0
     assert cfg.sim.N == 16 and cfg.sim.times == (0.25, 0.5)
-    assert cfg.sim.estimator == "first"
+    assert cfg.sim.estimator == "all"
     assert cfg.meanfield.solver == "both" and cfg.meanfield.grid.n_v == 65
     assert cfg.meanfield.grid.L == 8.0  # untouched grid keys keep defaults
     names = [spec.name for spec in cfg.observables]
@@ -202,8 +202,7 @@ def test_omitted_keys_take_the_class_defaults():
     cfg = parse_config(
         '{"mixture": {"laws": [{"kind": "symmetric_k", "k": 1}, {"kind": "binary_maxwell"}],'
         ' "beta": [0.0, 1.0]},'
-        ' "meanfield": {"n": 8, "t_end": 1.0},'
-        ' "chaos": {"N_grid": [8], "t_list": [0.5], "factors": [{"kind": "tanh"}]}}'
+        ' "meanfield": {"n": 8, "t_end": 1.0}, "chaos": {"N_grid": [8], "t_list": [0.5]}}'
     )
     assert cfg.mixture.laws[1] == BinaryMaxwell()
     assert cfg.meanfield.grid == PicardGrid()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacmix.cli import BUILTIN_LAWS
 from kacmix.laws import (
     BinaryMaxwell,
     KacToy,
@@ -246,6 +247,47 @@ def test_uniform_kernel_mean_cos_is_zero():
 def test_unknown_kernel_rejected():
     with pytest.raises(ValueError, match="unknown kernel"):
         KacToy(kernel="vhs")
+
+
+# ---------------------------------------------------------------------------
+# exact means over the angle
+# ---------------------------------------------------------------------------
+
+
+def _fixed_group(law):
+    """A (K, d) group with distinct, nonzero entries and a nonzero slot mean."""
+    return np.linspace(-1.3, 2.1, law.order * law.dim).reshape(law.order, law.dim)
+
+
+def _exact_mean(law, v):
+    """E_omega[T^omega V] in closed form, from the second moments of the angle law."""
+    k, d = law.order, law.dim
+    if isinstance(law, SymmetricKMomentum):  # E omega omega^T: the zero-sum projection / (d (k - 1))
+        return v - 2.0 * (v - v.mean(axis=0)) / (d * (k - 1))
+    if isinstance(law, SymmetricK):  # E omega omega^T = I / (d k)
+        return (1.0 - 2.0 / (d * k)) * v
+    if isinstance(law, BinaryMaxwell):  # E omega omega^T = I / d
+        return np.stack([v[0] + (v[1] - v[0]) / d, v[1] - (v[1] - v[0]) / d])
+    return {"uniform": 0.0, "raised_cosine": 0.5}[law.kernel] * v  # E sin = 0
+
+
+def test_mean_of_each_law_is_exact():
+    """Every coordinate of the mean over 1e5 angles is within 5 standard errors of its closed form.
+
+    Unlike the H2/H3 checks, which compare two samples of the same law, this
+    fails a reflection law that returns its input, a pair law that swaps its
+    slots in d > 1, and a rotation that does not turn.
+    """
+    rng = np.random.default_rng(2024)
+    n = 10**5
+    for law in BUILTIN_LAWS:
+        v = _fixed_group(law)
+        out = law.apply(law.sample_angle(rng, n), np.broadcast_to(v, (n,) + v.shape))
+        # centred first: a law with a constant output (d = 1 reflections) then
+        # sums zeros, not 1e5 copies of a value with their rounding
+        dev = out - _exact_mean(law, v)
+        gap, stderr = np.abs(dev.mean(axis=0)), dev.std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(gap <= 5.0 * stderr + 1e-12), (law.describe, gap, stderr)
 
 
 # ---------------------------------------------------------------------------

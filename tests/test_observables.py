@@ -29,6 +29,11 @@ def test_cosine_factor_multidim():
     # xi = 0 degenerates to the constant 1
     zero = CosineFactor((0.0,))
     assert np.allclose(zero.evaluate(np.array([[3.2], [-1.1]])), 1.0)
+    # a one-entry frequency is shared by every coordinate, as a box's scalar bounds are
+    pts3 = np.array([[0.3, -1.2, 2.0], [1.0, 1.0, 1.0]])
+    assert np.array_equal(CosineFactor((1.0,)).evaluate(pts3), CosineFactor((1.0, 1.0, 1.0)).evaluate(pts3))
+    with pytest.raises(ValueError, match="frequency has d=2"):
+        f.evaluate(pts3)
 
 
 def test_box_factor_indicator():

@@ -298,8 +298,8 @@ def test_all_mode_equals_ordered_tuple_enumeration(s):
     rng = np.random.default_rng(11)
     velocities = rng.standard_normal((7, 1))
     spec = ObservableSpec(tuple([TanhFactor()] * s))
-    observer = ObservableObserver([0.0], [spec], mode="all")
-    fast = observer.collect(velocities[None], np.zeros(1), None)[0, 0]
+    observer = ObservableObserver([0.0], [spec])
+    fast = observer.collect(velocities[None], np.zeros(1))[0, 0]
     slow = brute_force_all_mode(spec, velocities)
     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
 
@@ -309,10 +309,10 @@ def test_all_mode_mixed_factors_on_stacked_replicas():
     cos = CosineFactor((0.8, -0.4))
     chain = (cos, TanhFactor(0.6), cos, BoxFactor((-1.0, -0.5), (1.2, 1.0)))
     specs = [ObservableSpec(chain[:s]) for s in range(1, 5)]
-    observer = ObservableObserver([0.0], specs, mode="all")
+    observer = ObservableObserver([0.0], specs)
     rng = np.random.default_rng(14)
     stack = rng.standard_normal((5, 6, 2))
-    readings = observer.collect(stack, np.zeros(5), None)
+    readings = observer.collect(stack, np.zeros(5))
     assert readings.shape == (5, 4)
     for g, velocities in enumerate(stack):
         for c, spec in enumerate(specs):
@@ -320,30 +320,9 @@ def test_all_mode_mixed_factors_on_stacked_replicas():
             assert readings[g, c] == pytest.approx(slow, rel=1e-12, abs=1e-14), (g, spec.name)
 
 
-def test_estimator_modes_agree_for_exchangeable_states():
-    """first/random/all estimate the same marginal pairing on iid ensembles."""
-    cfg = SimConfig(N=30, mixture=TOY_MIX, t_end=0.5, seed=12, replicas=400)
-    result = run(cfg, [MomentObserver([0.5])], keep_final=True)
-    spec = ObservableSpec((TanhFactor(), TanhFactor()))
-
-    states = np.stack([st.velocities for st in result.final_states])
-
-    def estimate(mode, rng=None):
-        observer = ObservableObserver([0.5], [spec], mode=mode)
-        vals = observer.collect(states, np.zeros(len(states)), rng)[:, 0]
-        return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
-
-    first_mean, first_se = estimate("first")
-    rand_mean, rand_se = estimate("random", np.random.default_rng(13))
-    all_mean, all_se = estimate("all")
-    assert abs(first_mean - all_mean) <= 3 * (first_se + all_se)
-    assert abs(rand_mean - all_mean) <= 3 * (rand_se + all_se)
-    assert all_se < first_se  # averaging over slots reduces noise
-
-
 def test_observable_order_larger_than_state_rejected():
     spec = ObservableSpec(tuple([TanhFactor()] * 4))
-    observer = ObservableObserver([0.0], [spec], mode="first")
+    observer = ObservableObserver([0.0], [spec])
     config = SimConfig(N=3, mixture=TOY_MIX, t_end=0.0, seed=0)
     with pytest.raises(ValueError, match="exceeds N"):  # before any replica starts
         run(config, [observer])
