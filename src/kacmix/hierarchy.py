@@ -286,6 +286,9 @@ def verify_trace_identity(
         raise ValueError(f"trace identity: n_samples must be >= 2, got {n_samples}")
     gen = rng if rng is not None else np.random.default_rng()
 
+    # A collision changes only the first n_overlap observed slots, so each
+    # side's probe change is the untouched factor prod_{j > n} tanh(.) times
+    # the change of prod_{j <= n} tanh(.).
     sums = np.zeros(3)  # A, B, D = A - B
     sums_sq = np.zeros(3)
     done = 0
@@ -295,15 +298,14 @@ def verify_trace_identity(
         tail_full = gen.standard_normal((b, r, d))
         tail_marg = gen.standard_normal((b, r, d))
         omega = law.sample_angle(gen, size=b)
-        base = _probe(observed)
-        group_full = np.concatenate([observed[:, :n_overlap], tail_full], axis=1)
-        group_marg = np.concatenate([observed[:, :n_overlap], tail_marg], axis=1)
-        out_full = law.apply(omega, group_full)
-        out_marg = law.apply(omega, group_marg)
-        starred_full = np.concatenate([out_full[:, :n_overlap], observed[:, n_overlap:]], axis=1)
-        starred_marg = np.concatenate([out_marg[:, :n_overlap], observed[:, n_overlap:]], axis=1)
-        a = _probe(starred_full) - base
-        bb = _probe(starred_marg) - base
+        untouched = _probe(observed[:, n_overlap:])
+        base = _probe(observed[:, :n_overlap])
+        group = np.empty((b, K, d))
+        group[:, :n_overlap] = observed[:, :n_overlap]
+        group[:, n_overlap:] = tail_full
+        a = untouched * (_probe(law.apply(omega, group)[:, :n_overlap]) - base)
+        group[:, n_overlap:] = tail_marg
+        bb = untouched * (_probe(law.apply(omega, group)[:, :n_overlap]) - base)
         dd = a - bb
         sums += (a.sum(), bb.sum(), dd.sum())
         sums_sq += ((a * a).sum(), (bb * bb).sum(), (dd * dd).sum())

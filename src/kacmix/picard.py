@@ -44,14 +44,17 @@ angle density that is even in theta, as both kernels are (B_0 = 1).
 
 The iteration is a contraction only on a short horizon, so a solve cuts
 t_end into equal sub-steps below a guard time and restarts the iteration
-from the density reached at the end of each.  Node 0 of every Picard iterate
-is the sub-step's initial density, and so is every node of the first, so a
-sub-step takes the gain of that density once and then the gain of the n_time
-later nodes per sweep: 1 + (n_iter - 1) n_time rows in all.
+from the density reached at the end of each, rescaled to mass 1: mass 1 is
+an unstable fixed point of the mass equation dM/dt = alpha (M^2 - M), so
+roundoff left in the mass would otherwise grow like exp(alpha t).  Node 0
+of every Picard iterate is the sub-step's initial density, and so is every
+node of the first, so a sub-step takes the gain of that density once and
+then the gain of the n_time later nodes per sweep: 1 + (n_iter - 1) n_time
+rows in all.
 Mass (the plain h * sum functional) is tracked after every sweep and a drift
-beyond `MASS_TOL_TOY` aborts the solve: it means the grid is too coarse or too
-short for the requested horizon, and silently continuing would return a
-density that no longer represents a probability.
+beyond `MASS_TOL_TOY` aborts the solve: with the rescaling, it means that
+f0's mass is off 1 or that the gain does not conserve mass, and silently
+continuing would return a density that no longer represents a probability.
 """
 
 from __future__ import annotations
@@ -312,12 +315,11 @@ def picard_solve_toy(
     The horizon is cut into the fewest equal sub-steps no longer than
     0.8 * T_GUARD_TOY, up to rounding (1.0 is ten sub-steps of 0.1, not ten
     and a near-empty eleventh).  Each sub-step runs n_iter sweeps restarted
-    from the previous density; t_end = 0 returns f0 without a sweep.  Mass 1
-    is an unstable fixed point, so mass roundoff still grows like exp(alpha t)
-    (1e-14 at t = 5, 1e-8 at t = 12 on a 97-point grid).  Raises
-    when t_end is negative or not finite, when n_theta is too small for the
-    kernel, and when the discrete mass drifts beyond MASS_TOL_TOY after any
-    sweep.
+    from the previous density rescaled to mass 1, so mass roundoff cannot
+    grow from one sub-step to the next; t_end = 0 returns f0 without a
+    sweep.  Raises when t_end is negative or not finite, when n_theta is
+    too small for the kernel, and when the discrete mass drifts beyond
+    MASS_TOL_TOY after any sweep.
     """
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise ValueError(f"picard solve: t_end must be finite and >= 0, got {t_end}")
@@ -370,11 +372,13 @@ def picard_solve_toy(
             if mass_drift > MASS_TOL_TOY:
                 raise RuntimeError(
                     f"picard solve: mass drifted to {mass_drift:.3e} (> {MASS_TOL_TOY:.1e}) "
-                    f"after sweep {sweep + 1}; refine the grid or shorten the horizon"
+                    f"after sweep {sweep + 1}: the gain does not conserve mass, or f0's mass is "
+                    f"off 1 (by {abs(f0.mass() - 1.0):.1e}); mass 1 is an unstable fixed point"
                 )
         increments += step
         factors += [b / a for a, b in zip(step, step[1:]) if a > 0.0]
-        f = GridDensity(L=f0.L, values=tuple(iterate[-1]))
+        end = iterate[-1]
+        f = GridDensity(L=f0.L, values=tuple(end / (h * end.sum())))
 
     return PicardResult(
         density=f,

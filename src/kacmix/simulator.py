@@ -12,15 +12,16 @@ events one by one, so the simulation is exact (no thinning or time
 discretization is involved).  The mean-field sampler runs on the same
 engine.
 
-Replicas are independent and reproducible.  Small systems run a group of
-replicas as one stacked array that shares no particles between replicas
-and draws everything from one counter-based generator, seeded from (seed,
-spawn_key=(r,)) with r the group's first replica; it applies each
-observation interval's events in rounds of at most `_block_size` events
-per replica.  The grouping depends on N only, so the output depends only
-on the configuration.  Observers sample the right-continuous trajectory at
-fixed times; the state at time tau is the state after the last event at or
-before tau.
+Replicas are independent and reproducible.  Systems of N <= 2048 run
+groups of GROUP_PARTICLES // N replicas as one stacked array that shares no
+particles between replicas and draws everything from one counter-based
+generator, seeded from (seed, spawn_key=(r,)) with r the group's first
+replica; larger systems run each replica alone on its own such stream.  A
+group applies each observation interval's events in rounds of at most
+`_block_size` events per replica.  The grouping depends on N only, so the
+output depends only on the configuration.  Observers sample the
+right-continuous trajectory at fixed times; the state at time tau is the
+state after the last event at or before tau.
 """
 
 from __future__ import annotations
@@ -574,11 +575,18 @@ class ObservableObserver(Observer):
 # replica driver (shared with the mean-field sampler)
 # ---------------------------------------------------------------------------
 
-# Particles per replica group.  A group of G = max(1, GROUP_PARTICLES // N)
-# replicas runs as one stacked (G N, d) array with one generator, so small
-# systems get their batch width from the replica axis.  G depends on N only,
-# so the grouping, and with it the output, depends only on the config.
-GROUP_PARTICLES = 4096
+# Particles per replica group.  For N <= STACK_N_MAX a group of
+# G = GROUP_PARTICLES // N replicas runs as one stacked (G N, d) array with
+# one generator, so small systems get their batch width from the replica
+# axis and the engine's fixed cost per round is paid once for G replicas.
+# Larger systems run one replica per group, each on its own stream.  G
+# depends on N only, so the grouping, and with it the output, depends only
+# on the config.
+GROUP_PARTICLES = 16384
+# Largest N that stacks replicas.  Above it a system already fills a round
+# by itself; keeping one replica per group there keeps those runs' streams,
+# and with them their bytes, those of one replica run alone.
+STACK_N_MAX = 2048
 
 
 def _drive(
@@ -589,7 +597,7 @@ def _drive(
     rng: np.random.Generator,
     t_end: float,
     observers: Sequence[Observer],
-) -> Tuple[List[np.ndarray], np.ndarray]:
+) -> Tuple[List[np.ndarray], np.ndarray, int]:
     """Evolve a group of replicas (G, N, d) to the horizon in place, sampling observers.
 
     The group draws everything from `rng`.  The observer times and t_end cut
@@ -600,8 +608,8 @@ def _drive(
     round draws and applies one tape of at most `_block_size` events of
     every replica with events left.  A sample at time tau reads the state
     after the intervals ending at or before tau (right continuity).
-    Returns each observer's readings (G, n_times, n_channels) and the
-    events applied of each order (G, M).
+    Returns each observer's readings (G, n_times, n_channels), the events
+    applied of each order (G, M) and the number of rounds.
     """
     schedule = sorted(
         (t, oi, ti)
@@ -614,6 +622,7 @@ def _drive(
     flat = velocities.reshape(g * n, d)  # a view: the stacked particles
     block = _block_size(n)
     events = np.zeros((g, m), dtype=np.int64)
+    rounds = 0
     ptr = 0
     t = 0.0
     for cut in sorted({entry[0] for entry in schedule} | {t_end}):
@@ -625,13 +634,14 @@ def _drive(
             for law, _, idx, _, _ in tape:
                 events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
             _apply_tape(flat, tape, int(take.sum()), m)
+            rounds += 1
         t = cut
         counts = events.sum(axis=1)
         while ptr < len(schedule) and schedule[ptr][0] <= t:
             _, oi, ti = schedule[ptr]
             readings[oi][:, ti] = observers[oi].collect(velocities, counts)
             ptr += 1
-    return readings, events
+    return readings, events, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +688,10 @@ class RunResult:
     (replicas, n_times, n_channels); convergence diagnostics need them for
     replica-level products and covariances.  `events_by_order[K-1]` counts
     the order-K events applied over all replicas, `engine_s` is the wall
-    time of the replica runs and `replica_group` the number of replicas
-    stacked into one engine pass.  Rows flatten the series into (time, channel
-    id, mean, stderr) records for tabular output.
+    time of the replica runs, `replica_group` the number of replicas
+    stacked into one engine pass and `rounds` the engine rounds applied
+    over all groups.  Rows flatten the series into (time, channel id, mean,
+    stderr) records for tabular output.
     """
 
     solver: str
@@ -693,6 +704,7 @@ class RunResult:
     events_by_order: Tuple[int, ...] = ()
     engine_s: float = 0.0
     replica_group: int = 1
+    rounds: int = 0
     final_states: Optional[List[MasterState]] = None
     raw: Optional[List[np.ndarray]] = None
 
@@ -705,7 +717,7 @@ class RunResult:
 
 
 def engine_metrics(results: Sequence[RunResult]) -> dict:
-    """Events applied per solver and order, engine seconds, events/s and replica groups.
+    """Events applied per solver and order, engine seconds and rounds, events/s and replica groups.
 
     Runs of the same solver are summed; orders are keyed "1".."M", and
     `replica_group` maps each run's N to the replicas per engine pass.
@@ -713,11 +725,12 @@ def engine_metrics(results: Sequence[RunResult]) -> dict:
     out: dict = {}
     for res in results:
         entry = out.setdefault(
-            res.solver, {"events_by_order": {}, "engine_s": 0.0, "replica_group": {}}
+            res.solver, {"events_by_order": {}, "engine_s": 0.0, "rounds": 0, "replica_group": {}}
         )
         for k, count in enumerate(res.events_by_order, start=1):
             entry["events_by_order"][str(k)] = entry["events_by_order"].get(str(k), 0) + count
         entry["engine_s"] += res.engine_s
+        entry["rounds"] += res.rounds
         entry["replica_group"][str(res.N)] = res.replica_group
     for entry in out.values():
         entry["events"] = sum(entry["events_by_order"].values())
@@ -754,19 +767,20 @@ def _run_replicas(
 ) -> RunResult:
     """The replica driver behind `run` and `meanfield_run`.
 
-    Groups of G replicas (see GROUP_PARTICLES) run as one stacked
-    (G, N, d) array.  A group draws its initial states and its events from
-    the stream of its first replica, `replica_rng(seed, lo)`, and each of
-    its replicas jumps at total `rate`, with N-particle events or, when
-    `meanfield`, mean-field events.
+    Groups of G replicas (see GROUP_PARTICLES and STACK_N_MAX) run as one
+    stacked (G, N, d) array.  A group draws its initial states and its
+    events from the stream of its first replica, `replica_rng(seed, lo)`,
+    and each of its replicas jumps at total `rate`, with N-particle events
+    or, when `meanfield`, mean-field events.
     """
     observers = list(observers)
     _check_observers(observers, config)
-    size = max(1, GROUP_PARTICLES // config.N)
+    size = GROUP_PARTICLES // config.N if config.N <= STACK_N_MAX else 1
     values = [
         np.empty((config.replicas, len(obs.times), len(obs.channel_names))) for obs in observers
     ]
     events = np.zeros((config.replicas, config.mixture.m), dtype=np.int64)
+    rounds = 0
     finals: List[MasterState] = []
     start = time.perf_counter()
     for lo in range(0, config.replicas, size):
@@ -774,9 +788,10 @@ def _run_replicas(
         rng = replica_rng(config.seed, lo)
         velocities = config.initial.sample(rng, (hi - lo) * config.N, config.d)
         velocities = velocities.reshape(hi - lo, config.N, config.d)
-        readings, events[lo:hi] = _drive(
+        readings, events[lo:hi], group_rounds = _drive(
             velocities, rate, meanfield, config.mixture, rng, config.t_end, observers
         )
+        rounds += group_rounds
         for series_values, block in zip(values, readings):
             series_values[lo:hi] = block
         if keep_final:
@@ -798,6 +813,7 @@ def _run_replicas(
         events_by_order=tuple(int(e) for e in events.sum(axis=0)),
         engine_s=engine_s,
         replica_group=size,
+        rounds=rounds,
         final_states=finals if keep_final else None,
         raw=list(values) if keep_raw else None,
     )

@@ -97,8 +97,9 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     metrics = json.loads((out / "manifest.json").read_text())["metrics"]
     assert "workers" not in metrics
     kac = metrics["solvers"]["kac"]
-    assert set(kac) == {"events", "events_by_order", "engine_s", "events_per_s", "replica_group"}
-    assert kac["replica_group"] == {"20": 204}  # 4096 particles per engine pass
+    assert set(kac) == {"events", "events_by_order", "engine_s", "events_per_s", "rounds", "replica_group"}
+    assert kac["replica_group"] == {"20": 819}  # GROUP_PARTICLES // N replicas per engine pass
+    assert kac["rounds"] == 1  # one group, one interval, under one block of events per replica
     assert_phases(metrics)
     assert kac["events_by_order"]["1"] == 0  # zero-weight order never fires
     assert kac["events"] == kac["events_by_order"]["2"] > 0
@@ -128,7 +129,7 @@ def test_manifest_metrics_count_events_per_solver_and_order(tmp_path):
     assert metrics["numpy"] == np.__version__
     assert set(metrics["solvers"]) == {"meanfield", "picard"}
     assert metrics["solvers"]["meanfield"]["events"] > 0
-    assert metrics["solvers"]["meanfield"]["replica_group"] == {"16": 256}
+    assert metrics["solvers"]["meanfield"]["replica_group"] == {"16": 1024}
     assert_phases(metrics)
     picard = metrics["solvers"]["picard"]
     assert set(picard) == {"engine_s", "substeps", "sweeps", "mass_drift", "angular_nodes"}
@@ -394,8 +395,8 @@ def test_chaos_writes_report_and_summary(tmp_path):
     assert manifest["row_counts"]["chaos.csv"] == 8
     solvers = manifest["metrics"]["solvers"]
     assert set(solvers) == {"kac", "meanfield"}
-    assert all(entry["events"] == 0 for entry in solvers.values())  # t_end = 0
-    assert solvers["kac"]["replica_group"] == {"8": 512, "16": 256}
+    assert all(entry["events"] == entry["rounds"] == 0 for entry in solvers.values())  # t_end = 0
+    assert solvers["kac"]["replica_group"] == {"8": 2048, "16": 1024}
     assert_phases(manifest["metrics"])
 
 

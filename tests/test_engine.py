@@ -21,12 +21,14 @@ from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK, Symmetri
 from kacmix.meanfield import meanfield_run
 from kacmix.observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
 from kacmix.simulator import (
+    GROUP_PARTICLES,
     MomentObserver,
     ObservableObserver,
     SimConfig,
     UniformBoxInitial,
     _apply_tape,
     _draw_tape,
+    _drive,
     _layers,
     replica_rng,
     run,
@@ -153,7 +155,7 @@ def test_event_counts_are_poisson_when_observers_cut_densely(engine):
     assert sum(result.events_by_order) == counts[:, -1].sum()
 
 
-def stacked_run(engine, replicas, observers, n=600, seed=37):
+def stacked_run(engine, replicas, observers, n=2000, seed=37):
     """Readings, final states and event counts of one run of either engine."""
     args = dict(keep_final=True, keep_raw=True)
     if engine == "kac":
@@ -182,14 +184,14 @@ MIXED_SPECS = (
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
 def test_rerun_gives_the_same_bits_and_another_seed_does_not(engine):
-    """At N = 600 the groups hold 6 + 4 replicas; the seed alone fixes every reading."""
+    """At N = 2000 the groups hold 8 + 2 replicas; the seed alone fixes every reading."""
     observers = [
         MomentObserver([0.0, 0.3, 0.6]),
         ObservableObserver([0.2, 0.6], MIXED_SPECS),
     ]
     first, again = stacked_run(engine, 10, observers), stacked_run(engine, 10, observers)
     other = stacked_run(engine, 10, observers, seed=38)
-    assert first.replica_group == 6
+    assert first.replica_group == 8
     assert_same_replicas(first, again, 10)
     assert first.events_by_order == again.events_by_order
     assert not np.array_equal(first.raw[0], other.raw[0])
@@ -205,7 +207,7 @@ def test_each_replica_of_a_group_conserves_its_own_energy():
     result = stacked_run("kac", 10, [MomentObserver([0.0, 0.6])])
     names = list(result.series[0].names)
     energy = result.raw[0][:, :, names.index("energy")]
-    assert result.replica_group == 6
+    assert result.replica_group == 8
     assert np.all(result.raw[0][:, -1, names.index("events")] > 0)
     assert len(set(energy[:, 0].tolist())) == 10  # distinct initial states
     np.testing.assert_allclose(energy[:, 1], energy[:, 0], rtol=1e-10, atol=0)
@@ -213,18 +215,45 @@ def test_each_replica_of_a_group_conserves_its_own_energy():
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
 def test_replica_prefix_is_stable(engine):
-    """The full groups of a 7-replica run equal those of a 10-replica run, bit for bit.
+    """The full groups of a 14-replica run equal those of a 20-replica run, bit for bit.
 
-    At N = 1024 the groups are 4 + 3 and 4 + 4 + 2: replicas 0-3 form the
-    same group in both runs.  Replicas 4-6 are drawn in a group of 3 and
-    of 4, from the same stream but with a different count of each draw, so
+    At N = 2048 the groups are 8 + 6 and 8 + 8 + 4: replicas 0-7 form the
+    same group in both runs.  Replicas 8-13 are drawn in a group of 6 and
+    of 8, from the same stream but with a different count of each draw, so
     their values may differ.
     """
     observers = [MomentObserver([0.3]), ObservableObserver([0.3], MIXED_SPECS)]
-    seven = stacked_run(engine, 7, observers, n=1024)
-    ten = stacked_run(engine, 10, observers, n=1024)
-    assert seven.replica_group == ten.replica_group == 4
-    assert_same_replicas(seven, ten, 4)
+    fourteen = stacked_run(engine, 14, observers, n=2048)
+    twenty = stacked_run(engine, 20, observers, n=2048)
+    assert fourteen.replica_group == twenty.replica_group == 8
+    assert_same_replicas(fourteen, twenty, 8)
+
+
+@pytest.mark.parametrize("engine", ["kac", "meanfield"])
+def test_lone_replicas_keep_their_own_stream(engine):
+    """Above N = 2048 each replica runs alone on `replica_rng(seed, r)`; at N = 2048 replicas stack.
+
+    Each replica of a run at N = 2049 reads and ends exactly as `_drive`
+    run on that replica alone, so the stacking of smaller systems leaves
+    large runs' bytes alone.
+    """
+    n, seed = 2049, 37
+    observers = [MomentObserver([0.0, 0.3]), ObservableObserver([0.3, 0.6], MIXED_SPECS)]
+    lone = stacked_run(engine, 3, observers, n=n, seed=seed)
+    assert lone.replica_group == 1
+    rate = n * (MIXED_1_3.alpha if engine == "meanfield" else 1.0)
+    for r in range(3):
+        rng = replica_rng(seed, r)
+        velocities = UNIFORM.sample(rng, n, MIXED_1_3.dim).reshape(1, n, MIXED_1_3.dim)
+        readings, events, _ = _drive(
+            velocities, rate, engine == "meanfield", MIXED_1_3, rng, 0.6, observers
+        )
+        for raw, alone in zip(lone.raw, readings):
+            assert np.array_equal(raw[r], alone[0])
+        assert np.array_equal(lone.final_states[r].velocities, velocities[0])
+        assert lone.final_states[r].collision_count == events.sum()
+    stacked = stacked_run(engine, 1, [MomentObserver([0.0])], n=2048, seed=seed)
+    assert stacked.replica_group == GROUP_PARTICLES // 2048
 
 
 def toy_m4(t, beta2=1.0, m2=1.0, m4_0=9.0 / 5.0):

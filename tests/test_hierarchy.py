@@ -225,6 +225,43 @@ def test_trace_identity_statistical_cells(law, n_overlap, s):
     assert rep.passed, (rep.difference, rep.diff_stderr)
 
 
+@pytest.mark.parametrize(
+    "law,n_overlap,s",
+    [(BinaryMaxwell(d=1), 1, 2), (SymmetricK(k=3, d=2), 1, 2), (SymmetricK(k=3, d=1), 2, 3)],
+)
+def test_trace_identity_factored_probe_matches_the_whole_probe(law, n_overlap, s):
+    """The sampler's probe changes equal the product over all s slots, from the same draws.
+
+    The oracle builds each side's post-collision block whole and probes it;
+    the sampler takes the untouched slots' factor once.  Only the order of
+    the products differs, so the means agree to rounding.
+    """
+    n_samples, seed, K, d = 2000, 35, law.order, law.dim
+    rep = verify_trace_identity(
+        law, n_overlap=n_overlap, N=6, s=s, n_samples=n_samples, rng=np.random.default_rng(seed)
+    )
+    gen = np.random.default_rng(seed)
+    observed = gen.standard_normal((n_samples, s, d))
+    tails = [gen.standard_normal((n_samples, K - n_overlap, d)) for _ in range(2)]
+    omega = law.sample_angle(gen, size=n_samples)
+
+    def probe(groups):
+        return np.prod(np.tanh(groups.sum(axis=-1)), axis=-1)
+
+    sides = []
+    for tail in tails:
+        out = law.apply(omega, np.concatenate([observed[:, :n_overlap], tail], axis=1))
+        starred = np.concatenate([out[:, :n_overlap], observed[:, n_overlap:]], axis=1)
+        sides.append(probe(starred) - probe(observed))
+    for got, want in [
+        (rep.lhs_mean, sides[0].mean()),
+        (rep.rhs_mean, sides[1].mean()),
+        (rep.difference, (sides[0] - sides[1]).mean()),
+    ]:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert rep.diff_stderr == pytest.approx((sides[0] - sides[1]).std(ddof=1) / math.sqrt(n_samples), rel=1e-9)
+
+
 def test_trace_identity_rejects_bad_index_pattern():
     with pytest.raises(ValueError, match="invalid index pattern"):
         verify_trace_identity(BinaryMaxwell(d=1), n_overlap=3, N=6, s=2, n_samples=10)
