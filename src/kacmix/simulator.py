@@ -302,34 +302,33 @@ def _block_size(n: int) -> int:
     return max(32, n // 2)
 
 
-def _layers(tape: list, count: int, m: int) -> np.ndarray:
+def _layers(tape: list, count: int) -> np.ndarray:
     """Layer of each event: one above the latest earlier event sharing a particle.
 
-    Each event's particles (for mean-field events the jumper and its
-    partners) fill its column of an (m, count) array, padded with -1.
-    Sorting the entries by (particle, event) gives each entry's predecessor,
-    the previous event on the same particle; layers are then the longest
-    predecessor chains, found by relaxing all events at once until nothing
-    changes (one pass per layer).
+    Each (event, particle) entry of the tape is one int64 key,
+    particle << b | event, with b the bit length of count - 1 (for
+    mean-field events the particles are the jumper and its partners).
+    Sorted, the keys list each particle's events in tape order, so two
+    adjacent keys of one particle are a predecessor edge.  Layers are the
+    longest edge chains, found by relaxing every edge at once until nothing
+    changes (one pass per layer); layers only grow, so an unchanged sum
+    means nothing changed.  An event's particles are distinct, so no edge
+    joins an event to itself.
     """
-    touched = np.full((m, count), -1, dtype=np.intp)
-    for _, pos, idx, _, _ in tape:
-        touched[: idx.shape[1], pos] = idx.T
-    # one sortable key per entry: particle, then event, then slot
-    span = count * m
-    key = np.sort((touched * span + (np.arange(count) * m + np.arange(m)[:, None])).ravel())
-    particle, entry = np.divmod(key, span)
-    event, slot = np.divmod(entry, m)
-    repeat = np.flatnonzero((particle[1:] == particle[:-1]) & (particle[1:] >= 0)) + 1
-    prev = np.full((m, count), count, dtype=np.intp)  # `count` points at layer -1
-    prev[slot[repeat], event[repeat]] = event[repeat - 1]
-    layer = np.zeros(count + 1, dtype=np.intp)
-    layer[count] = -1
+    b = (count - 1).bit_length()
+    key = np.sort(np.concatenate([(idx << b | pos[:, None]).ravel() for _, pos, idx, _, _ in tape]))
+    particle = key >> b
+    same = np.flatnonzero(particle[1:] == particle[:-1])
+    event = key & ((1 << b) - 1)
+    pred, succ = event[same], event[same + 1]
+    layer = np.zeros(count, dtype=np.intp)
+    total = 0
     while True:
-        new = np.maximum.reduce(layer[prev], axis=0) + 1
-        if np.array_equal(new, layer[:count]):
-            return new
-        layer[:count] = new
+        np.maximum.at(layer, succ, layer[pred] + 1)
+        grown = int(layer.sum())
+        if grown == total:
+            return layer
+        total = grown
 
 
 def _apply_events(velocities: np.ndarray, law, idx, angles, slots) -> None:
@@ -342,15 +341,17 @@ def _apply_events(velocities: np.ndarray, law, idx, angles, slots) -> None:
         velocities[idx[hit, slots]] = out[hit, slots]
 
 
-def _apply_tape(velocities: np.ndarray, tape: list, count: int, m: int) -> None:
+def _apply_tape(velocities: np.ndarray, tape: list, count: int) -> None:
     """Apply a tape of `count` events in place, one batch (a contiguous slice) per (layer, order)."""
-    layer = _layers(tape, count, m)
+    layer = _layers(tape, count)
     depth = int(layer.max()) + 1
     plans = []
+    # layers as 8- or 16-bit keys on most tapes, so the stable sort is a radix sort
+    key_type = np.min_scalar_type(depth)
     for law, pos, idx, angles, slots in tape:
-        lay = layer[pos]
+        lay = layer[pos].astype(key_type)
         by_layer = lay.argsort(kind="stable")
-        starts = lay[by_layer].searchsorted(np.arange(depth + 1)).tolist()
+        starts = lay[by_layer].searchsorted(np.arange(depth + 1, dtype=key_type)).tolist()
         slots = None if slots is None else slots[by_layer]
         plans.append((law, idx[by_layer], angles[by_layer], slots, starts))
     for level in range(depth):
@@ -633,7 +634,7 @@ def _drive(
             tape = _draw_tape(rng, take, mixture, n, meanfield)
             for law, _, idx, _, _ in tape:
                 events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
-            _apply_tape(flat, tape, int(take.sum()), m)
+            _apply_tape(flat, tape, int(take.sum()))
             rounds += 1
         t = cut
         counts = events.sum(axis=1)

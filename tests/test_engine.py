@@ -18,6 +18,7 @@ import pytest
 
 from kacmix.cli import BUILTIN_LAWS
 from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK, SymmetricKMomentum
+from kacmix.limit import toy_m4, toy_m4_finite_n, toy_pair_v2v2
 from kacmix.meanfield import meanfield_run
 from kacmix.observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
 from kacmix.simulator import (
@@ -39,6 +40,7 @@ MIXED_1_3 = MixtureSpec(
     (SymmetricK(k=1, d=3), BinaryMaxwell(d=3), SymmetricKMomentum(k=3, d=3)), (0.2, 0.5, 0.3)
 )
 UNIFORM = UniformBoxInitial(a=math.sqrt(3.0))  # m2 = 1, m4 = 9/5: far from the Gaussian m4 = 3
+MU2, MU4 = 1.0, 9.0 / 5.0
 
 
 def top_order_mixture(law):
@@ -70,26 +72,30 @@ MIXTURES.append(pytest.param(MIXED_1_3, id="mixed_1_3"))
 @pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
 @pytest.mark.parametrize("mixture", MIXTURES)
 def test_layered_apply_equals_sequential_apply_bitwise(mixture, meanfield):
-    for n, count in ((6, 60), (40, 400), (500, 250)):
+    """(6, 1500) is deeper than 255 layers, so its layer keys take 16 bits."""
+    for n, count in ((6, 60), (40, 400), (500, 250), (6, 1500)):
         rng = replica_rng(31, n)
         velocities = rng.standard_normal((n, mixture.dim))
         tape = _draw_tape(rng, np.array([count]), mixture, n, meanfield)
         layered, sequential = velocities.copy(), velocities.copy()
-        _apply_tape(layered, tape, count, mixture.m)
+        _apply_tape(layered, tape, count)
         apply_sequentially(sequential, tape, count)
         assert np.array_equal(layered, sequential), (n, count)
         assert not np.array_equal(layered, velocities)
         # the tape really was batched: fewer layers than events, more than one layer
-        depth = int(_layers(tape, count, mixture.m).max()) + 1
+        depth = int(_layers(tape, count).max()) + 1
         assert 1 < depth < count
+        if count == 1500:
+            assert depth > 255
 
 
-def test_layers_follow_shared_particles():
+@pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
+def test_layers_follow_shared_particles(meanfield):
     """Each event sits one layer above the latest earlier event on one of its particles."""
     rng = replica_rng(32, 0)
     n, count = 30, 300
-    tape = _draw_tape(rng, np.array([count]), MIXED_1_3, n, meanfield=False)
-    layer = _layers(tape, count, MIXED_1_3.m)
+    tape = _draw_tape(rng, np.array([count]), MIXED_1_3, n, meanfield)
+    layer = _layers(tape, count)
     particles = {}
     for _, pos, idx, _, _ in tape:
         for p, row in zip(pos, idx):
@@ -256,15 +262,6 @@ def test_lone_replicas_keep_their_own_stream(engine):
     assert stacked.replica_group == GROUP_PARTICLES // 2048
 
 
-def toy_m4(t, beta2=1.0, m2=1.0, m4_0=9.0 / 5.0):
-    """Closed-form m4(t) of the d = 1 limit equation with `KacToy` at weight beta2, the rest order 1.
-
-    m4(t) = 3 m2^2 + (m4(0) - 3 m2^2) e^(-beta2 t / 2).  An order-1 law in
-    d = 1 only flips signs, so only `KacToy` moves m4.
-    """
-    return 3.0 * m2**2 + (m4_0 - 3.0 * m2**2) * math.exp(-0.5 * beta2 * t)
-
-
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
 def test_fourth_moment_relaxes_from_uniform_data(engine):
     """Both engines follow m4(t) from m4(0) = 9/5 within 4 sigma + 1/N."""
@@ -281,10 +278,10 @@ def test_fourth_moment_relaxes_from_uniform_data(engine):
     m4 = result.series[0].mean("m4")
     se = result.series[0].stderr("m4")
     for ti, t in enumerate(times):
-        target = toy_m4(t)
+        target = toy_m4(t, MU2, MU4)
         assert abs(m4[ti] - target) <= 4.0 * se[ti] + 1.0 / n, (engine, t, m4[ti], target, se[ti])
     # the gate excludes an engine that applies nothing: m4(1) - m4(0) = 0.47
-    assert abs(m4[0] - toy_m4(1.0)) > 2.0 * (4.0 * se[-1] + 1.0 / n)
+    assert abs(m4[0] - toy_m4(1.0, MU2, MU4)) > 2.0 * (4.0 * se[-1] + 1.0 / n)
 
 
 HALF_MIX = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.5, 0.5))
@@ -303,7 +300,7 @@ def half_mix_misses(engine):
             HALF_MIX, UNIFORM, n=n, t_end=2.0, seed=39, replicas=200, observers=[MomentObserver(times)]
         )
     m4, se = result.series[0].mean("m4"), result.series[0].stderr("m4")
-    cells = [(t, m4[ti], toy_m4(t, beta2=0.5), se[ti]) for ti, t in enumerate(times)]
+    cells = [(t, m4[ti], toy_m4(t, MU2, MU4, beta2=0.5), se[ti]) for ti, t in enumerate(times)]
     return [c for c in cells if abs(c[1] - c[2]) > 4.0 * c[3] + 1.0 / n]
 
 
@@ -324,20 +321,6 @@ def test_mixed_orders_follow_the_limit_closure(engine, monkeypatch):
     assert half_mix_misses(engine)
 
 
-def toy_m4_finite_n(t, n, mu2=1.0, mu4=9.0 / 5.0):
-    """Exact E v_1^4 of the N-particle `KacToy` process from iid even data of moments mu2, mu4.
-
-    Particle 1 collides at rate 2, and the angle average gives
-    dm4/dt = (3/2) q - (1/2) m4 with q = E v_1^2 v_2^2.  The energy is
-    conserved along every path, so exchangeability gives
-    q = mu2^2 + (mu4 - m4) / (N - 1), and m4_N(t) = m4* + (mu4 - m4*) e^(-B t)
-    with B = 1/2 + 3 / (2 (N - 1)) and m4* = (3 mu2^2 (N - 1) + 3 mu4) / (N + 2).
-    """
-    rate = 0.5 + 1.5 / (n - 1)
-    m4_star = (3.0 * mu2**2 * (n - 1) + 3.0 * mu4) / (n + 2)
-    return m4_star + (mu4 - m4_star) * math.exp(-rate * t)
-
-
 def finite_n_misses():
     """(N, t, channel, z) where the N-particle engine misses the exact finite-N m4 or pair_v2v2 by 4 sigma."""
     times = [0.0, 1.0, 3.0]
@@ -346,8 +329,7 @@ def finite_n_misses():
         cfg = SimConfig(N=n, mixture=TOY_MIX, t_end=3.0, seed=41, replicas=replicas, initial=UNIFORM)
         series = run(cfg, [MomentObserver(times)]).series[0]
         for ti, t in enumerate(times):
-            m4 = toy_m4_finite_n(t, n)
-            exact = {"m4": m4, "pair_v2v2": 1.0 + (9.0 / 5.0 - m4) / (n - 1)}
+            exact = {"m4": toy_m4_finite_n(t, n, MU2, MU4), "pair_v2v2": toy_pair_v2v2(t, n, MU2, MU4)}
             for channel, value in exact.items():
                 z = (series.mean(channel)[ti] - value) / series.stderr(channel)[ti]
                 if abs(z) > 4.0:

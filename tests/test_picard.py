@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from kacmix import picard
+from kacmix.limit import toy_m4
 from kacmix.picard import (
     ALPHA_TOY,
     GridDensity,
@@ -132,10 +133,6 @@ def asymmetric_rows(n_v, L=6.0):
         rng.random(n_v),
         rng.random(n_v) * np.exp(-0.1 * (v - 2.0) ** 2),
     ])
-
-
-def m4_closed_form(m2_0, m4_0, t):
-    return 3.0 * m2_0**2 + (m4_0 - 3.0 * m2_0**2) * np.exp(-0.5 * t)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,7 @@ def test_fourth_moment_relaxation_matches_closed_form():
     m2_0, m4_0 = f0.moment(2), f0.moment(4)
     t = 0.1
     res = picard_solve_toy("uniform", f0, t_end=t, **SMALL)
-    target = m4_closed_form(m2_0, m4_0, t)
+    target = toy_m4(t, m2_0, m4_0)
     assert res.density.moment(4) == pytest.approx(target, abs=2e-3)
     assert res.density.moment(2) == pytest.approx(m2_0, abs=2e-3)
 
@@ -352,7 +349,7 @@ def test_evolve_across_substeps_matches_closed_form():
     assert (info.misses, info.hits) == (1, 0)
     assert (res.substeps, res.n_iter) == (2, 12)
     assert res.mass_drift <= 1e-4
-    target = m4_closed_form(f0.moment(2), f0.moment(4), t)
+    target = toy_m4(t, f0.moment(2), f0.moment(4))
     assert abs(res.density.moment(4) - target) <= 0.03, (res.density.moment(4), target)
 
 
@@ -374,7 +371,7 @@ def test_long_horizons_keep_the_mass_and_follow_the_closed_form(t_end):
     f0 = uniform_grid_density(math.sqrt(3.0), n_v=97)
     res = picard_solve_toy("uniform", f0, t_end=t_end, n_iter=8, n_theta=32, n_time=32)
     assert res.mass_drift <= 1e-12
-    target = m4_closed_form(f0.moment(2), f0.moment(4), t_end)
+    target = toy_m4(t_end, f0.moment(2), f0.moment(4))
     assert abs(res.density.moment(4) - target) <= 0.05, (res.density.moment(4), target)
 
 
