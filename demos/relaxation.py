@@ -36,7 +36,7 @@ def main() -> None:
     )
     mf = meanfield_run(
         TOY, initial, n=20_000, t_end=TIMES[-1], seed=3, replicas=8,
-        observers=[MomentObserver(TIMES)], keep_raw=True,
+        observers=[MomentObserver(TIMES)],
     )
 
     exact = [toy_m4(t, A**2, A**4) for t in TIMES]

@@ -13,7 +13,7 @@ C(s,2) Var(g)/n_ref bias of the s-th power of a one-particle mean.
 
 The reference is not independent of the code under test.  The mean-field
 sampler differs from the N-particle process only in its events (size-biased
-orders, a jumper slot, one-sided updates); it shares the event-tape engine
+orders, one-sided updates of the first slot); it shares the event-tape engine
 (tape drawing, layering, batched application), the stacked replica driver
 and the observers with it, so a bug in that shared code can cancel in every
 cell.  Exact references that do not use the engine are ROADMAP item 1.

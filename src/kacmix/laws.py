@@ -67,7 +67,8 @@ class CollisionLaw:
 
     Subclasses define `order` (K), `dim` (d), `tag`, angle sampling and the
     forward/inverse group maps.  Instances are immutable; all randomness
-    comes from the generator handed in.
+    comes from the generator handed in.  The mean-field sampler moves only a
+    group's first slot, so a law that fails `check_h3_symmetry` is outside its contract.
     """
 
     tag = "abstract"

@@ -5,20 +5,22 @@ loss rate alpha = sum_K beta_K * K per particle.  The matching McKean-style
 process resamples one particle at a time: an ensemble of n particles stands
 in for the law f(t); at total rate n*alpha a uniformly chosen particle jumps,
 its collision order is drawn size-biased (probability beta_K*K/alpha), K-1
-distinct partners are read from the current ensemble, and the jumper takes a
-uniformly random slot of the transformed group.  Only the jumper's velocity
+distinct ordered partners are read from the current ensemble, and the jumper
+takes the first slot of the transformed group.  Only the jumper's velocity
 is replaced; partners are left untouched.  That one-sided update is what
 distinguishes this sampler from the symmetric N-particle process: partner
 correlations enter only at O(1/n).
 
-Isometry of the collision laws plus the uniform slot choice make the
-ensemble's mean energy a martingale, which is the main drift diagnostic.
+The sampler relies on H3: relabeling the K slots leaves the law of the
+transformed group unchanged (a law that fails `check_h3_symmetry` is outside
+its contract).  With exchangeable partners, "slot 0 in, slot 0 out" is then
+equal in law to "uniform slot in, same slot out", and isometry makes the
+ensemble's mean energy a martingale, the main drift diagnostic.
 
-The sampler runs on the simulator's event-tape engine: a jump is drawn as a
-uniform ordered tuple of distinct particles plus a uniform slot, the
-jumper being the particle in that slot, and the batches treat the jumper
-and its partners alike as touched, so batching never reorders a read of a
-partner past a write to it.
+It runs on the simulator's event-tape engine: a jump is an N-particle event
+(a uniform ordered tuple of distinct particles) that writes back only its
+first slot, and batching treats the partners as touched too, so it never
+reorders a read of a partner past a write to it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ def meanfield_run(
     replicas: int = 1,
     observers: Sequence[Observer] = (),
     keep_final: bool = False,
-    keep_raw: bool = False,
 ) -> RunResult:
     """Evolve replica ensembles of the mean-field sampler to the horizon.
 
@@ -57,4 +58,4 @@ def meanfield_run(
         N=n, mixture=mixture, t_end=t_end, seed=seed, replicas=replicas, initial=initial
     )
     rate = n * mixture.alpha
-    return _run_replicas("meanfield", config, rate, True, observers, keep_final, keep_raw)
+    return _run_replicas("meanfield", config, rate, True, observers, keep_final)

@@ -258,11 +258,11 @@ def _index_rows(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndar
 
 
 # A tape is a list with one entry per collision order present on it:
-# (law, pos, idx, angles, slots).  `pos` are the tape positions of the
-# order's events, `idx` their (count, k) particle indices and `angles` their
-# scattering parameters.  On a mean-field tape `slots` holds each jumper's
-# slot: the jumper is idx[e, slots[e]], the rest of the row are its
-# partners, and only the jumper moves.  On an N-particle tape it is None.
+# (law, pos, idx, angles).  `pos` are the tape positions of the order's
+# events, `idx` their (count, k) particle indices and `angles` their
+# scattering parameters.  Both engines draw the same rows; a mean-field
+# event writes back only its first slot, so its jumper is idx[e, 0] and its
+# partners are idx[e, 1:].
 
 
 def _draw_tape(
@@ -272,10 +272,10 @@ def _draw_tape(
 
     Replica r owns particles r n .. r n + n - 1, and its events take the
     tape positions after those of the replicas before it.  One pass draws
-    the order uniforms of all events, then per order K its index rows,
-    angles and (mean-field) jumper slots.  N-particle orders have
-    probability beta_K, mean-field orders beta_K K / alpha; a uniform slot
-    makes (jumper, ordered partners) uniform.
+    the order uniforms of all events, then per order K its index rows and
+    angles.  N-particle orders have probability beta_K, mean-field orders
+    beta_K K / alpha; a uniform ordered row makes (jumper, ordered
+    partners) = (idx[e, 0], idx[e, 1:]) uniform.
     """
     order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
     offset = np.repeat(np.arange(len(counts)) * n, counts)  # first particle of each event's replica
@@ -287,9 +287,7 @@ def _draw_tape(
         pos = by_order[ends[k - 1] : ends[k]]
         if pos.size:
             idx = _index_rows(rng, pos.size, n, k) + offset[pos, None]
-            angles = law.sample_angle(rng, size=pos.size)
-            slots = _indices(rng.random(pos.size), k) if meanfield else None
-            tape.append((law, pos, idx, angles, slots))
+            tape.append((law, pos, idx, law.sample_angle(rng, size=pos.size)))
     return tape
 
 
@@ -312,15 +310,17 @@ def _layers(tape: list, count: int) -> np.ndarray:
     adjacent keys of one particle are a predecessor edge.  Layers are the
     longest edge chains, found by relaxing every edge at once until nothing
     changes (one pass per layer); layers only grow, so an unchanged sum
-    means nothing changed.  An event's particles are distinct, so no edge
-    joins an event to itself.
+    means nothing changed.  An event that holds a particle twice would join
+    itself and never stop growing, so it raises instead.
     """
     b = (count - 1).bit_length()
-    key = np.sort(np.concatenate([(idx << b | pos[:, None]).ravel() for _, pos, idx, _, _ in tape]))
+    key = np.sort(np.concatenate([(idx << b | pos[:, None]).ravel() for _, pos, idx, _ in tape]))
     particle = key >> b
     same = np.flatnonzero(particle[1:] == particle[:-1])
     event = key & ((1 << b) - 1)
     pred, succ = event[same], event[same + 1]
+    if (pred == succ).any():
+        raise ValueError(f"event tape: event {int(pred[pred == succ][0])} holds a particle twice")
     layer = np.zeros(count, dtype=np.intp)
     total = 0
     while True:
@@ -331,35 +331,29 @@ def _layers(tape: list, count: int) -> np.ndarray:
         total = grown
 
 
-def _apply_events(velocities: np.ndarray, law, idx, angles, slots) -> None:
-    """Apply events of one order at once; they must touch disjoint particles."""
+def _apply_events(velocities: np.ndarray, law, idx, angles, moved: int) -> None:
+    """Apply events of one order on disjoint particles at once, writing back their first `moved` slots."""
     out = law.apply(angles, velocities[idx])
-    if slots is None:
-        velocities[idx] = out
-    else:
-        hit = np.arange(idx.shape[0])
-        velocities[idx[hit, slots]] = out[hit, slots]
+    velocities[idx[:, :moved]] = out[:, :moved]
 
 
-def _apply_tape(velocities: np.ndarray, tape: list, count: int) -> None:
+def _apply_tape(velocities: np.ndarray, tape: list, count: int, moved: int) -> None:
     """Apply a tape of `count` events in place, one batch (a contiguous slice) per (layer, order)."""
     layer = _layers(tape, count)
     depth = int(layer.max()) + 1
     plans = []
     # layers as 8- or 16-bit keys on most tapes, so the stable sort is a radix sort
     key_type = np.min_scalar_type(depth)
-    for law, pos, idx, angles, slots in tape:
+    for law, pos, idx, angles in tape:
         lay = layer[pos].astype(key_type)
         by_layer = lay.argsort(kind="stable")
         starts = lay[by_layer].searchsorted(np.arange(depth + 1, dtype=key_type)).tolist()
-        slots = None if slots is None else slots[by_layer]
-        plans.append((law, idx[by_layer], angles[by_layer], slots, starts))
+        plans.append((law, idx[by_layer], angles[by_layer], starts))
     for level in range(depth):
-        for law, idx, angles, slots, starts in plans:
+        for law, idx, angles, starts in plans:
             lo, hi = starts[level], starts[level + 1]
             if lo < hi:
-                part = None if slots is None else slots[lo:hi]
-                _apply_events(velocities, law, idx[lo:hi], angles[lo:hi], part)
+                _apply_events(velocities, law, idx[lo:hi], angles[lo:hi], moved)
 
 
 def step(
@@ -380,7 +374,7 @@ def step(
     k = mixture.order_from_uniform(rng.random())
     law = mixture.laws[k - 1]
     idx = _index_rows(rng, 1, n, k)
-    _apply_events(state.velocities, law, idx, law.sample_angle(rng, size=1), None)
+    _apply_events(state.velocities, law, idx, law.sample_angle(rng, size=1), k)
     state.collision_count += 1
     return state
 
@@ -622,6 +616,7 @@ def _drive(
     readings = [np.empty((g, len(obs.times), len(obs.channel_names))) for obs in observers]
     flat = velocities.reshape(g * n, d)  # a view: the stacked particles
     block = _block_size(n)
+    moved = 1 if meanfield else m  # slots written back: the jumper, or all (m >= every order)
     events = np.zeros((g, m), dtype=np.int64)
     rounds = 0
     ptr = 0
@@ -632,9 +627,9 @@ def _drive(
             take = np.minimum(todo, block)
             todo -= take
             tape = _draw_tape(rng, take, mixture, n, meanfield)
-            for law, _, idx, _, _ in tape:
+            for law, _, idx, _ in tape:
                 events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
-            _apply_tape(flat, tape, int(take.sum()))
+            _apply_tape(flat, tape, int(take.sum()), moved)
             rounds += 1
         t = cut
         counts = events.sum(axis=1)
@@ -684,15 +679,14 @@ class ObserverSeries:
 class RunResult:
     """Merged output of an ensemble run.
 
-    `series[i]` matches `observers[i]` passed to the driver.  `raw[i]`, kept
-    on request, is `series[i].values`: the unreduced readings with shape
-    (replicas, n_times, n_channels); convergence diagnostics need them for
-    replica-level products and covariances.  `events_by_order[K-1]` counts
-    the order-K events applied over all replicas, `engine_s` is the wall
-    time of the replica runs, `replica_group` the number of replicas
-    stacked into one engine pass and `rounds` the engine rounds applied
-    over all groups.  Rows flatten the series into (time, channel id, mean,
-    stderr) records for tabular output.
+    `series[i]` matches `observers[i]` passed to the run, and `raw[i]` is
+    `series[i].values`: the unreduced readings with shape (replicas,
+    n_times, n_channels), for replica-level diagnostics.
+    `events_by_order[K-1]` counts the order-K events applied over all
+    replicas, `engine_s` is the wall time of the replica runs,
+    `replica_group` the number of replicas stacked into one engine pass and
+    `rounds` the engine rounds applied over all groups.  Rows flatten the
+    series into (time, channel id, mean, stderr) records for tabular output.
     """
 
     solver: str
@@ -707,7 +701,7 @@ class RunResult:
     replica_group: int = 1
     rounds: int = 0
     final_states: Optional[List[MasterState]] = None
-    raw: Optional[List[np.ndarray]] = None
+    raw: List[np.ndarray] = field(default_factory=list)
 
     def rows(self) -> Iterator[Tuple[float, str, float, float]]:
         for ser in self.series:
@@ -764,7 +758,6 @@ def _run_replicas(
     meanfield: bool,
     observers: Sequence[Observer],
     keep_final: bool,
-    keep_raw: bool,
 ) -> RunResult:
     """The replica driver behind `run` and `meanfield_run`.
 
@@ -816,7 +809,7 @@ def _run_replicas(
         replica_group=size,
         rounds=rounds,
         final_states=finals if keep_final else None,
-        raw=list(values) if keep_raw else None,
+        raw=[ser.values for ser in series],
     )
 
 
@@ -825,7 +818,7 @@ def run(
     observers: Sequence[Observer],
     workers: int = 1,  # ignored; benchmarks/child.py passes it
     keep_final: bool = False,
-    keep_raw: bool = False,
+    keep_raw: bool = False,  # ignored, `raw` is always there; benchmarks/child.py passes it
 ) -> RunResult:
     """Evolve an ensemble of independent replicas and merge their statistics.
 
@@ -833,4 +826,4 @@ def run(
     stream each (see `_run_replicas`), so the output is a deterministic
     function of the configuration alone.  The run is one process.
     """
-    return _run_replicas("kac", config, float(config.N), False, observers, keep_final, keep_raw)
+    return _run_replicas("kac", config, float(config.N), False, observers, keep_final)

@@ -12,6 +12,7 @@ far off.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from kacmix.meanfield import meanfield_run
 from kacmix.observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
 from kacmix.simulator import (
     GROUP_PARTICLES,
+    GaussianInitial,
     MomentObserver,
     ObservableObserver,
     SimConfig,
@@ -49,20 +51,17 @@ def top_order_mixture(law):
     return MixtureSpec(lower + (law,), (0.0,) * len(lower) + (1.0,))
 
 
-def apply_sequentially(velocities, tape, count):
-    """The oracle: every event of the tape on its own, in tape order."""
+def apply_sequentially(velocities, tape, count, moved):
+    """The oracle: every event of the tape on its own, in tape order, writing its first `moved` slots."""
     at = {}
     for order_events in tape:
         for row, pos in enumerate(order_events[1]):
             at[int(pos)] = (order_events, row)
     for pos in range(count):
-        (law, _, idx, angles, slots), row = at[pos]
-        group = idx[row : row + 1]
-        out = law.apply(angles[row : row + 1], velocities[group])
-        if slots is None:
-            velocities[group[0]] = out[0]
-        else:
-            velocities[group[0, slots[row]]] = out[0, slots[row]]
+        (law, _, idx, angles), row = at[pos]
+        group = idx[row]
+        out = law.apply(angles[row : row + 1], velocities[group[None]])[0]
+        velocities[group[:moved]] = out[:moved]
 
 
 MIXTURES = [pytest.param(top_order_mixture(law), id=law.describe) for law in BUILTIN_LAWS]
@@ -77,9 +76,10 @@ def test_layered_apply_equals_sequential_apply_bitwise(mixture, meanfield):
         rng = replica_rng(31, n)
         velocities = rng.standard_normal((n, mixture.dim))
         tape = _draw_tape(rng, np.array([count]), mixture, n, meanfield)
+        moved = 1 if meanfield else mixture.m
         layered, sequential = velocities.copy(), velocities.copy()
-        _apply_tape(layered, tape, count)
-        apply_sequentially(sequential, tape, count)
+        _apply_tape(layered, tape, count, moved)
+        apply_sequentially(sequential, tape, count, moved)
         assert np.array_equal(layered, sequential), (n, count)
         assert not np.array_equal(layered, velocities)
         # the tape really was batched: fewer layers than events, more than one layer
@@ -97,7 +97,7 @@ def test_layers_follow_shared_particles(meanfield):
     tape = _draw_tape(rng, np.array([count]), MIXED_1_3, n, meanfield)
     layer = _layers(tape, count)
     particles = {}
-    for _, pos, idx, _, _ in tape:
+    for _, pos, idx, _ in tape:
         for p, row in zip(pos, idx):
             particles[int(p)] = set(row.tolist())
     last = {}  # particle -> layer of the latest event on it
@@ -106,6 +106,28 @@ def test_layers_follow_shared_particles(meanfield):
         assert layer[e] == expected
         for p in particles[e]:
             last[p] = expected
+
+
+def test_an_event_holding_a_particle_twice_raises_at_once():
+    """A repeated index would join an event to itself; `_layers` raises instead of relaxing forever.
+
+    The call runs in a daemon thread, so a hang fails the test after a second.
+    """
+    law = KacToy()
+    tape = [(law, np.arange(3), np.array([[0, 1], [2, 2], [1, 3]]), np.zeros(3))]
+    raised = []
+
+    def layer():
+        try:
+            _layers(tape, 3)
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    worker = threading.Thread(target=layer, daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive(), "_layers did not return within a second"
+    assert raised and "event 1 holds a particle twice" in raised[0]
 
 
 K3_ON_4 = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), SymmetricK(k=3, d=1)), (0.2, 0.3, 0.5))
@@ -123,10 +145,9 @@ def test_group_tape_keeps_each_event_inside_its_replica(meanfield):
     tape = _draw_tape(replica_rng(41, 0), counts, K3_ON_4, n, meanfield)
     owner = np.repeat(np.arange(counts.size), counts)  # the replica of each tape position
     seen = np.zeros(counts.sum(), dtype=int)
-    for law, pos, idx, _, slots in tape:
+    for law, pos, idx, _ in tape:
         assert np.all(idx // n == owner[pos][:, None])  # no event spans two replicas
         assert all(len(set(row)) == law.order for row in idx.tolist())
-        assert (slots is not None) == meanfield
         seen[pos] += 1
     assert np.all(seen == 1)
     assert {law.order for law, *_ in tape} == {1, 2, 3}
@@ -143,12 +164,12 @@ def test_event_counts_are_poisson_when_observers_cut_densely(engine):
     times = [t * (i + 1) / 200 for i in range(200)]
     if engine == "kac":
         cfg = SimConfig(N=n, mixture=TOY_MIX, t_end=t, seed=33, replicas=replicas, initial=UNIFORM)
-        result = run(cfg, [MomentObserver(times)], keep_raw=True)
+        result = run(cfg, [MomentObserver(times)])
         rate = n
     else:
         result = meanfield_run(
             TOY_MIX, UNIFORM, n=n, t_end=t, seed=33, replicas=replicas,
-            observers=[MomentObserver(times)], keep_raw=True,
+            observers=[MomentObserver(times)],
         )
         rate = n * TOY_MIX.alpha
     counts = result.raw[0][:, :, list(result.series[0].names).index("events")]
@@ -163,12 +184,12 @@ def test_event_counts_are_poisson_when_observers_cut_densely(engine):
 
 def stacked_run(engine, replicas, observers, n=2000, seed=37):
     """Readings, final states and event counts of one run of either engine."""
-    args = dict(keep_final=True, keep_raw=True)
     if engine == "kac":
         cfg = SimConfig(N=n, mixture=MIXED_1_3, t_end=0.6, seed=seed, replicas=replicas, initial=UNIFORM)
-        return run(cfg, observers, **args)
+        return run(cfg, observers, keep_final=True)
     return meanfield_run(
-        MIXED_1_3, UNIFORM, n=n, t_end=0.6, seed=seed, replicas=replicas, observers=observers, **args
+        MIXED_1_3, UNIFORM, n=n, t_end=0.6, seed=seed, replicas=replicas, observers=observers,
+        keep_final=True,
     )
 
 
@@ -347,3 +368,31 @@ def test_n_particle_engine_follows_the_exact_finite_n_closure(monkeypatch):
     assert finite_n_misses() == []
     monkeypatch.setattr(KacToy, "apply", lambda self, angle, group: group)
     assert finite_n_misses()
+
+
+def stationarity_misses(initial):
+    """(t, channel, z) where a run at N = 4 on MIXED_1_3 misses m4 = 3 or pair_v2v2 = d^2 = 9 by 4 sigma."""
+    times = [0.5, 2.0]
+    cfg = SimConfig(N=4, mixture=MIXED_1_3, t_end=2.0, seed=43, replicas=40_000, initial=initial)
+    series = run(cfg, [MomentObserver(times)]).series[0]
+    misses = []
+    for ti, t in enumerate(times):
+        for channel, value in (("m4", 3.0), ("pair_v2v2", 9.0)):
+            z = (series.mean(channel)[ti] - value) / series.stderr(channel)[ti]
+            if abs(z) > 4.0:
+                misses.append((t, channel, float(z)))
+    return misses
+
+
+def test_gaussian_data_are_exactly_stationary_for_the_n_particle_process():
+    """iid N(0, 1) data stay iid N(0, 1) at every N and t; uniform data move off.
+
+    Each event applies an orthogonal map of its group, drawn independently
+    of the state, and an iid Gaussian vector is invariant under every
+    orthogonal map.  So at N = 4 the Gaussian values m4 = 3 and
+    pair_v2v2 = 9 hold exactly, while uniform data with the same m2 start
+    at m4 = 9/5 and leave pair_v2v2 = 9 as energy conservation correlates
+    the particles.
+    """
+    assert stationarity_misses(GaussianInitial()) == []
+    assert len(stationarity_misses(UNIFORM)) == 4

@@ -247,7 +247,7 @@ def test_mean_and_stderr_match_numpy():
     """Series statistics are the numpy mean and ddof=1 stderr over the replica axis."""
     replicas = 7
     cfg = SimConfig(N=20, mixture=TRIPLE_MIX, t_end=0.5, seed=14, replicas=replicas)
-    result = run(cfg, [MomentObserver([0.0, 0.25, 0.5])], keep_raw=True)
+    result = run(cfg, [MomentObserver([0.0, 0.25, 0.5])])
     series, raw = result.series[0], result.raw[0]
     assert raw.shape == (replicas, 3, len(MOMENT_CHANNELS))
     for ci, name in enumerate(series.names):
@@ -260,7 +260,7 @@ def test_mean_and_stderr_match_numpy():
 def test_channel_lookup():
     """Channels are read by name; an unknown name is a KeyError."""
     cfg = SimConfig(N=20, mixture=TOY_MIX, t_end=0.5, seed=16, replicas=3)
-    result = run(cfg, [MomentObserver([0.5])], keep_raw=True)
+    result = run(cfg, [MomentObserver([0.5])])
     series, raw = result.series[0], result.raw[0]
     assert series.names == MOMENT_CHANNELS
     m4 = MOMENT_CHANNELS.index("m4")
