@@ -62,6 +62,22 @@ def _unit_vectors(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return out
 
 
+def _left_sum(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x, axis=-1), bit for bit.
+
+    Below 8 terms numpy's sum is a left fold, and the fold over slices is
+    several times cheaper on a short or strided axis; from 8 terms on numpy
+    may sum pairwise, so the reduce itself is kept there.
+    """
+    n = x.shape[-1]
+    if not 2 <= n < 8:
+        return np.add.reduce(x, axis=-1)
+    total = x[..., 0] + x[..., 1]
+    for j in range(2, n):
+        total += x[..., j]
+    return total
+
+
 class CollisionLaw:
     """Common interface of the transformation laws.
 
@@ -150,10 +166,10 @@ class BinaryMaxwell(CollisionLaw):
     def apply(self, angle, group):
         g = self._check_group(group)
         w = np.asarray(angle, dtype=np.float64)
-        h = np.sum(w * (g[..., 1, :] - g[..., 0, :]), axis=-1)[..., None]
-        out = np.empty_like(g)
-        out[..., 0, :] = g[..., 0, :] + h * w
-        out[..., 1, :] = g[..., 1, :] - h * w
+        hw = _left_sum(w * (g[..., 1, :] - g[..., 0, :]))[..., None] * w
+        out = g.copy()
+        out[..., 0, :] += hw
+        out[..., 1, :] -= hw
         return out
 
 
@@ -254,7 +270,7 @@ class SymmetricK(CollisionLaw):
     def apply(self, angle, group):
         g = self._check_group(group)
         w = np.asarray(angle, dtype=np.float64)
-        proj = (w * g).sum(axis=(-2, -1), keepdims=True)
+        proj = np.add.reduce(w * g, axis=(-2, -1), keepdims=True)
         return g - 2.0 * proj * w
 
 
@@ -283,8 +299,9 @@ class SymmetricKMomentum(SymmetricK):
         filled = 0
         while filled < batch:
             cand = rng.standard_normal((batch - filled, self.k, self.d))
-            cand -= cand.mean(axis=1, keepdims=True)
-            norms = np.linalg.norm(cand.reshape(cand.shape[0], -1), axis=1)
+            cand -= _left_sum(cand.swapaxes(1, 2))[:, None, :] / self.k
+            flat = cand.reshape(cand.shape[0], -1)
+            norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
             ok = norms >= _SPHERE_REDRAW_EPS
             kept = cand[ok] / norms[ok][:, None, None]
             out[filled : filled + kept.shape[0]] = kept

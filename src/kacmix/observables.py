@@ -86,8 +86,11 @@ class TanhFactor:
         return f"tanh[{_fmt(self.a)}]"
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.prod(np.tanh(self.a * pts), axis=-1)
+        t = np.tanh(self.a * np.asarray(points, dtype=float))
+        out = t[..., 0]
+        for c in range(1, t.shape[-1]):  # np.prod's left fold, without its per-call cost
+            out = out * t[..., c]
+        return out
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,9 @@ class BoxFactor:
             hi = np.repeat(hi, d)
         if lo.shape[0] != d:
             raise ValueError(f"{self.label}: bounds have length {lo.shape[0]}, points have d={d}")
-        inside = np.logical_and(pts >= lo, pts <= hi).all(axis=-1)
+        inside = (pts[..., 0] >= lo[0]) & (pts[..., 0] <= hi[0])
+        for c in range(1, d):
+            inside &= (pts[..., c] >= lo[c]) & (pts[..., c] <= hi[c])
         return inside.astype(float)
 
 

@@ -12,16 +12,16 @@ events one by one, so the simulation is exact (no thinning or time
 discretization is involved).  The mean-field sampler runs on the same
 engine.
 
-Replicas are independent and reproducible.  Systems of N <= 2048 run
-groups of GROUP_PARTICLES // N replicas as one stacked array that shares no
-particles between replicas and draws everything from one counter-based
-generator, seeded from (seed, spawn_key=(r,)) with r the group's first
-replica; larger systems run each replica alone on its own such stream.  A
-group applies each observation interval's events in rounds of at most
-`_block_size` events per replica.  The grouping depends on N only, so the
-output depends only on the configuration.  Observers sample the
-right-continuous trajectory at fixed times; the state at time tau is the
-state after the last event at or before tau.
+Replicas are independent and reproducible.  Groups of GROUP_PARTICLES // N
+replicas run as one stacked array that shares no particles between
+replicas, in rounds of at most `_block_size` events per replica, and the
+observers read a whole group at once.  A group draws from counter-based
+streams seeded from (seed, spawn_key=(r,)): one, with r its first
+replica, for N <= 2048, else one per replica r, drawn as if it ran alone.
+The grouping depends on N only, so the output depends only on the
+configuration.  Observers sample the right-continuous trajectory at fixed
+times; the state at time tau is the state after the last event at or
+before tau.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .laws import MixtureSpec
+from .laws import MixtureSpec, _left_sum
 from .observables import ObservableSpec
 
 __all__ = [
@@ -201,7 +201,7 @@ class SimConfig:
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """The counter-based stream of the replica group starting at `replica` in a run of `seed`."""
+    """The counter-based stream starting at `replica` in a run of `seed` (see `_run_replicas`)."""
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(replica),))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -265,20 +265,19 @@ def _index_rows(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndar
 # partners are idx[e, 1:].
 
 
-def _draw_tape(
-    rng: np.random.Generator, counts: np.ndarray, mixture: MixtureSpec, n: int, meanfield: bool
-) -> list:
-    """The tape of `counts[r]` events of each replica r of a group, drawn from the group's generator.
+def _draw_tape(rng, counts, mixture: MixtureSpec, n: int, meanfield: bool, first=0, start=0) -> list:
+    """The tape of `counts[r]` events of each replica r of a stream, drawn from the stream's generator.
 
-    Replica r owns particles r n .. r n + n - 1, and its events take the
-    tape positions after those of the replicas before it.  One pass draws
-    the order uniforms of all events, then per order K its index rows and
-    angles.  N-particle orders have probability beta_K, mean-field orders
-    beta_K K / alpha; a uniform ordered row makes (jumper, ordered
-    partners) = (idx[e, 0], idx[e, 1:]) uniform.
+    Replica r owns particles first + r n .. first + r n + n - 1, and its
+    events take the tape positions from `start` on, after those of the
+    replicas before it.  One pass draws the order uniforms of all events,
+    then per order K its index rows and angles.  N-particle orders have
+    probability beta_K, mean-field orders beta_K K / alpha; a uniform
+    ordered row makes (jumper, ordered partners) = (idx[e, 0], idx[e, 1:])
+    uniform.
     """
     order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
-    offset = np.repeat(np.arange(len(counts)) * n, counts)  # first particle of each event's replica
+    offset = np.repeat(first + np.arange(len(counts)) * n, counts)  # each event's replica's first particle
     order = order_of(rng.random(offset.size))
     by_order = order.argsort(kind="stable")
     ends = np.cumsum(np.bincount(order, minlength=mixture.m + 1)).tolist()
@@ -287,8 +286,36 @@ def _draw_tape(
         pos = by_order[ends[k - 1] : ends[k]]
         if pos.size:
             idx = _index_rows(rng, pos.size, n, k) + offset[pos, None]
-            tape.append((law, pos, idx, law.sample_angle(rng, size=pos.size)))
+            tape.append((law, pos + start, idx, law.sample_angle(rng, size=pos.size)))
     return tape
+
+
+def _draw_round(rngs, take: np.ndarray, mixture: MixtureSpec, n: int, meanfield: bool) -> list:
+    """A group's tape of `take[r]` events of each replica r: each stream's tape, merged per order.
+
+    Each stream owns an equal run of the replicas, and its events follow
+    those of the streams before it.  A stream with no event left draws
+    nothing, as it would alone.
+    """
+    share = take.size // len(rngs)
+    tapes = []
+    start = 0
+    for s, rng in enumerate(rngs):
+        counts = take[s * share : (s + 1) * share]
+        total = int(counts.sum())
+        if total:
+            tapes.append(_draw_tape(rng, counts, mixture, n, meanfield, s * share * n, start))
+        start += total
+    if len(tapes) == 1:
+        return tapes[0]
+    by_order: dict = {}
+    for tape in tapes:
+        for entry in tape:
+            by_order.setdefault(entry[0].order, []).append(entry)
+    return [
+        (entries[0][0], *(np.concatenate(part) for part in list(zip(*entries))[1:]))
+        for _, entries in sorted(by_order.items())
+    ]
 
 
 def _block_size(n: int) -> int:
@@ -333,7 +360,7 @@ def _layers(tape: list, count: int) -> np.ndarray:
 
 def _apply_events(velocities: np.ndarray, law, idx, angles, moved: int) -> None:
     """Apply events of one order on disjoint particles at once, writing back their first `moved` slots."""
-    out = law.apply(angles, velocities[idx])
+    out = law.apply(angles, velocities.take(idx, axis=0))  # `take` gathers rows faster than indexing
     velocities[idx[:, :moved]] = out[:, :moved]
 
 
@@ -449,7 +476,7 @@ def moment_channels(velocities: np.ndarray, events) -> np.ndarray:
     m2 = sq.mean(axis=-1)
     m3 = (sq * flat).mean(axis=-1)
     m4 = (sq * sq).mean(axis=-1)
-    speed_sq = (v * v).sum(axis=-1)
+    speed_sq = _left_sum(sq.reshape(v.shape))
     energy = speed_sq.mean(axis=-1)
     if n >= 2:
         col_sums = v.sum(axis=-2)
@@ -570,17 +597,15 @@ class ObservableObserver(Observer):
 # replica driver (shared with the mean-field sampler)
 # ---------------------------------------------------------------------------
 
-# Particles per replica group.  For N <= STACK_N_MAX a group of
-# G = GROUP_PARTICLES // N replicas runs as one stacked (G N, d) array with
-# one generator, so small systems get their batch width from the replica
-# axis and the engine's fixed cost per round is paid once for G replicas.
-# Larger systems run one replica per group, each on its own stream.  G
-# depends on N only, so the grouping, and with it the output, depends only
-# on the config.
+# Particles per replica group.  A group of G = GROUP_PARTICLES // N
+# replicas (at least one) runs as one stacked (G N, d) array, so the fixed
+# costs of an engine round and of an observer collect are paid once for G
+# replicas.  G depends on N only, so the grouping, and with it the
+# output, depends only on the config.
 GROUP_PARTICLES = 16384
-# Largest N that stacks replicas.  Above it a system already fills a round
-# by itself; keeping one replica per group there keeps those runs' streams,
-# and with them their bytes, those of one replica run alone.
+# Largest N whose group draws from one generator.  Above it each replica of
+# a group keeps its own stream, drawn in lockstep with the others, so those
+# runs keep the bytes of each replica run alone.
 STACK_N_MAX = 2048
 
 
@@ -589,18 +614,19 @@ def _drive(
     rate: float,
     meanfield: bool,
     mixture: MixtureSpec,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     t_end: float,
     observers: Sequence[Observer],
 ) -> Tuple[List[np.ndarray], np.ndarray, int]:
     """Evolve a group of replicas (G, N, d) to the horizon in place, sampling observers.
 
-    The group draws everything from `rng`.  The observer times and t_end cut
-    [0, t_end] into intervals.  The number of events of a replica in each
-    interval is Poisson(rate * length), independent of the other intervals
-    and replicas, and given the counts the events are iid, so the group
-    draws the G counts and then the events; no event time is needed.  Each
-    round draws and applies one tape of at most `_block_size` events of
+    The group draws from the S streams `rngs`, each owning G/S consecutive
+    replicas.  The observer times and t_end cut [0, t_end] into intervals.
+    The number of events of a replica in each interval is Poisson(rate *
+    length), independent of the other intervals and replicas, and given the
+    counts the events are iid, so each stream draws its replicas' counts
+    and then their events; no event time is needed.  Each round draws (see
+    `_draw_round`) and applies one tape of at most `_block_size` events of
     every replica with events left.  A sample at time tau reads the state
     after the intervals ending at or before tau (right continuity).
     Returns each observer's readings (G, n_times, n_channels), the events
@@ -615,6 +641,7 @@ def _drive(
     m = mixture.m
     readings = [np.empty((g, len(obs.times), len(obs.channel_names))) for obs in observers]
     flat = velocities.reshape(g * n, d)  # a view: the stacked particles
+    share = g // len(rngs)
     block = _block_size(n)
     moved = 1 if meanfield else m  # slots written back: the jumper, or all (m >= every order)
     events = np.zeros((g, m), dtype=np.int64)
@@ -622,11 +649,14 @@ def _drive(
     ptr = 0
     t = 0.0
     for cut in sorted({entry[0] for entry in schedule} | {t_end}):
-        todo = rng.poisson(rate * (cut - t), size=g) if cut > t else np.zeros(g, dtype=np.int64)
+        if cut > t:
+            todo = np.concatenate([rng.poisson(rate * (cut - t), size=share) for rng in rngs])
+        else:
+            todo = np.zeros(g, dtype=np.int64)
         while todo.any():
             take = np.minimum(todo, block)
             todo -= take
-            tape = _draw_tape(rng, take, mixture, n, meanfield)
+            tape = _draw_round(rngs, take, mixture, n, meanfield)
             for law, _, idx, _ in tape:
                 events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
             _apply_tape(flat, tape, int(take.sum()), moved)
@@ -684,7 +714,8 @@ class RunResult:
     n_times, n_channels), for replica-level diagnostics.
     `events_by_order[K-1]` counts the order-K events applied over all
     replicas, `engine_s` is the wall time of the replica runs,
-    `replica_group` the number of replicas stacked into one engine pass and
+    `replica_group` the number of replicas that share one engine pass (their
+    rounds and observer collects, see GROUP_PARTICLES) and
     `rounds` the engine rounds applied over all groups.  Rows flatten the
     series into (time, channel id, mean, stderr) records for tabular output.
     """
@@ -762,14 +793,16 @@ def _run_replicas(
     """The replica driver behind `run` and `meanfield_run`.
 
     Groups of G replicas (see GROUP_PARTICLES and STACK_N_MAX) run as one
-    stacked (G, N, d) array.  A group draws its initial states and its
-    events from the stream of its first replica, `replica_rng(seed, lo)`,
-    and each of its replicas jumps at total `rate`, with N-particle events
-    or, when `meanfield`, mean-field events.
+    stacked (G, N, d) array.  For N <= STACK_N_MAX a group draws its initial
+    states and its events from the stream of its first replica,
+    `replica_rng(seed, lo)`; above it each replica r draws its own from
+    `replica_rng(seed, r)`.  Each replica jumps at total `rate`, with
+    N-particle events or, when `meanfield`, mean-field events.
     """
     observers = list(observers)
     _check_observers(observers, config)
-    size = GROUP_PARTICLES // config.N if config.N <= STACK_N_MAX else 1
+    size = max(1, GROUP_PARTICLES // config.N)
+    share = size if config.N <= STACK_N_MAX else 1  # replicas per stream
     values = [
         np.empty((config.replicas, len(obs.times), len(obs.channel_names))) for obs in observers
     ]
@@ -779,11 +812,12 @@ def _run_replicas(
     start = time.perf_counter()
     for lo in range(0, config.replicas, size):
         hi = min(lo + size, config.replicas)
-        rng = replica_rng(config.seed, lo)
-        velocities = config.initial.sample(rng, (hi - lo) * config.N, config.d)
+        rngs = [replica_rng(config.seed, r) for r in range(lo, hi, share)]
+        particles = (hi - lo) // len(rngs) * config.N
+        velocities = np.concatenate([config.initial.sample(rng, particles, config.d) for rng in rngs])
         velocities = velocities.reshape(hi - lo, config.N, config.d)
         readings, events[lo:hi], group_rounds = _drive(
-            velocities, rate, meanfield, config.mixture, rng, config.t_end, observers
+            velocities, rate, meanfield, config.mixture, rngs, config.t_end, observers
         )
         rounds += group_rounds
         for series_values, block in zip(values, readings):
@@ -822,8 +856,9 @@ def run(
 ) -> RunResult:
     """Evolve an ensemble of independent replicas and merge their statistics.
 
-    Replicas advance in stacked groups, one engine pass and one generator
-    stream each (see `_run_replicas`), so the output is a deterministic
-    function of the configuration alone.  The run is one process.
+    Replicas advance in stacked groups, one engine pass each, on generator
+    streams fixed by the seed (see `_run_replicas`), so the output is a
+    deterministic function of the configuration alone.  The run is one
+    process.
     """
     return _run_replicas("kac", config, float(config.N), False, observers, keep_final)

@@ -30,6 +30,7 @@ from kacmix.simulator import (
     SimConfig,
     UniformBoxInitial,
     _apply_tape,
+    _draw_round,
     _draw_tape,
     _drive,
     _layers,
@@ -138,19 +139,25 @@ def test_group_tape_keeps_each_event_inside_its_replica(meanfield):
     """Replica r's events hold only its particles and take its block of tape positions.
 
     k = 3 on n = 4 redraws most index rows; the counts include an idle
-    replica and replicas with unequal counts.
+    replica and replicas with unequal counts.  The same holds for a round
+    merged from three streams of two replicas each, one of them idle.
     """
     n = 4
-    counts = np.array([3, 0, 100, 1, 70, 2])
-    tape = _draw_tape(replica_rng(41, 0), counts, K3_ON_4, n, meanfield)
-    owner = np.repeat(np.arange(counts.size), counts)  # the replica of each tape position
-    seen = np.zeros(counts.sum(), dtype=int)
-    for law, pos, idx, _ in tape:
-        assert np.all(idx // n == owner[pos][:, None])  # no event spans two replicas
-        assert all(len(set(row)) == law.order for row in idx.tolist())
-        seen[pos] += 1
-    assert np.all(seen == 1)
-    assert {law.order for law, *_ in tape} == {1, 2, 3}
+    one_stream = np.array([3, 0, 100, 1, 70, 2])
+    three_streams = np.array([3, 0, 0, 0, 70, 2])
+    rngs = [replica_rng(41, r) for r in (0, 2, 4)]
+    for counts, tape in (
+        (one_stream, _draw_tape(replica_rng(41, 0), one_stream, K3_ON_4, n, meanfield)),
+        (three_streams, _draw_round(rngs, three_streams, K3_ON_4, n, meanfield)),
+    ):
+        owner = np.repeat(np.arange(counts.size), counts)  # the replica of each tape position
+        seen = np.zeros(counts.sum(), dtype=int)
+        for law, pos, idx, _ in tape:
+            assert np.all(idx // n == owner[pos][:, None])  # no event spans two replicas
+            assert all(len(set(row)) == law.order for row in idx.tolist())
+            seen[pos] += 1
+        assert np.all(seen == 1)
+        assert {law.order for law, *_ in tape} == {1, 2, 3}
 
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
@@ -258,27 +265,30 @@ def test_replica_prefix_is_stable(engine):
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
 def test_lone_replicas_keep_their_own_stream(engine):
-    """Above N = 2048 each replica runs alone on `replica_rng(seed, r)`; at N = 2048 replicas stack.
+    """Above N = 2048 each replica keeps `replica_rng(seed, r)`; at N = 2048 a group shares one stream.
 
-    Each replica of a run at N = 2049 reads and ends exactly as `_drive`
-    run on that replica alone, so the stacking of smaller systems leaves
-    large runs' bytes alone.
+    At N = 2049 a group holds GROUP_PARTICLES // 2049 = 7 replicas that
+    share their rounds and observer passes.  Each replica of a run with 3
+    replicas (one partial group) and with 9 (groups of 7 + 2) reads and
+    ends exactly as `_drive` run on that replica alone, so the sharing
+    leaves large runs' bytes alone.
     """
     n, seed = 2049, 37
     observers = [MomentObserver([0.0, 0.3]), ObservableObserver([0.3, 0.6], MIXED_SPECS)]
-    lone = stacked_run(engine, 3, observers, n=n, seed=seed)
-    assert lone.replica_group == 1
     rate = n * (MIXED_1_3.alpha if engine == "meanfield" else 1.0)
-    for r in range(3):
-        rng = replica_rng(seed, r)
-        velocities = UNIFORM.sample(rng, n, MIXED_1_3.dim).reshape(1, n, MIXED_1_3.dim)
-        readings, events, _ = _drive(
-            velocities, rate, engine == "meanfield", MIXED_1_3, rng, 0.6, observers
-        )
-        for raw, alone in zip(lone.raw, readings):
-            assert np.array_equal(raw[r], alone[0])
-        assert np.array_equal(lone.final_states[r].velocities, velocities[0])
-        assert lone.final_states[r].collision_count == events.sum()
+    for replicas in (3, 9):
+        lone = stacked_run(engine, replicas, observers, n=n, seed=seed)
+        assert lone.replica_group == GROUP_PARTICLES // 2049 == 7
+        for r in range(replicas):
+            rng = replica_rng(seed, r)
+            velocities = UNIFORM.sample(rng, n, MIXED_1_3.dim).reshape(1, n, MIXED_1_3.dim)
+            readings, events, _ = _drive(
+                velocities, rate, engine == "meanfield", MIXED_1_3, [rng], 0.6, observers
+            )
+            for raw, alone in zip(lone.raw, readings):
+                assert np.array_equal(raw[r], alone[0]), (replicas, r)
+            assert np.array_equal(lone.final_states[r].velocities, velocities[0]), (replicas, r)
+            assert lone.final_states[r].collision_count == events.sum()
     stacked = stacked_run(engine, 1, [MomentObserver([0.0])], n=2048, seed=seed)
     assert stacked.replica_group == GROUP_PARTICLES // 2048
 
