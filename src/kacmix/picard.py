@@ -50,7 +50,9 @@ roundoff left in the mass would otherwise grow like exp(alpha t).  Node 0
 of every Picard iterate is the sub-step's initial density, and so is every
 node of the first, so a sub-step takes the gain of that density once and
 then the gain of the n_time later nodes per sweep: 1 + (n_iter - 1) n_time
-rows in all.
+rows in all.  The solve owns the gain's gather and product buffers, one pair
+per batch size, and drops them on return: allocated per call, they would go
+back to the kernel on free and be faulted in afresh, costing more than the gather.
 Mass (the plain h * sum functional) is tracked after every sweep and a drift
 beyond `MASS_TOL_TOY` aborts the solve: with the rescaling, it means that
 f0's mass is off 1 or that the gain does not conserve mass, and silently
@@ -239,11 +241,20 @@ class _PolarGain:
                 blocks.append(synth[parity::2, k].reshape(-1, n_v))
             self.stacks.append((cell, frac, coefs))
         self.synthesis = np.concatenate(blocks)
-        self.h, self.v = h, v
+        self.cells = max(cell.size for cell, _, _ in self.stacks)  # per row, in the larger stack
+        self.h, self.v, self.v2 = h, v, v**2
+        self.moments2, self.moments4 = np.stack([v**0, self.v2], axis=1), np.stack([v**0, self.v2, v**4], axis=1)
 
-    def gain_batch(self, f_rows: np.ndarray) -> np.ndarray:
-        """Qplus[f, f] on the grid for a stack of value vectors (shape (m, n_v))."""
+    def gain_batch(self, f_rows: np.ndarray, buffers: dict) -> np.ndarray:
+        """Qplus[f, f] on the grid for a stack of value vectors (shape (m, n_v)).
+
+        `buffers`, owned by the caller (see the module docstring), maps a batch size to
+        the gather and product buffers both parity stacks share; no result aliases them.
+        """
         m, n_v = f_rows.shape
+        if m not in buffers:
+            buffers[m] = np.empty(2 * self.n_parts * m * self.cells), np.empty(m * self.cells)
+        gather, product = buffers[m]
         mirror = f_rows[:, ::-1]
         parts = f_rows + mirror if self.n_parts == 1 else np.concatenate([f_rows + mirror, f_rows - mirror])
         # values and slopes of the parts on the lattice cells (cell n_v is zero)
@@ -252,25 +263,27 @@ class _PolarGain:
         table[1, :, : n_v - 1] = np.diff(parts, axis=1)
         features = []
         for cell, frac, coefs in self.stacks:
-            x, slope = np.take(table, cell, axis=2)
+            out = gather[: table.shape[1] * 2 * cell.size].reshape(2, -1, *cell.shape)
+            x, slope = np.take(table, cell, axis=2, out=out, mode="clip")  # cells are 0..n_v
             slope *= frac
             x += slope
             x = x.reshape(-1, m, *cell.shape)
             y = x[0, ..., ::-1]  # r sin psi is r cos(pi / 2 - psi): the quarter reversed
+            xy = product[: m * cell.size].reshape(m, *cell.shape)
             for part, coef in enumerate(coefs):
-                features.append(((x[part] * y).reshape(-1, cell.shape[1]) @ coef).reshape(m, -1))
+                np.multiply(x[part], y, out=xy)
+                features.append((xy.reshape(-1, cell.shape[1]) @ coef).reshape(m, -1))
         gain = np.concatenate(features, axis=1) @ self.synthesis
 
         # conservative correction gain * (a + c v^2): exact discrete mass and energy
-        v = self.v
-        mass, m2 = (self.h * f_rows @ np.stack([v**0, v**2], axis=1)).T
-        mu0, mu2, mu4 = (self.h * gain @ np.stack([v**0, v**2, v**4], axis=1)).T
+        mass, m2 = (self.h * f_rows @ self.moments2).T
+        mu0, mu2, mu4 = (self.h * gain @ self.moments4).T
         t0 = ALPHA_TOY * self.b0 * mass**2
         t2 = ALPHA_TOY * (self.b0 * mass * m2)
         det = mu0 * mu4 - mu2**2
         det[det <= 0.0] = np.inf  # only an all-zero gain; it stays zero
         a, c = (t0 * mu4 - t2 * mu2) / det, (t2 * mu0 - t0 * mu2) / det
-        return gain * (a[:, None] + c[:, None] * v**2)
+        return gain * (a[:, None] + c[:, None] * self.v2)
 
 
 @functools.lru_cache(maxsize=4)
@@ -352,17 +365,18 @@ def picard_solve_toy(
     factors: List[float] = []
     h = f0.h
     f = f0
+    buffers = {}  # the gain's gather and product buffers, one pair per batch size
     for _ in range(n_steps):
         f_vals = f.value_array()
         mass_drift = max(mass_drift, abs(f.mass() - 1.0))
         # Every node of the first iterate is f, and node 0 of every later one
         # (decay[0] == 1, weights[0] == 0): one gain row of f serves them all.
         iterate = np.tile(f_vals, (n_nodes, 1))
-        gains = np.tile(quad.gain_batch(f_vals[None, :]), (n_nodes, 1))
+        gains = np.tile(quad.gain_batch(f_vals[None, :], buffers), (n_nodes, 1))
         step: List[float] = []
         for sweep in range(n_iter):
             if sweep:
-                gains[1:] = quad.gain_batch(iterate[1:])
+                gains[1:] = quad.gain_batch(iterate[1:], buffers)
             new = decay[:, None] * f_vals[None, :] + weights @ gains
             step.append(h * float(np.abs(new - iterate).sum(axis=1).max()))
             iterate = new
