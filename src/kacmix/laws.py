@@ -223,8 +223,11 @@ class KacToy(CollisionLaw):
         c, s = np.cos(th), np.sin(th)
         v1, v2 = g[..., 0, 0], g[..., 1, 0]
         out = np.empty_like(g)
-        out[..., 0, 0] = c * v1 + s * v2
-        out[..., 1, 0] = c * v2 - s * v1
+        w1, w2 = out[..., 0, 0], out[..., 1, 0]  # views: written in place, rounded as c v1 + s v2
+        np.multiply(c, v1, out=w1)
+        w1 += s * v2
+        np.multiply(c, v2, out=w2)
+        w2 -= s * v1
         return out
 
     def apply_inverse(self, angle, group):
@@ -386,10 +389,18 @@ class MixtureSpec:
 
 
 def _count_edges(edges: np.ndarray, u):
-    """Count of edges at or below each u; a float u is bisected, faster than a numpy call."""
+    """Count of edges at or below each u in [0, 1); a float u is bisected, faster than a numpy call.
+
+    Edge 0 is 0 and the top edge is 1, so for an array the count is 1 plus
+    the interior edges at or below u: equal to `searchsorted(side="right")`
+    and several times cheaper for the few edges of a mixture.
+    """
     if isinstance(u, float):
         return bisect.bisect_right(edges, u)
-    return edges.searchsorted(u, side="right")
+    count = np.ones(u.shape, dtype=np.intp)
+    for edge in edges[1:-1].tolist():
+        count += u >= edge
+    return count
 
 
 # ---------------------------------------------------------------------------

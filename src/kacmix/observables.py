@@ -64,6 +64,8 @@ class CosineFactor:
             raise ValueError(
                 f"{self.label}: points have d={pts.shape[-1]}, frequency has d={xi.shape[0]}"
             )
+        if xi.shape[0] == 1:  # a one-term dot product is the product itself, bit for bit
+            return np.cos(pts[..., 0] * xi[0])
         return np.cos(pts @ xi)
 
 

@@ -239,7 +239,8 @@ def _indices(u: np.ndarray, n: int) -> np.ndarray:
     resolution, and u * n rounds below n, so every index is in range.  One
     `rng.random` call costs a tenth of `rng.integers` on small arrays.
     """
-    return (u * n).astype(np.intp)
+    u *= n
+    return u.astype(np.intp)
 
 
 def _index_rows(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
@@ -274,18 +275,25 @@ def _draw_tape(rng, counts, mixture: MixtureSpec, n: int, meanfield: bool, first
     then per order K its index rows and angles.  N-particle orders have
     probability beta_K, mean-field orders beta_K K / alpha; a uniform
     ordered row makes (jumper, ordered partners) = (idx[e, 0], idx[e, 1:])
-    uniform.
+    uniform.  When one order carries all the weight (under either law),
+    every event has it and no order uniform is drawn.
     """
-    order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
     offset = np.repeat(first + np.arange(len(counts)) * n, counts)  # each event's replica's first particle
-    order = order_of(rng.random(offset.size))
-    by_order = order.argsort(kind="stable")
-    ends = np.cumsum(np.bincount(order, minlength=mixture.m + 1)).tolist()
+    live = [k for k, b in enumerate(mixture.beta, start=1) if b > 0]
+    if len(live) == 1:
+        positions = {live[0]: np.arange(offset.size)}
+    else:
+        order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
+        order = order_of(rng.random(offset.size))
+        by_order = order.argsort(kind="stable")
+        ends = order.take(by_order).searchsorted(np.arange(mixture.m + 1), side="right").tolist()
+        positions = {k: by_order[ends[k - 1] : ends[k]] for k in range(1, mixture.m + 1)}
     tape = []
-    for k, law in enumerate(mixture.laws, start=1):
-        pos = by_order[ends[k - 1] : ends[k]]
+    for k, pos in positions.items():
         if pos.size:
-            idx = _index_rows(rng, pos.size, n, k) + offset[pos, None]
+            law = mixture.laws[k - 1]
+            idx = _index_rows(rng, pos.size, n, k)
+            idx += offset.take(pos)[:, None]
             tape.append((law, pos + start, idx, law.sample_angle(rng, size=pos.size)))
     return tape
 
@@ -330,32 +338,38 @@ def _block_size(n: int) -> int:
 def _layers(tape: list, count: int) -> np.ndarray:
     """Layer of each event: one above the latest earlier event sharing a particle.
 
-    Each (event, particle) entry of the tape is one int64 key,
-    particle << b | event, with b the bit length of count - 1 (for
-    mean-field events the particles are the jumper and its partners).
-    Sorted, the keys list each particle's events in tape order, so two
-    adjacent keys of one particle are a predecessor edge.  Layers are the
-    longest edge chains, found by relaxing every edge at once until nothing
-    changes (one pass per layer); layers only grow, so an unchanged sum
-    means nothing changed.  An event that holds a particle twice would join
-    itself and never stop growing, so it raises instead.
+    Each (event, particle) entry of the tape is one key, particle << b |
+    event, with b the bit length of count - 1 (for mean-field events the
+    particles are the jumper and its partners); the keys are int32 when
+    they fit, which sorts faster.  Sorted, the keys list each particle's
+    events in tape order, so two adjacent keys of one particle are a
+    predecessor edge.  Layers are the longest edge chains: after pass p
+    every layer reads min(longest chain, p), so pass p + 1 only lifts the
+    successors of the edges whose predecessor reads p, and the others are
+    dropped for good; the passes end when no edge is left.  An event that
+    holds a particle twice would join itself, so it raises instead.
     """
     b = (count - 1).bit_length()
-    key = np.sort(np.concatenate([(idx << b | pos[:, None]).ravel() for _, pos, idx, _ in tape]))
+    top = max(int(idx.max()) for _, _, idx, _ in tape)
+    key_type = np.int32 if (top + 1) << b <= 2**31 else np.int64
+    key = np.concatenate(
+        [(idx << b | pos[:, None]).ravel() for _, pos, idx, _ in tape], dtype=key_type, casting="unsafe"
+    )
+    key.sort()
     particle = key >> b
     same = np.flatnonzero(particle[1:] == particle[:-1])
-    event = key & ((1 << b) - 1)
-    pred, succ = event[same], event[same + 1]
+    event = (key & ((1 << b) - 1)).astype(np.intp)
+    pred, succ = event.take(same), event.take(same + 1)
     if (pred == succ).any():
         raise ValueError(f"event tape: event {int(pred[pred == succ][0])} holds a particle twice")
     layer = np.zeros(count, dtype=np.intp)
-    total = 0
-    while True:
-        np.maximum.at(layer, succ, layer[pred] + 1)
-        grown = int(layer.sum())
-        if grown == total:
-            return layer
-        total = grown
+    depth = 0
+    while succ.size:
+        depth += 1
+        layer[succ] = depth
+        lifted = np.flatnonzero(layer.take(pred) == depth)  # cheaper than boolean indexing twice
+        pred, succ = pred.take(lifted), succ.take(lifted)
+    return layer
 
 
 def _apply_events(velocities: np.ndarray, law, idx, angles, moved: int) -> None:
@@ -372,10 +386,10 @@ def _apply_tape(velocities: np.ndarray, tape: list, count: int, moved: int) -> N
     # layers as 8- or 16-bit keys on most tapes, so the stable sort is a radix sort
     key_type = np.min_scalar_type(depth)
     for law, pos, idx, angles in tape:
-        lay = layer[pos].astype(key_type)
+        lay = layer.take(pos).astype(key_type)
         by_layer = lay.argsort(kind="stable")
-        starts = lay[by_layer].searchsorted(np.arange(depth + 1, dtype=key_type)).tolist()
-        plans.append((law, idx[by_layer], angles[by_layer], starts))
+        starts = lay.take(by_layer).searchsorted(np.arange(depth + 1, dtype=key_type)).tolist()
+        plans.append((law, idx.take(by_layer, axis=0), angles.take(by_layer, axis=0), starts))
     for level in range(depth):
         for law, idx, angles, starts in plans:
             lo, hi = starts[level], starts[level + 1]
@@ -617,7 +631,7 @@ def _drive(
     rngs: Sequence[np.random.Generator],
     t_end: float,
     observers: Sequence[Observer],
-) -> Tuple[List[np.ndarray], np.ndarray, int]:
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, int]:
     """Evolve a group of replicas (G, N, d) to the horizon in place, sampling observers.
 
     The group draws from the S streams `rngs`, each owning G/S consecutive
@@ -630,7 +644,8 @@ def _drive(
     every replica with events left.  A sample at time tau reads the state
     after the intervals ending at or before tau (right continuity).
     Returns each observer's readings (G, n_times, n_channels), the events
-    applied of each order (G, M) and the number of rounds.
+    applied to each replica (G,), kept as round totals, the events of each
+    order (M,), summed from the tape sizes, and the number of rounds.
     """
     schedule = sorted(
         (t, oi, ti)
@@ -644,7 +659,8 @@ def _drive(
     share = g // len(rngs)
     block = _block_size(n)
     moved = 1 if meanfield else m  # slots written back: the jumper, or all (m >= every order)
-    events = np.zeros((g, m), dtype=np.int64)
+    events = np.zeros(g, dtype=np.int64)
+    by_order = np.zeros(m, dtype=np.int64)
     rounds = 0
     ptr = 0
     t = 0.0
@@ -656,18 +672,18 @@ def _drive(
         while todo.any():
             take = np.minimum(todo, block)
             todo -= take
+            events += take
             tape = _draw_round(rngs, take, mixture, n, meanfield)
-            for law, _, idx, _ in tape:
-                events[:, law.order - 1] += np.bincount(idx[:, 0] // n, minlength=g)
+            for law, pos, _, _ in tape:
+                by_order[law.order - 1] += pos.size
             _apply_tape(flat, tape, int(take.sum()), moved)
             rounds += 1
         t = cut
-        counts = events.sum(axis=1)
         while ptr < len(schedule) and schedule[ptr][0] <= t:
             _, oi, ti = schedule[ptr]
-            readings[oi][:, ti] = observers[oi].collect(velocities, counts)
+            readings[oi][:, ti] = observers[oi].collect(velocities, events)
             ptr += 1
-    return readings, events, rounds
+    return readings, events, by_order, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +822,8 @@ def _run_replicas(
     values = [
         np.empty((config.replicas, len(obs.times), len(obs.channel_names))) for obs in observers
     ]
-    events = np.zeros((config.replicas, config.mixture.m), dtype=np.int64)
+    events = np.zeros(config.replicas, dtype=np.int64)
+    by_order = np.zeros(config.mixture.m, dtype=np.int64)
     rounds = 0
     finals: List[MasterState] = []
     start = time.perf_counter()
@@ -816,15 +833,16 @@ def _run_replicas(
         particles = (hi - lo) // len(rngs) * config.N
         velocities = np.concatenate([config.initial.sample(rng, particles, config.d) for rng in rngs])
         velocities = velocities.reshape(hi - lo, config.N, config.d)
-        readings, events[lo:hi], group_rounds = _drive(
+        readings, events[lo:hi], group_by_order, group_rounds = _drive(
             velocities, rate, meanfield, config.mixture, rngs, config.t_end, observers
         )
+        by_order += group_by_order
         rounds += group_rounds
         for series_values, block in zip(values, readings):
             series_values[lo:hi] = block
         if keep_final:
             finals.extend(
-                MasterState(v, config.t_end, int(e.sum())) for v, e in zip(velocities, events[lo:hi])
+                MasterState(v, config.t_end, int(e)) for v, e in zip(velocities, events[lo:hi])
             )
     engine_s = time.perf_counter() - start
     series = tuple(
@@ -838,7 +856,7 @@ def _run_replicas(
         seed=config.seed,
         t_end=config.t_end,
         series=series,
-        events_by_order=tuple(int(e) for e in events.sum(axis=0)),
+        events_by_order=tuple(int(e) for e in by_order),
         engine_s=engine_s,
         replica_group=size,
         rounds=rounds,

@@ -33,6 +33,7 @@ from kacmix.simulator import (
     _draw_round,
     _draw_tape,
     _drive,
+    _index_rows,
     _layers,
     replica_rng,
     run,
@@ -72,7 +73,14 @@ MIXTURES.append(pytest.param(MIXED_1_3, id="mixed_1_3"))
 @pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
 @pytest.mark.parametrize("mixture", MIXTURES)
 def test_layered_apply_equals_sequential_apply_bitwise(mixture, meanfield):
-    """(6, 1500) is deeper than 255 layers, so its layer keys take 16 bits."""
+    """(6, 1500) is deeper than 255 layers, so its layer keys take 16 bits.
+
+    The tape must move the state.  The sign flip SymmetricK(k=1, d=1) maps
+    v to -v, so a tape that hits every particle an even number of times
+    leaves the state as it was; for it the final state must be exactly
+    velocities * (-1)**(events on each particle) instead.
+    """
+    flip = mixture.laws[-1] == SymmetricK(k=1, d=1)
     for n, count in ((6, 60), (40, 400), (500, 250), (6, 1500)):
         rng = replica_rng(31, n)
         velocities = rng.standard_normal((n, mixture.dim))
@@ -82,12 +90,31 @@ def test_layered_apply_equals_sequential_apply_bitwise(mixture, meanfield):
         _apply_tape(layered, tape, count, moved)
         apply_sequentially(sequential, tape, count, moved)
         assert np.array_equal(layered, sequential), (n, count)
-        assert not np.array_equal(layered, velocities)
+        if flip:
+            hits = np.bincount(np.concatenate([idx[:, :moved].ravel() for _, _, idx, _ in tape]), minlength=n)
+            assert np.array_equal(layered, velocities * (-1.0) ** hits[:, None]), (n, count)
+        else:
+            assert not np.array_equal(layered, velocities)
         # the tape really was batched: fewer layers than events, more than one layer
         depth = int(_layers(tape, count).max()) + 1
         assert 1 < depth < count
         if count == 1500:
             assert depth > 255
+
+
+def sequential_layers(tape, count):
+    """The oracle: each event one layer above the latest earlier event on one of its particles."""
+    particles = {}
+    for _, pos, idx, _ in tape:
+        for p, row in zip(pos.tolist(), idx.tolist()):
+            particles[p] = row
+    last = {}  # particle -> layer of the latest event on it
+    layer = []
+    for e in range(count):
+        layer.append(1 + max((last.get(p, -1) for p in particles[e]), default=-1))
+        for p in particles[e]:
+            last[p] = layer[-1]
+    return np.array(layer)
 
 
 @pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
@@ -96,39 +123,71 @@ def test_layers_follow_shared_particles(meanfield):
     rng = replica_rng(32, 0)
     n, count = 30, 300
     tape = _draw_tape(rng, np.array([count]), MIXED_1_3, n, meanfield)
+    assert np.array_equal(_layers(tape, count), sequential_layers(tape, count))
+
+
+@pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
+@pytest.mark.parametrize("mixture, n, counts", [
+    pytest.param(MIXED_1_3, 6, [1500], id="mixed_deep"),
+    pytest.param(MIXED_1_3, 40, [400, 0, 37, 1], id="mixed_stacked"),
+    pytest.param(TOY_MIX, 50, [25] * 40, id="one_order_stacked"),
+    pytest.param(TOY_MIX, 2, [300], id="one_order_chain"),
+])
+def test_layers_equal_the_sequential_longest_path(mixture, n, counts, meanfield):
+    """Multi-order, one-order and mean-field tapes, stacked replicas, and a depth above 255."""
+    rng = replica_rng(35, n)
+    counts = np.array(counts)
+    count = int(counts.sum())
+    tape = _draw_tape(rng, counts, mixture, n, meanfield)
     layer = _layers(tape, count)
-    particles = {}
-    for _, pos, idx, _ in tape:
-        for p, row in zip(pos, idx):
-            particles[int(p)] = set(row.tolist())
-    last = {}  # particle -> layer of the latest event on it
-    for e in range(count):
-        expected = 1 + max((last.get(p, -1) for p in particles[e]), default=-1)
-        assert layer[e] == expected
-        for p in particles[e]:
-            last[p] = expected
+    assert np.array_equal(layer, sequential_layers(tape, count))
+    if n <= 6:
+        assert layer.max() + 1 > 255
+    if mixture is TOY_MIX and n == 2:  # every event holds both particles: one chain
+        assert np.array_equal(layer, np.arange(count))
+
+
+def test_layers_of_keys_beyond_31_bits():
+    """Particles near 2**40 need 64-bit keys; the layers still equal the oracle.
+
+    The tape is synthetic: no velocity array is needed to layer it.
+    """
+    law = KacToy()
+    rng = np.random.default_rng(36)
+    count = 500
+    particles = np.array([0, 1, 2**31, 2**40, 2**40 + 7, 2**40 + 8])
+    rows = np.array([rng.choice(particles, 2, replace=False) for _ in range(count)])
+    by_first = np.argsort(rows[:, 0] % 3, kind="stable")  # two tape entries with interleaved positions
+    tape = [
+        (law, pos, rows[pos], np.zeros(pos.size)) for pos in np.split(by_first, [count // 3])
+    ]
+    layer = _layers(tape, count)
+    assert np.array_equal(layer, sequential_layers(tape, count))
+    assert layer.max() > 10
 
 
 def test_an_event_holding_a_particle_twice_raises_at_once():
     """A repeated index would join an event to itself; `_layers` raises instead of relaxing forever.
 
+    It does so with 32-bit and with 64-bit keys (particles from 2**40 on).
     The call runs in a daemon thread, so a hang fails the test after a second.
     """
     law = KacToy()
-    tape = [(law, np.arange(3), np.array([[0, 1], [2, 2], [1, 3]]), np.zeros(3))]
-    raised = []
+    for first in (0, 2**40):
+        tape = [(law, np.arange(3), first + np.array([[0, 1], [2, 2], [1, 3]]), np.zeros(3))]
+        raised = []
 
-    def layer():
-        try:
-            _layers(tape, 3)
-        except ValueError as exc:
-            raised.append(str(exc))
+        def layer():
+            try:
+                _layers(tape, 3)
+            except ValueError as exc:
+                raised.append(str(exc))
 
-    worker = threading.Thread(target=layer, daemon=True)
-    worker.start()
-    worker.join(timeout=1.0)
-    assert not worker.is_alive(), "_layers did not return within a second"
-    assert raised and "event 1 holds a particle twice" in raised[0]
+        worker = threading.Thread(target=layer, daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive(), "_layers did not return within a second"
+        assert raised and "event 1 holds a particle twice" in raised[0]
 
 
 K3_ON_4 = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), SymmetricK(k=3, d=1)), (0.2, 0.3, 0.5))
@@ -158,6 +217,27 @@ def test_group_tape_keeps_each_event_inside_its_replica(meanfield):
             seen[pos] += 1
         assert np.all(seen == 1)
         assert {law.order for law, *_ in tape} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
+def test_one_live_order_draws_no_order(meanfield):
+    """When one order carries all the weight, every event has it, in tape order.
+
+    No order uniform is drawn, so the stream's first draws are the index
+    rows and then the angles: a fresh copy of the stream drawing them
+    directly gives the same tape.
+    """
+    mixture = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), SymmetricK(k=3, d=1)), (0.0, 0.0, 1.0))
+    n, first, start = 7, 70, 11
+    counts = np.array([5, 0, 40, 3])
+    tape = _draw_tape(replica_rng(42, 0), counts, mixture, n, meanfield, first, start)
+    [(law, pos, idx, angles)] = tape
+    assert law.order == 3
+    assert np.array_equal(pos, start + np.arange(48))
+    rng = replica_rng(42, 0)
+    owner = np.repeat(np.arange(counts.size), counts)
+    assert np.array_equal(idx, _index_rows(rng, 48, n, 3) + first + n * owner[:, None])
+    assert np.array_equal(angles, law.sample_angle(rng, size=48))
 
 
 @pytest.mark.parametrize("engine", ["kac", "meanfield"])
@@ -282,13 +362,13 @@ def test_lone_replicas_keep_their_own_stream(engine):
         for r in range(replicas):
             rng = replica_rng(seed, r)
             velocities = UNIFORM.sample(rng, n, MIXED_1_3.dim).reshape(1, n, MIXED_1_3.dim)
-            readings, events, _ = _drive(
+            readings, events, _, _ = _drive(
                 velocities, rate, engine == "meanfield", MIXED_1_3, [rng], 0.6, observers
             )
             for raw, alone in zip(lone.raw, readings):
                 assert np.array_equal(raw[r], alone[0]), (replicas, r)
             assert np.array_equal(lone.final_states[r].velocities, velocities[0]), (replicas, r)
-            assert lone.final_states[r].collision_count == events.sum()
+            assert lone.final_states[r].collision_count == events[0]
     stacked = stacked_run(engine, 1, [MomentObserver([0.0])], n=2048, seed=seed)
     assert stacked.replica_group == GROUP_PARTICLES // 2048
 

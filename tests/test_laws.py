@@ -323,6 +323,56 @@ def test_mixture_draws_cover_positive_orders_only(u):
     assert mix.order_from_uniform_sizebiased(u) in (2, 3)
 
 
+ORDER_DRAW_MIXTURES = [
+    pytest.param((0.2, 0.5, 0.3), id="three_orders"),
+    pytest.param((0.0, 0.5, 0.0, 0.5), id="zero_weights_repeat_edges"),
+    pytest.param((0.0, 0.0, 1.0), id="one_live_order"),
+    pytest.param((1.0,), id="one_order"),
+]
+
+
+@pytest.mark.parametrize("beta", ORDER_DRAW_MIXTURES)
+@pytest.mark.parametrize("sizebiased", [False, True], ids=["plain", "sizebiased"])
+def test_order_draw_by_comparisons_equals_searchsorted(beta, sizebiased):
+    """An array of uniforms maps to 1 + its interior edges at or below u: searchsorted(side="right").
+
+    The uniforms include every edge (zero-weight orders repeat an edge)
+    and the floats on either side of each; the scalar path bisects the same
+    edges.  The top edge, 1, is outside [0, 1).
+    """
+    laws = tuple(SymmetricK(k=k, d=1) for k in range(1, len(beta) + 1))
+    mix = MixtureSpec(laws, beta)
+    edges = mix._cum_sizebiased if sizebiased else mix._cum_beta
+    draw = mix.order_from_uniform_sizebiased if sizebiased else mix.order_from_uniform
+    inner = edges[:-1]
+    u = np.concatenate([
+        inner,
+        np.nextafter(inner, 1.0),
+        np.nextafter(inner, -1.0)[inner > 0],
+        [np.nextafter(1.0, 0.0)],
+        np.random.default_rng(5).random(1000),
+    ])
+    orders = draw(u)
+    assert np.array_equal(orders, edges.searchsorted(u, side="right"))
+    assert orders.min() >= 1 and orders.max() <= mix.m
+    assert all(beta[k - 1] > 0 for k in set(orders.tolist()))
+    assert [draw(float(x)) for x in u.tolist()] == orders.tolist()
+
+
+def test_toy_rotation_rounds_as_its_formula():
+    """KacToy writes slot 1 as c v1 + s v2 and slot 2 as c v2 - s v1, each product rounded once."""
+    rng = np.random.default_rng(9)
+    theta = rng.uniform(-math.pi, math.pi, 257)
+    groups = rng.standard_normal((257, 2, 1)) * 10.0 ** rng.integers(-3, 4, (257, 2, 1))
+    c, s = np.cos(theta), np.sin(theta)
+    v1, v2 = groups[:, 0, 0], groups[:, 1, 0]
+    out = KacToy().apply(theta, groups)
+    assert np.array_equal(out[:, 0, 0], c * v1 + s * v2)
+    assert np.array_equal(out[:, 1, 0], c * v2 - s * v1)
+    one = KacToy().apply(theta[0], groups[0])
+    assert one.shape == (2, 1) and np.array_equal(one, out[0])
+
+
 def test_mixture_validation():
     with pytest.raises(ValueError, match="order 1"):
         MixtureSpec((KacToy(),), (1.0,))

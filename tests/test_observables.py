@@ -36,6 +36,16 @@ def test_cosine_factor_multidim():
         f.evaluate(pts3)
 
 
+@pytest.mark.parametrize("shape", [(327, 50, 1), (10, 1600, 1), (1, 5, 1), (7, 1), (1,), (3, 4, 2, 1)])
+def test_one_dimensional_cosine_equals_the_dot_product_bitwise(shape):
+    """At d = 1, cos(v xi) is the bits of cos(v @ xi): a one-term dot product is the product."""
+    pts = np.random.default_rng(3).standard_normal(shape) * 4.0
+    for xi in (1.0, -0.37, 2.5e3):
+        got = CosineFactor((xi,)).evaluate(pts)
+        want = np.cos(pts @ np.array([xi]))
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 def test_box_factor_indicator():
     f = BoxFactor(lower=(-1.0,), upper=(2.0,))
     pts = np.array([[0.0], [-1.0], [2.0], [2.1], [-1.5]])
