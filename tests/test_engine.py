@@ -119,32 +119,27 @@ def sequential_layers(tape, count):
 
 @pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
 def test_layers_follow_shared_particles(meanfield):
-    """Each event sits one layer above the latest earlier event on one of its particles."""
-    rng = replica_rng(32, 0)
-    n, count = 30, 300
-    tape = _draw_tape(rng, np.array([count]), MIXED_1_3, n, meanfield)
-    assert np.array_equal(_layers(tape, count), sequential_layers(tape, count))
+    """Each event sits one layer above the latest earlier event on one of its particles.
 
-
-@pytest.mark.parametrize("meanfield", [False, True], ids=["kac", "meanfield"])
-@pytest.mark.parametrize("mixture, n, counts", [
-    pytest.param(MIXED_1_3, 6, [1500], id="mixed_deep"),
-    pytest.param(MIXED_1_3, 40, [400, 0, 37, 1], id="mixed_stacked"),
-    pytest.param(TOY_MIX, 50, [25] * 40, id="one_order_stacked"),
-    pytest.param(TOY_MIX, 2, [300], id="one_order_chain"),
-])
-def test_layers_equal_the_sequential_longest_path(mixture, n, counts, meanfield):
-    """Multi-order, one-order and mean-field tapes, stacked replicas, and a depth above 255."""
-    rng = replica_rng(35, n)
-    counts = np.array(counts)
-    count = int(counts.sum())
-    tape = _draw_tape(rng, counts, mixture, n, meanfield)
-    layer = _layers(tape, count)
-    assert np.array_equal(layer, sequential_layers(tape, count))
-    if n <= 6:
-        assert layer.max() + 1 > 255
-    if mixture is TOY_MIX and n == 2:  # every event holds both particles: one chain
-        assert np.array_equal(layer, np.arange(count))
+    Multi-order and one-order tapes, stacked replicas (one idle), a depth
+    above 255, and a one-chain tape (every event holds both particles).
+    """
+    for mixture, n, counts in (
+        (MIXED_1_3, 30, [300]),
+        (MIXED_1_3, 6, [1500]),
+        (MIXED_1_3, 40, [400, 0, 37, 1]),
+        (TOY_MIX, 50, [25] * 40),
+        (TOY_MIX, 2, [300]),
+    ):
+        counts = np.array(counts)
+        count = int(counts.sum())
+        tape = _draw_tape(replica_rng(32, n), counts, mixture, n, meanfield)
+        layer = _layers(tape, count)
+        assert np.array_equal(layer, sequential_layers(tape, count)), (n, count)
+        if n == 6:
+            assert layer.max() + 1 > 255
+        if n == 2:
+            assert np.array_equal(layer, np.arange(count))
 
 
 def test_layers_of_keys_beyond_31_bits():
