@@ -10,7 +10,6 @@ ensemble, and the one-particle mean-field sampler.
 import math
 
 from kacmix import (
-    GaussianInitial,
     KacToy,
     MixtureSpec,
     MomentObserver,
@@ -35,8 +34,8 @@ def main() -> None:
         [MomentObserver(TIMES)],
     )
     mf = meanfield_run(
-        TOY, initial, n=20_000, t_end=TIMES[-1], seed=3, replicas=8,
-        observers=[MomentObserver(TIMES)],
+        SimConfig(N=20_000, mixture=TOY, t_end=TIMES[-1], seed=3, replicas=8, initial=initial),
+        [MomentObserver(TIMES)],
     )
 
     exact = [toy_m4(t, A**2, A**4) for t in TIMES]

@@ -41,6 +41,7 @@ from .simulator import (
     InitialLaw,
     ObservableObserver,
     SimConfig,
+    _check_observers,
     engine_metrics,
     run,
 )
@@ -161,20 +162,14 @@ def _fit_slope(n_values: Sequence[int], deltas: Sequence[float]) -> Tuple[float,
     return slope, se
 
 
-def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> None:
-    """The sweep's checks of its inputs, made before any run starts."""
+def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> ObservableObserver:
+    """The sweep's checks of its inputs, made before any run starts; returns its runs' observer.
+
+    The sweep checks its own rules; the checks of a run (orders, times and
+    factors against the mixture) are those of the run at the smallest N.
+    """
     if not n_grid or not s_vals or not times or not list(factors):
         raise ValueError("chaos sweep: N_grid, s_list, t_list and factors must be nonempty")
-    if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"chaos sweep: t_list must be >= 0 and strictly increasing, got {times}")
-    if min(s_vals) < 1:
-        raise ValueError(f"chaos sweep: orders must be >= 1, got {s_vals}")
-    if min(n_grid) < mixture.m:
-        raise ValueError(f"chaos sweep: N >= M required (M={mixture.m}, got N={min(n_grid)})")
-    if max(s_vals) > min(n_grid):
-        raise ValueError(
-            f"chaos sweep: max order {max(s_vals)} exceeds smallest system size {min(n_grid)}"
-        )
     if isinstance(initial, DeterministicInitial):
         raise ValueError(
             "chaos sweep: initial data must be an iid law (chaotic initial data); "
@@ -183,8 +178,9 @@ def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> None:
     labels = [f.label for f in factors]
     if len(set(labels)) != len(labels):
         raise ValueError(f"chaos sweep: factor labels must be distinct, got {labels}")
-    for f in factors:  # each factor checks its own dimension
-        f.evaluate(np.zeros((1, mixture.dim)))
+    observer = ObservableObserver(times, [ObservableSpec((f,) * s) for f in factors for s in s_vals])
+    _check_observers([observer], SimConfig(min(n_grid), mixture, times[-1], 0, 1, initial))
+    return observer
 
 
 def run_chaos_sweep(
@@ -207,75 +203,51 @@ def run_chaos_sweep(
     sequence, so the whole report is reproducible from (inputs, seed).
     """
     n_grid = [int(n) for n in N_grid]
-    s_vals = [int(s) for s in s_list]
     times = [float(t) for t in t_list]
-    _check_sweep(mixture, initial, n_grid, s_vals, times, factors)
+    observer = _check_sweep(mixture, initial, n_grid, [int(s) for s in s_list], times, factors)
     t_end = times[-1]
-
-    specs = {
-        (fi, s): ObservableSpec(tuple([f] * s))
-        for fi, f in enumerate(factors)
-        for s in s_vals
-    }
-    all_specs = [specs[(fi, s)] for fi in range(len(factors)) for s in s_vals]
-
     seeds = _derive_seeds(seed, 1 + len(n_grid))
     n_ref = budget.ref_factor * max(n_grid)
 
     # Reference: each product over distinct s-tuples of the mean-field ensemble.
-    ref = meanfield_run(
-        mixture,
-        initial,
-        n=n_ref,
-        t_end=t_end,
-        seed=seeds[0],
-        replicas=budget.ref_replicas,
-        observers=[ObservableObserver(times, all_specs)],
-    )
+    ref_config = SimConfig(n_ref, mixture, t_end, seeds[0], budget.ref_replicas, initial)
+    ref = meanfield_run(ref_config, [observer])
     ref_ser = ref.series[0]
 
     rows: List[ChaosRow] = []
     deltas: dict = {}
     runs = [ref]
     for gi, n in enumerate(n_grid):
-        config = SimConfig(
-            N=n,
-            mixture=mixture,
-            t_end=t_end,
-            seed=seeds[1 + gi],
-            replicas=budget.replicas_for(n),
-            initial=initial,
-        )
-        result = run(config, [ObservableObserver(times, all_specs)])
+        config = SimConfig(n, mixture, t_end, seeds[1 + gi], budget.replicas_for(n), initial)
+        result = run(config, [observer])
         runs.append(result)
         ser = result.series[0]
-        for fi in range(len(factors)):
-            for s in s_vals:
-                name = specs[(fi, s)].name
-                kac_mean = ser.mean(name)
-                kac_se = ser.stderr(name)
-                ref_mean = ref_ser.mean(name)
-                ref_se = ref_ser.stderr(name)
-                for ti, t in enumerate(times):
-                    mf_mean, mf_se = float(ref_mean[ti]), float(ref_se[ti])
-                    delta = abs(float(kac_mean[ti]) - mf_mean)
-                    combined = float(kac_se[ti]) + mf_se
-                    rows.append(
-                        ChaosRow(
-                            N=n,
-                            s=s,
-                            t=t,
-                            observable=name,
-                            kac_mean=float(kac_mean[ti]),
-                            kac_stderr=float(kac_se[ti]),
-                            mf_mean=mf_mean,
-                            mf_stderr=mf_se,
-                            delta=delta,
-                            pass_3sigma=delta <= 3.0 * combined,
-                            underpowered=combined > STDERR_TARGET,
-                        )
+        for spec in observer.specs:
+            s, name = spec.s, spec.name
+            kac_mean = ser.mean(name)
+            kac_se = ser.stderr(name)
+            ref_mean = ref_ser.mean(name)
+            ref_se = ref_ser.stderr(name)
+            for ti, t in enumerate(times):
+                mf_mean, mf_se = float(ref_mean[ti]), float(ref_se[ti])
+                delta = abs(float(kac_mean[ti]) - mf_mean)
+                combined = float(kac_se[ti]) + mf_se
+                rows.append(
+                    ChaosRow(
+                        N=n,
+                        s=s,
+                        t=t,
+                        observable=name,
+                        kac_mean=float(kac_mean[ti]),
+                        kac_stderr=float(kac_se[ti]),
+                        mf_mean=mf_mean,
+                        mf_stderr=mf_se,
+                        delta=delta,
+                        pass_3sigma=delta <= 3.0 * combined,
+                        underpowered=combined > STDERR_TARGET,
                     )
-                    deltas.setdefault((s, t, name), []).append(delta)
+                )
+                deltas.setdefault((s, t, name), []).append(delta)
 
     slopes = tuple(
         SlopeFit(s=s, t=t, observable=name, slope=sl, slope_stderr=se, n_points=len(n_grid))

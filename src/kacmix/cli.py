@@ -177,15 +177,8 @@ def cmd_boltzmann(cfg: RunConfig) -> Tuple[dict, dict, int]:
             raise ConfigError(str(exc)) from None
 
     if mf.solver in ("meanfield", "both"):
-        result = meanfield_run(
-            mixture,
-            cfg.initial,
-            n=mf.n,
-            t_end=mf.t_end,
-            seed=cfg.seed,
-            replicas=mf.replicas,
-            observers=[MomentObserver(mf.times)],
-        )
+        config = SimConfig(mf.n, mixture, mf.t_end, cfg.seed, mf.replicas, cfg.initial)
+        result = meanfield_run(config, [MomentObserver(mf.times)])
         rows.extend(run_result_rows(result, include_solver=True))
         solvers.update(engine_metrics([result]))
 

@@ -20,15 +20,16 @@ ensemble's mean energy a martingale, the main drift diagnostic.
 It runs on the simulator's event-tape engine: a jump is an N-particle event
 (a uniform ordered tuple of distinct particles) that writes back only its
 first slot, and batching treats the partners as touched too, so it never
-reorders a read of a partner past a write to it.
+reorders a read of a partner past a write to it.  A run takes the
+N-particle run's description, with N the ensemble size n:
+`meanfield_run(SimConfig(N=n, mixture=..., t_end=..., seed=...), observers)`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .laws import MixtureSpec
-from .simulator import InitialLaw, Observer, RunResult, SimConfig, _run_replicas
+from .simulator import Observer, RunResult, SimConfig, _run_replicas
 
 __all__ = [
     "meanfield_run",
@@ -36,26 +37,14 @@ __all__ = [
 
 
 def meanfield_run(
-    mixture: MixtureSpec,
-    initial: InitialLaw,
-    n: int,
-    t_end: float,
-    seed: int,
-    replicas: int = 1,
-    observers: Sequence[Observer] = (),
-    keep_final: bool = False,
+    config: SimConfig, observers: Sequence[Observer] = (), keep_final: bool = False
 ) -> RunResult:
     """Evolve replica ensembles of the mean-field sampler to the horizon.
 
-    The result has the same shape as the N-particle driver's output (solver
-    tag "meanfield"), so the two can be differenced row by row in
+    `config` describes the run as for the N-particle `run`, with N the
+    ensemble size n.  The result has the same shape as that driver's output
+    (solver tag "meanfield"), so the two can be differenced row by row in
     convergence studies.  Both run on the same replica driver, so group
     streams and merge order follow the same determinism contract.
     """
-    if n < mixture.m:
-        raise ValueError(f"mean-field run: n >= M required (M={mixture.m}, got n={n})")
-    config = SimConfig(
-        N=n, mixture=mixture, t_end=t_end, seed=seed, replicas=replicas, initial=initial
-    )
-    rate = n * mixture.alpha
-    return _run_replicas("meanfield", config, rate, True, observers, keep_final)
+    return _run_replicas(config, observers, keep_final, meanfield=True)

@@ -19,7 +19,7 @@ The circles have radius 0, h, 2h, ... beyond L sqrt(2), each with the
 n_psi = 4 n_theta angles psi_i = 2 pi i / n_psi (odd circles turned by half
 a spacing), and B_k is the midpoint rule on 4 n_theta angles.
 One synthesis matrix (sum over w, linear interpolation in r, exp(i k phi)),
-built once per grid, n_theta and kernel, takes the harmonics to the lattice.
+built once per solve, takes the harmonics to the lattice.
 The lattice sum over w meets (v, w) and (v, -w) at one radius and opposite
 phi, so the sine part of g_k reaches the grid only through Im B_k, which is
 zero for an angle density even in theta: only the cos(k psi) sums are taken.
@@ -50,9 +50,10 @@ roundoff left in the mass would otherwise grow like exp(alpha t).  Node 0
 of every Picard iterate is the sub-step's initial density, and so is every
 node of the first, so a sub-step takes the gain of that density once and
 then the gain of the n_time later nodes per sweep: 1 + (n_iter - 1) n_time
-rows in all.  The solve owns the gain's gather and product buffers, one pair
-per batch size, and drops them on return: allocated per call, they would go
-back to the kernel on free and be faulted in afresh, costing more than the gather.
+rows in all.  Each solve builds its own gain operator, which keeps its gather
+and product buffers, one pair per batch size, for the solve's sweeps:
+allocated per call, they would go back to the kernel on free and be faulted
+in afresh, costing more than the gather.
 Mass (the plain h * sum functional) is tracked after every sweep and a drift
 beyond `MASS_TOL_TOY` aborts the solve: with the rescaling, it means that
 f0's mass is off 1 or that the gain does not conserve mass, and silently
@@ -61,7 +62,6 @@ continuing would return a density that no longer represents a probability.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -242,19 +242,16 @@ class _PolarGain:
             self.stacks.append((cell, frac, coefs))
         self.synthesis = np.concatenate(blocks)
         self.cells = max(cell.size for cell, _, _ in self.stacks)  # per row, in the larger stack
+        self.buffers: dict = {}  # batch size -> the gather and product buffers both stacks share
         self.h, self.v, self.v2 = h, v, v**2
         self.moments2, self.moments4 = np.stack([v**0, self.v2], axis=1), np.stack([v**0, self.v2, v**4], axis=1)
 
-    def gain_batch(self, f_rows: np.ndarray, buffers: dict) -> np.ndarray:
-        """Qplus[f, f] on the grid for a stack of value vectors (shape (m, n_v)).
-
-        `buffers`, owned by the caller (see the module docstring), maps a batch size to
-        the gather and product buffers both parity stacks share; no result aliases them.
-        """
+    def gain_batch(self, f_rows: np.ndarray) -> np.ndarray:
+        """Qplus[f, f] on the grid for each row of f_rows (shape (m, n_v)); no result aliases a buffer."""
         m, n_v = f_rows.shape
-        if m not in buffers:
-            buffers[m] = np.empty(2 * self.n_parts * m * self.cells), np.empty(m * self.cells)
-        gather, product = buffers[m]
+        if m not in self.buffers:
+            self.buffers[m] = np.empty(2 * self.n_parts * m * self.cells), np.empty(m * self.cells)
+        gather, product = self.buffers[m]
         mirror = f_rows[:, ::-1]
         parts = f_rows + mirror if self.n_parts == 1 else np.concatenate([f_rows + mirror, f_rows - mirror])
         # values and slopes of the parts on the lattice cells (cell n_v is zero)
@@ -284,12 +281,6 @@ class _PolarGain:
         det[det <= 0.0] = np.inf  # only an all-zero gain; it stays zero
         a, c = (t0 * mu4 - t2 * mu2) / det, (t2 * mu0 - t0 * mu2) / det
         return gain * (a[:, None] + c[:, None] * self.v2)
-
-
-@functools.lru_cache(maxsize=4)
-def _polar_gain(L: float, n_v: int, n_theta: int, kernel: str) -> _PolarGain:
-    """The gain operator of a grid, built once and reused across sweeps and solves."""
-    return _PolarGain(L, n_v, n_theta, kernel)
 
 
 @dataclass(frozen=True)
@@ -341,7 +332,7 @@ def picard_solve_toy(
     if n_time < 1 or n_theta < 1:
         raise ValueError("picard solve: n_time and n_theta must be >= 1")
 
-    quad = _polar_gain(f0.L, f0.n_v, n_theta, kernel)
+    quad = _PolarGain(f0.L, f0.n_v, n_theta, kernel)
     mass_drift, min_value = abs(f0.mass() - 1.0), min(f0.values)
     if t_end == 0.0:
         return PicardResult(f0, 0, (), (), mass_drift, min_value, substeps=0)
@@ -365,18 +356,17 @@ def picard_solve_toy(
     factors: List[float] = []
     h = f0.h
     f = f0
-    buffers = {}  # the gain's gather and product buffers, one pair per batch size
     for _ in range(n_steps):
         f_vals = f.value_array()
         mass_drift = max(mass_drift, abs(f.mass() - 1.0))
         # Every node of the first iterate is f, and node 0 of every later one
         # (decay[0] == 1, weights[0] == 0): one gain row of f serves them all.
         iterate = np.tile(f_vals, (n_nodes, 1))
-        gains = np.tile(quad.gain_batch(f_vals[None, :], buffers), (n_nodes, 1))
+        gains = np.tile(quad.gain_batch(f_vals[None, :]), (n_nodes, 1))
         step: List[float] = []
         for sweep in range(n_iter):
             if sweep:
-                gains[1:] = quad.gain_batch(iterate[1:], buffers)
+                gains[1:] = quad.gain_batch(iterate[1:])
             new = decay[:, None] * f_vals[None, :] + weights @ gains
             step.append(h * float(np.abs(new - iterate).sum(axis=1).max()))
             iterate = new

@@ -172,6 +172,10 @@ class SimConfig:
     initial: InitialLaw = field(default_factory=GaussianInitial)
 
     def __post_init__(self):
+        for name in ("N", "replicas", "seed"):  # integers as operator.index takes them, bar bool
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"simulation config: {name} must be an integer, got {value!r}")
         if self.N < self.mixture.m:
             raise ValueError(
                 f"simulation config: N >= M required (top collision order M={self.mixture.m}, "
@@ -181,7 +185,7 @@ class SimConfig:
             raise ValueError(f"simulation config: t_end must be finite and >= 0, got {self.t_end}")
         if self.replicas < 1:
             raise ValueError(f"simulation config: replicas must be >= 1, got {self.replicas}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValueError(
                 f"simulation config: seed must be an unsigned 64-bit integer, got {self.seed}"
             )
@@ -738,10 +742,8 @@ class RunResult:
 
     solver: str
     N: int
-    d: int
     replicas: int
     seed: int
-    t_end: float
     series: Tuple[ObserverSeries, ...]
     events_by_order: Tuple[int, ...] = ()
     engine_s: float = 0.0
@@ -799,12 +801,7 @@ def _check_observers(observers: Sequence[Observer], config: SimConfig) -> None:
 
 
 def _run_replicas(
-    solver: str,
-    config: SimConfig,
-    rate: float,
-    meanfield: bool,
-    observers: Sequence[Observer],
-    keep_final: bool,
+    config: SimConfig, observers: Sequence[Observer], keep_final: bool, meanfield: bool
 ) -> RunResult:
     """The replica driver behind `run` and `meanfield_run`.
 
@@ -812,9 +809,10 @@ def _run_replicas(
     stacked (G, N, d) array.  For N <= STACK_N_MAX a group draws its initial
     states and its events from the stream of its first replica,
     `replica_rng(seed, lo)`; above it each replica r draws its own from
-    `replica_rng(seed, r)`.  Each replica jumps at total `rate`, with
-    N-particle events or, when `meanfield`, mean-field events.
+    `replica_rng(seed, r)`.  Each replica jumps at total rate N with
+    N-particle events or, when `meanfield`, at N alpha with mean-field events.
     """
+    rate = config.N * config.mixture.alpha if meanfield else float(config.N)
     observers = list(observers)
     _check_observers(observers, config)
     size = max(1, GROUP_PARTICLES // config.N)
@@ -849,12 +847,10 @@ def _run_replicas(
         ObserverSeries(obs.times, obs.channel_names, vals) for obs, vals in zip(observers, values)
     )
     return RunResult(
-        solver=solver,
+        solver="meanfield" if meanfield else "kac",
         N=config.N,
-        d=config.d,
         replicas=config.replicas,
         seed=config.seed,
-        t_end=config.t_end,
         series=series,
         events_by_order=tuple(int(e) for e in by_order),
         engine_s=engine_s,
@@ -879,4 +875,4 @@ def run(
     deterministic function of the configuration alone.  The run is one
     process.
     """
-    return _run_replicas("kac", config, float(config.N), False, observers, keep_final)
+    return _run_replicas(config, observers, keep_final, meanfield=False)

@@ -281,13 +281,8 @@ def test_criterion_08_duhamel_decay():
 
 def _criterion9_pipeline(out_path) -> tuple:
     mf = meanfield_run(
-        TOY_MIXTURE,
-        GaussianInitial(),
-        n=10**5,
-        t_end=0.1,
-        seed=1009,
-        replicas=200,
-        observers=[MomentObserver([0.1])],
+        SimConfig(N=10**5, mixture=TOY_MIXTURE, t_end=0.1, seed=1009, replicas=200, initial=GaussianInitial()),
+        [MomentObserver([0.1])],
     )
     sol = picard_solve_toy("uniform", gaussian_grid_density(), t_end=0.1)
     rows = list(run_result_rows(mf, include_solver=True))

@@ -14,7 +14,7 @@ from kacmix.chaos import (
     run_chaos_sweep,
 )
 from kacmix.laws import KacToy, MixtureSpec, SymmetricK
-from kacmix.observables import TanhFactor
+from kacmix.observables import CosineFactor, TanhFactor
 from kacmix.simulator import DeterministicInitial, GaussianInitial, UniformBoxInitial
 
 TOY = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.0, 1.0))
@@ -122,7 +122,7 @@ def test_sweep_rejects_unsorted_times():
 
 
 def test_sweep_rejects_marginal_wider_than_smallest_system():
-    with pytest.raises(ValueError, match="exceeds smallest system size"):
+    with pytest.raises(ValueError, match="observable order s=5 exceeds N=4"):
         small_sweep(N_grid=[4, 16], s_list=[1, 5])
 
 
@@ -137,13 +137,31 @@ def test_sweep_rejects_duplicate_factor_labels():
         small_sweep(factors=[TanhFactor(), TanhFactor()])
 
 
-def test_sweep_checks_its_inputs_before_any_run(monkeypatch):
-    def no_reference_run(*args, **kwargs):
-        pytest.fail("the mean-field reference ran before the inputs were checked")
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        (dict(N_grid=[]), "nonempty"),
+        (dict(initial=DeterministicInitial(np.zeros((8, 1)))), "chaotic initial data"),
+        (dict(factors=[TanhFactor(), TanhFactor()]), "distinct"),
+        (dict(N_grid=[1, 16]), "N >= M"),
+        (dict(N_grid=[4, 16], s_list=[1, 5]), "exceeds N=4"),
+        (dict(t_list=[1.0, 0.5]), "strictly increasing"),
+        (dict(t_list=[-0.5, 0.5]), ">= 0"),
+        (dict(factors=[CosineFactor((1.0, 1.0))]), "frequency has d=2"),
+    ],
+    ids=[
+        "empty-grid", "deterministic", "repeated-labels", "N-below-M", "s-above-smallest-N",
+        "unsorted-times", "negative-time", "factor-dim",
+    ],
+)
+def test_sweep_checks_its_inputs_before_any_run(monkeypatch, inputs, message):
+    def no_run(*args, **kwargs):
+        pytest.fail("a run started before the inputs were checked")
 
-    monkeypatch.setattr(chaos, "meanfield_run", no_reference_run)
-    with pytest.raises(ValueError, match="distinct"):
-        small_sweep(factors=[TanhFactor(), TanhFactor()])
+    monkeypatch.setattr(chaos, "meanfield_run", no_run)
+    monkeypatch.setattr(chaos, "run", no_run)
+    with pytest.raises(ValueError, match=message):
+        small_sweep(**inputs)
 
 
 # ---------------------------------------------------------------------------

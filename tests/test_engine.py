@@ -250,8 +250,8 @@ def test_event_counts_are_poisson_when_observers_cut_densely(engine):
         rate = n
     else:
         result = meanfield_run(
-            TOY_MIX, UNIFORM, n=n, t_end=t, seed=33, replicas=replicas,
-            observers=[MomentObserver(times)],
+            SimConfig(N=n, mixture=TOY_MIX, t_end=t, seed=33, replicas=replicas, initial=UNIFORM),
+            [MomentObserver(times)],
         )
         rate = n * TOY_MIX.alpha
     counts = result.raw[0][:, :, list(result.series[0].names).index("events")]
@@ -269,10 +269,8 @@ def stacked_run(engine, replicas, observers, n=2000, seed=37):
     if engine == "kac":
         cfg = SimConfig(N=n, mixture=MIXED_1_3, t_end=0.6, seed=seed, replicas=replicas, initial=UNIFORM)
         return run(cfg, observers, keep_final=True)
-    return meanfield_run(
-        MIXED_1_3, UNIFORM, n=n, t_end=0.6, seed=seed, replicas=replicas, observers=observers,
-        keep_final=True,
-    )
+    cfg = SimConfig(N=n, mixture=MIXED_1_3, t_end=0.6, seed=seed, replicas=replicas, initial=UNIFORM)
+    return meanfield_run(cfg, observers, keep_final=True)
 
 
 def assert_same_replicas(a, b, count):
@@ -379,7 +377,8 @@ def test_fourth_moment_relaxes_from_uniform_data(engine):
     else:
         n = 2000
         result = meanfield_run(
-            TOY_MIX, UNIFORM, n=n, t_end=1.0, seed=36, replicas=20, observers=[MomentObserver(times)]
+            SimConfig(N=n, mixture=TOY_MIX, t_end=1.0, seed=36, replicas=20, initial=UNIFORM),
+            [MomentObserver(times)],
         )
     m4 = result.series[0].mean("m4")
     se = result.series[0].stderr("m4")
@@ -403,7 +402,8 @@ def half_mix_misses(engine):
     else:
         n = 2000
         result = meanfield_run(
-            HALF_MIX, UNIFORM, n=n, t_end=2.0, seed=39, replicas=200, observers=[MomentObserver(times)]
+            SimConfig(N=n, mixture=HALF_MIX, t_end=2.0, seed=39, replicas=200, initial=UNIFORM),
+            [MomentObserver(times)],
         )
     m4, se = result.series[0].mean("m4"), result.series[0].stderr("m4")
     cells = [(t, m4[ti], toy_m4(t, MU2, MU4, beta2=0.5), se[ti]) for ti, t in enumerate(times)]

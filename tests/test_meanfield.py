@@ -17,6 +17,7 @@ from kacmix.limit import toy_m4
 from kacmix.meanfield import meanfield_run
 from kacmix.simulator import (
     MomentObserver,
+    SimConfig,
     TwoPointInitial,
     UniformBoxInitial,
     _apply_tape,
@@ -92,13 +93,8 @@ def test_event_rate_is_n_alpha():
     """Events in [0, t] follow Poisson(n * alpha * t); alpha = 2.5 here."""
     n, t, replicas = 100, 0.4, 200
     result = meanfield_run(
-        TRIPLE_MIX,
-        UniformBoxInitial(a=1.0),
-        n=n,
-        t_end=t,
-        seed=21,
-        replicas=replicas,
-        observers=[MomentObserver([t])],
+        SimConfig(N=n, mixture=TRIPLE_MIX, t_end=t, seed=21, replicas=replicas, initial=UniformBoxInitial(a=1.0)),
+        [MomentObserver([t])],
     )
     lam = n * TRIPLE_MIX.alpha * t
     counts = result.series[0].mean("events")[0]
@@ -112,13 +108,8 @@ def test_fourth_moment_relaxation_oracle():
     m2_0, m4_0 = a**2, a**4
     times = [0.5, 1.5]
     result = meanfield_run(
-        TOY_MIX,
-        TwoPointInitial(a=a),
-        n=10_000,
-        t_end=times[-1],
-        seed=22,
-        replicas=10,
-        observers=[MomentObserver(times)],
+        SimConfig(N=10_000, mixture=TOY_MIX, t_end=times[-1], seed=22, replicas=10, initial=TwoPointInitial(a=a)),
+        [MomentObserver(times)],
     )
     m4 = result.series[0].mean("m4")
     se = result.series[0].stderr("m4")
@@ -129,13 +120,8 @@ def test_fourth_moment_relaxation_oracle():
 
 def test_second_moment_is_conserved_in_mean():
     result = meanfield_run(
-        TOY_MIX,
-        TwoPointInitial(a=1.0),
-        n=10_000,
-        t_end=1.0,
-        seed=23,
-        replicas=8,
-        observers=[MomentObserver([1.0])],
+        SimConfig(N=10_000, mixture=TOY_MIX, t_end=1.0, seed=23, replicas=8, initial=TwoPointInitial(a=1.0)),
+        [MomentObserver([1.0])],
     )
     m2 = result.series[0].mean("m2")[0]
     se = result.series[0].stderr("m2")[0]
@@ -145,13 +131,8 @@ def test_second_moment_is_conserved_in_mean():
 def test_energy_is_a_martingale_not_a_constant():
     """One-sided updates leave mean energy flat but move each replica's energy."""
     result = meanfield_run(
-        TOY_MIX,
-        TwoPointInitial(a=1.0),
-        n=500,
-        t_end=1.0,
-        seed=24,
-        replicas=64,
-        observers=[MomentObserver([1.0])],
+        SimConfig(N=500, mixture=TOY_MIX, t_end=1.0, seed=24, replicas=64, initial=TwoPointInitial(a=1.0)),
+        [MomentObserver([1.0])],
     )
     raw = result.raw[0]  # (replicas, n_times, channels)
     energies = raw[:, 0, list(result.series[0].names).index("energy")]
@@ -162,33 +143,22 @@ def test_energy_is_a_martingale_not_a_constant():
 
 
 def test_determinism_and_worker_independence():
-    args = dict(
-        n=300,
-        t_end=0.5,
-        seed=25,
-        replicas=4,
-        observers=[MomentObserver([0.25, 0.5])],
-    )
-    r1 = meanfield_run(TRIPLE_MIX, UniformBoxInitial(), **args)
-    r2 = meanfield_run(TRIPLE_MIX, UniformBoxInitial(), **args)
+    config = SimConfig(N=300, mixture=TRIPLE_MIX, t_end=0.5, seed=25, replicas=4, initial=UniformBoxInitial())
+    r1 = meanfield_run(config, [MomentObserver([0.25, 0.5])])
+    r2 = meanfield_run(config, [MomentObserver([0.25, 0.5])])
     assert list(r1.rows()) == list(r2.rows())
     assert r1.solver == "meanfield"
 
 
 def test_partner_count_validation():
-    with pytest.raises(ValueError, match="n >= "):
-        meanfield_run(TRIPLE_MIX, UniformBoxInitial(), n=2, t_end=0.1, seed=0)
+    with pytest.raises(ValueError, match="N >= M"):
+        meanfield_run(SimConfig(N=2, mixture=TRIPLE_MIX, t_end=0.1, seed=0, initial=UniformBoxInitial()))
 
 
 def test_t_end_zero_is_initial_ensemble():
     result = meanfield_run(
-        TOY_MIX,
-        TwoPointInitial(a=2.0),
-        n=100,
-        t_end=0.0,
-        seed=26,
-        replicas=1,
-        observers=[MomentObserver([0.0])],
+        SimConfig(N=100, mixture=TOY_MIX, t_end=0.0, seed=26, replicas=1, initial=TwoPointInitial(a=2.0)),
+        [MomentObserver([0.0])],
     )
     assert result.series[0].mean("m2")[0] == pytest.approx(4.0)
     assert result.series[0].mean("events")[0] == 0.0

@@ -36,8 +36,8 @@ def small_gaussian(n_v=257, L=8.0):
 
 def gain(f0, kernel, n_theta):
     """Qplus[f0, f0] from the solver's polar gain operator, as a grid density."""
-    op = picard._polar_gain(f0.L, f0.n_v, n_theta, kernel)
-    return GridDensity(L=f0.L, values=tuple(op.gain_batch(f0.value_array()[None], {})[0]))
+    op = picard._PolarGain(f0.L, f0.n_v, n_theta, kernel)
+    return GridDensity(L=f0.L, values=tuple(op.gain_batch(f0.value_array()[None])[0]))
 
 
 def grid_density(fn, n_v=257, L=8.0):
@@ -265,7 +265,7 @@ def test_quarter_circle_fold_matches_the_full_circle(kernel, n_theta, n_v):
     between two nodes, so the mirror f[::-1] pairs no node with itself.
     """
     rows = asymmetric_rows(n_v)
-    folded = picard._PolarGain(6.0, n_v, n_theta, kernel).gain_batch(rows, {})
+    folded = picard._PolarGain(6.0, n_v, n_theta, kernel).gain_batch(rows)
     full = full_circle_gain(rows, 6.0, n_theta, kernel)
     assert np.max(np.abs(folded - full)) <= 1e-13 * np.max(np.abs(full))
 
@@ -274,10 +274,9 @@ def test_quarter_circle_fold_matches_the_full_circle(kernel, n_theta, n_v):
 def test_gain_of_a_row_does_not_depend_on_its_batch(kernel):
     rows = asymmetric_rows(97)
     op = picard._PolarGain(6.0, 97, 32, kernel)
-    buffers = {}
-    batch = op.gain_batch(rows, buffers)
+    batch = op.gain_batch(rows)
     for i in range(rows.shape[0]):
-        alone = op.gain_batch(rows[i : i + 1], buffers)[0]
+        alone = op.gain_batch(rows[i : i + 1])[0]
         assert np.max(np.abs(batch[i] - alone)) <= 1e-14 * np.max(np.abs(alone)), i
 
 
@@ -290,13 +289,13 @@ def test_gain_through_one_buffer_set_matches_the_allocating_gain(kernel, n_theta
     op = picard._PolarGain(6.0, n_v, n_theta, kernel)
     v = np.linspace(-6.0, 6.0, n_v)
     rng = np.random.default_rng(n_v * n_theta)
-    buffers, results = {}, []
+    results = []
     for m in (1, 32, 3, 32, 1):
         rows = rng.random((m, n_v)) * np.exp(-0.1 * (v - rng.normal()) ** 2)
-        got = op.gain_batch(rows, buffers)
+        got = op.gain_batch(rows)
         assert np.array_equal(got, allocating_gain(op, rows)), m
         results.append((got, got.copy()))
-    assert sorted(buffers) == [1, 3, 32]
+    assert sorted(op.buffers) == [1, 3, 32]
     for got, kept in results:
         assert np.array_equal(got, kept)
 
@@ -307,25 +306,14 @@ def test_warm_gain_call_allocates_little(kernel):
     (allocated per call, they take the peak to 1.3 MB and 2.5 MB)."""
     op = picard._PolarGain(8.0, 97, 32, kernel)
     rows = np.tile(gaussian_grid_density(L=8.0, n_v=97).value_array(), (32, 1))
-    buffers = {}
-    op.gain_batch(rows, buffers)
+    op.gain_batch(rows)
     tracemalloc.start()
     try:
-        op.gain_batch(rows, buffers)
+        op.gain_batch(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 400 * 1024, peak
-
-
-def test_the_cached_operator_keeps_no_buffer_of_a_solve():
-    """The solve's buffers go with it: the cached operator would pin them otherwise."""
-    f0 = small_gaussian(n_v=65)
-    op = picard._polar_gain(f0.L, f0.n_v, 8, "raised_cosine")
-    before = dict(vars(op))
-    picard_solve_toy("raised_cosine", f0, t_end=0.1, n_theta=8, n_time=12)
-    assert vars(op).keys() == before.keys()
-    assert all(vars(op)[key] is value for key, value in before.items())
 
 
 @pytest.mark.parametrize("n_iter", [1, 2, 5])
@@ -335,9 +323,9 @@ def test_solve_evaluates_the_gain_of_f0_once(monkeypatch, n_iter):
     rows = []
     gain_batch = picard._PolarGain.gain_batch
 
-    def counting(self, f_rows, buffers):
+    def counting(self, f_rows):
         rows.append(f_rows.shape[0])
-        return gain_batch(self, f_rows, buffers)
+        return gain_batch(self, f_rows)
 
     monkeypatch.setattr(picard._PolarGain, "gain_batch", counting)
     picard_solve_toy("uniform", small_gaussian(n_v=65), t_end=0.1, n_iter=n_iter, n_theta=8, n_time=12)
@@ -418,15 +406,22 @@ def test_kernels_differ_on_asymmetric_data():
 # ---------------------------------------------------------------------------
 
 
-def test_evolve_across_substeps_matches_closed_form():
+def test_evolve_across_substeps_matches_closed_form(monkeypatch):
     """Two restarted sub-steps of 0.1 follow the m4 relaxation from uniform data,
     on one gain operator built once for the whole solve."""
+    built = []
+
+    class Recorded(picard._PolarGain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(picard, "_PolarGain", Recorded)
     f0 = uniform_grid_density(math.sqrt(3.0), n_v=97)
     t = 0.2
-    picard._polar_gain.cache_clear()
     res = picard_solve_toy("uniform", f0, t_end=t, n_iter=6, n_theta=32, n_time=16)
-    info = picard._polar_gain.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    (op,) = built
+    assert sorted(op.buffers) == [1, 16]  # the gain of f, then the n_time later nodes
     assert (res.substeps, res.n_iter) == (2, 12)
     assert res.mass_drift <= 1e-4
     target = toy_m4(t, f0.moment(2), f0.moment(4))
@@ -488,7 +483,7 @@ def test_unknown_kernel_rejected():
 def test_mass_tolerance_violation_raises(monkeypatch):
     """A gain that loses 1% of its mass drifts the mass by about 2e-3 in one sweep."""
     exact = picard._PolarGain.gain_batch
-    monkeypatch.setattr(picard._PolarGain, "gain_batch", lambda self, f_rows, buffers: 0.99 * exact(self, f_rows, buffers))
+    monkeypatch.setattr(picard._PolarGain, "gain_batch", lambda self, f_rows: 0.99 * exact(self, f_rows))
     with pytest.raises(RuntimeError, match="the gain does not conserve mass"):
         picard_solve_toy("uniform", small_gaussian(n_v=33), t_end=0.1, n_theta=8, n_time=4)
 

@@ -76,6 +76,15 @@ def test_config_requires_enough_particles():
 def test_config_rejects_bad_seed_and_times():
     with pytest.raises(ValueError, match="seed"):
         SimConfig(N=5, mixture=TOY_MIX, t_end=1.0, seed=-1)
+    for field, bad in [
+        ("seed", 1.5), ("seed", -0.5), ("seed", "7"), ("seed", True), ("seed", 3.0),
+        ("N", 5.0), ("N", "5"), ("N", True), ("replicas", 2.0), ("replicas", None),
+    ]:
+        args = {**dict(N=5, mixture=TOY_MIX, t_end=1.0, seed=0, replicas=1), field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**args)
+    for seed in (np.int64(3), np.uint64(7)):  # what operator.index takes passes
+        assert SimConfig(N=np.int32(5), mixture=TOY_MIX, t_end=1.0, seed=seed, replicas=np.int8(2)).seed == seed
     with pytest.raises(ValueError, match="t_end"):
         SimConfig(N=5, mixture=TOY_MIX, t_end=-0.5, seed=0)
 
