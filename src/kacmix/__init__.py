@@ -16,7 +16,8 @@ The package covers five layers:
   (hierarchy) calculus, plus a Monte-Carlo validator for the partial-trace
   identity.
 - `kacmix.chaos`: experiment harness comparing N-particle marginal
-  observables against tensorized mean-field references across a grid of N.
+  observables against tensorized limit values across a grid of N: exact
+  ones from `kacmix.limit` where known, a mean-field run otherwise.
 
 `kacmix.cli` exposes the same functionality as the `kacmix` console command.
 """

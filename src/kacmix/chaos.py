@@ -4,19 +4,21 @@ For iid (hence chaotic) initial data, s-particle marginal observables of the
 N-particle process converge, as N grows, to tensor powers of the limiting
 one-particle law.  The harness makes that quantitative at desk scale: it
 sweeps an N grid, estimates each marginal observable from N-particle
-ensembles, estimates the tensorized reference from one large mean-field run,
-and reports per-cell agreement plus the empirical decay of the gap.  Both
-sides average each product over the distinct s-tuples of their particles.
-On the mean-field ensemble of n_ref particles that average keeps the
-ensemble's O(1/n_ref) correlation between particles, but not the
-C(s,2) Var(g)/n_ref bias of the s-th power of a one-particle mean.
+ensembles, compares it with the tensorized limit value, and reports per-cell
+agreement plus the empirical decay of the gap.  The N-particle side averages
+each product over the distinct s-tuples of a replica's particles.
 
-The reference is not independent of the code under test.  The mean-field
-sampler differs from the N-particle process only in its events (size-biased
-orders, one-sided updates of the first slot); it shares the event-tape engine
-(tape drawing, layering, batched application), the stacked replica driver
-and the observers with it, so a bug in that shared code can cancel in every
-cell.  Exact references that do not use the engine are ROADMAP item 1.
+The limit value is exact wherever `limit.limit_mean` knows it: 0 for tanh
+factors, the Gaussian value for cosine factors from Gaussian data, and the
+Fourier solution of the toy equation for cosine factors in d = 1.  These
+references use none of the engine, so a fault in the engine shows as a gap
+in the cells.  A cell passes when its gap is at most 3 kac_stderr + 1/N: the
+N-particle marginal differs from the limit by O(1/N).  Every other cell is
+compared with one large mean-field run, averaged over distinct s-tuples in
+the same way, and passes when its gap is within 3 sigma of the two standard
+errors combined.  That reference is not independent of the code under test:
+it shares the event engine, the replica driver and the observers with it, so
+a fault in that shared code can cancel in those cells.
 
 No convergence rate is proven for the general mixture, so acceptance is
 qualitative: agreement at the largest N within statistical error and a
@@ -34,6 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .laws import MixtureSpec
+from .limit import limit_mean
 from .meanfield import meanfield_run
 from .observables import ObservableSpec
 from .simulator import (
@@ -64,8 +67,10 @@ class ChaosBudget:
     """Sampling effort knobs for a sweep.
 
     `samples_per_point` is the target particle-sample count N * replicas at
-    each grid point, so smaller systems get proportionally more replicas;
-    `ref_factor` scales the mean-field ensemble relative to the largest N.
+    each grid point, so smaller systems get proportionally more replicas.
+    `ref_factor` (ensemble size relative to the largest N) and `ref_replicas`
+    size the mean-field reference run, which runs only for cells without an
+    exact limit value.
     """
 
     samples_per_point: int = 250_000
@@ -106,9 +111,20 @@ class SlopeFit:
     n_points: int
 
 
+def _pass_bound(n: int, kac_stderr: float, mf_stderr: float, exact: bool) -> float:
+    """The largest gap a cell passes with: 3 sigma, plus 1/N against an exact limit value."""
+    return 3.0 * kac_stderr + 1.0 / n if exact else 3.0 * (kac_stderr + mf_stderr)
+
+
 @dataclass
 class ChaosReport:
-    """The sweep's cells and slope fits; `engine` holds `engine_metrics` of its runs."""
+    """The sweep's cells and slope fits; `engine` holds `engine_metrics` of its runs.
+
+    `references` maps each observable to its reference kind ("symmetry",
+    "gaussian" or "fourier" for the exact limit values of
+    `limit.limit_mean`, else "meanfield").  `n_ref` and `ref_replicas` size
+    the mean-field reference run, and are 0 when it did not run.
+    """
 
     rows: Tuple[ChaosRow, ...]
     slopes: Tuple[SlopeFit, ...]
@@ -116,6 +132,7 @@ class ChaosReport:
     n_ref: int
     ref_replicas: int
     engine: dict = field(default_factory=dict)
+    references: dict = field(default_factory=dict)
 
     @property
     def pass_fraction(self) -> float:
@@ -125,12 +142,13 @@ class ChaosReport:
 
     @property
     def worst_row(self) -> Optional[ChaosRow]:
-        """The row with the largest gap relative to its error budget."""
+        """The row with the largest gap relative to the gap it may pass with."""
         if not self.rows:
             return None
 
         def ratio(row: ChaosRow) -> float:
-            denom = row.kac_stderr + row.mf_stderr
+            exact = self.references.get(row.observable, "meanfield") != "meanfield"
+            denom = _pass_bound(row.N, row.kac_stderr, row.mf_stderr, exact)
             return row.delta / denom if denom > 0 else (math.inf if row.delta > 0 else 0.0)
 
         return max(self.rows, key=ratio)
@@ -198,53 +216,68 @@ def run_chaos_sweep(
     `factors` are single-velocity bounded primitives; for each factor g and
     each s in s_list the harness forms the product observable g(v_1)...g(v_s),
     averages it over the distinct s-tuples of each N-particle replica, and
-    compares against the same average over a single large mean-field run
-    (n = ref_factor * max N).  Every run draws its seed from one spawning
-    sequence, so the whole report is reproducible from (inputs, seed).
+    compares it with the s-th power of g's exact limit mean where
+    `limit.limit_mean` has one.  The other observables are compared with the
+    same average over a single large mean-field run (n = ref_factor * max N).
+    Every run draws its seed from one spawning sequence, the reference run
+    the first, so the whole report is reproducible from (inputs, seed).
     """
     n_grid = [int(n) for n in N_grid]
     times = [float(t) for t in t_list]
     observer = _check_sweep(mixture, initial, n_grid, [int(s) for s in s_list], times, factors)
     t_end = times[-1]
     seeds = _derive_seeds(seed, 1 + len(n_grid))
-    n_ref = budget.ref_factor * max(n_grid)
+    runs = [
+        run(SimConfig(n, mixture, t_end, seeds[1 + gi], budget.replicas_for(n), initial), [observer])
+        for gi, n in enumerate(n_grid)
+    ]
 
-    # Reference: each product over distinct s-tuples of the mean-field ensemble.
-    ref_config = SimConfig(n_ref, mixture, t_end, seeds[0], budget.ref_replicas, initial)
-    ref = meanfield_run(ref_config, [observer])
-    ref_ser = ref.series[0]
+    # Exact limit values, computed after the runs, at whose start set-up ends;
+    # one mean-field run covers the observables that have none.
+    exact = {f.label: limit_mean(mixture, initial, f, times) for f in factors}
+    kinds, ref_values = {}, {}
+    for spec in observer.specs:
+        found = exact[spec.factors[0].label]
+        kinds[spec.name] = "meanfield" if found is None else found[0]
+        if found is not None:
+            ref_values[spec.name] = (found[1] ** spec.s, np.zeros(len(times)))
+    fallback = [spec for spec in observer.specs if spec.name not in ref_values]
+    n_ref = ref_replicas = 0
+    if fallback:
+        n_ref, ref_replicas = budget.ref_factor * max(n_grid), budget.ref_replicas
+        ref_config = SimConfig(n_ref, mixture, t_end, seeds[0], ref_replicas, initial)
+        ref = meanfield_run(ref_config, [ObservableObserver(times, fallback)])
+        runs.append(ref)
+        for spec in fallback:
+            ref_values[spec.name] = (ref.series[0].mean(spec.name), ref.series[0].stderr(spec.name))
 
     rows: List[ChaosRow] = []
     deltas: dict = {}
-    runs = [ref]
-    for gi, n in enumerate(n_grid):
-        config = SimConfig(n, mixture, t_end, seeds[1 + gi], budget.replicas_for(n), initial)
-        result = run(config, [observer])
-        runs.append(result)
+    for n, result in zip(n_grid, runs):
         ser = result.series[0]
         for spec in observer.specs:
             s, name = spec.s, spec.name
             kac_mean = ser.mean(name)
             kac_se = ser.stderr(name)
-            ref_mean = ref_ser.mean(name)
-            ref_se = ref_ser.stderr(name)
+            ref_mean, ref_se = ref_values[name]
+            exact_ref = kinds[name] != "meanfield"
             for ti, t in enumerate(times):
+                mean, se = float(kac_mean[ti]), float(kac_se[ti])
                 mf_mean, mf_se = float(ref_mean[ti]), float(ref_se[ti])
-                delta = abs(float(kac_mean[ti]) - mf_mean)
-                combined = float(kac_se[ti]) + mf_se
+                delta = abs(mean - mf_mean)
                 rows.append(
                     ChaosRow(
                         N=n,
                         s=s,
                         t=t,
                         observable=name,
-                        kac_mean=float(kac_mean[ti]),
-                        kac_stderr=float(kac_se[ti]),
+                        kac_mean=mean,
+                        kac_stderr=se,
                         mf_mean=mf_mean,
                         mf_stderr=mf_se,
                         delta=delta,
-                        pass_3sigma=delta <= 3.0 * combined,
-                        underpowered=combined > STDERR_TARGET,
+                        pass_3sigma=delta <= _pass_bound(n, se, mf_se, exact_ref),
+                        underpowered=se + mf_se > STDERR_TARGET,
                     )
                 )
                 deltas.setdefault((s, t, name), []).append(delta)
@@ -259,6 +292,7 @@ def run_chaos_sweep(
         slopes=slopes,
         seed=seed,
         n_ref=n_ref,
-        ref_replicas=budget.ref_replicas,
+        ref_replicas=ref_replicas,
         engine=engine_metrics(runs),
+        references=kinds,
     )

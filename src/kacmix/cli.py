@@ -303,33 +303,35 @@ _COMMANDS = {
     "laws-check": cmd_laws_check,
 }
 
+_EPILOG = """commands:
+  simulate    run N-particle collision ensembles
+  boltzmann   run the mean-field sampler and/or the toy grid solver
+  hierarchy   emit marginal-hierarchy constants, horizons, and coefficient sweeps
+  chaos       sweep system sizes against exact or mean-field limit references
+  laws-check  validate collision laws (energy, involution, slot symmetry)
+"""
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kacmix",
         description="Simulation and verification toolkit for multi-particle collision processes.",
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"kacmix {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run N-particle collision ensembles"),
-        ("boltzmann", "run the mean-field sampler and/or the toy grid solver"),
-        ("hierarchy", "emit marginal-hierarchy constants, horizons, and coefficient sweeps"),
-        ("chaos", "sweep system sizes against the mean-field reference"),
-        ("laws-check", "validate collision laws (energy, involution, slot symmetry)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="dotted config override, e.g. --set sim.N=200 (repeatable)",
-        )
-        p.add_argument("--seed", type=int, help="override the config seed")
-        # benchmarks/child.py passes --workers; drop it with the next benchmark change.
-        p.add_argument("--workers", type=int, help="ignored: every run is one process")
-        p.add_argument("--output-dir", help="override the config output directory")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", help="JSON run configuration file")
+    parser.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="dotted config override, e.g. --set sim.N=200 (repeatable)",
+    )
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    # benchmarks/child.py passes --workers; drop it with the next benchmark change.
+    parser.add_argument("--workers", type=int, help="ignored: every run is one process")
+    parser.add_argument("--output-dir", help="override the config output directory")
     return parser
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +52,8 @@ def coeff_leading(N: int, s: int, k: int) -> float:
         raise ValueError(f"leading coefficient: k must be >= 0, got {k}")
     if s + k > N:
         return 0.0
-    lam = Fraction(N * math.comb(N - s, k), (k + 1) * math.comb(N, k + 1))
-    return float(lam)
+    # int / int rounds the exact quotient once.
+    return N * math.comb(N - s, k) / ((k + 1) * math.comb(N, k + 1))
 
 
 @dataclass(frozen=True)

@@ -102,13 +102,14 @@ def write_chaos_csv(path, report: ChaosReport) -> int:
 
 
 def chaos_summary(report: ChaosReport) -> dict:
-    """JSON-ready digest: pass fraction, the worst cell, and the slope fits."""
+    """JSON-ready digest: pass fraction, reference kinds, the worst cell, and the slope fits."""
     worst = report.worst_row
     return {
         "pass_fraction": report.pass_fraction,
         "n_rows": len(report.rows),
         "n_ref": report.n_ref,
         "ref_replicas": report.ref_replicas,
+        "references": report.references,
         "seed": report.seed,
         "worst_row": None
         if worst is None

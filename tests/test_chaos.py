@@ -1,4 +1,4 @@
-"""Chaos harness: sweep bookkeeping and reproducibility."""
+"""Chaos harness: sweep bookkeeping, references and reproducibility."""
 
 import math
 
@@ -14,7 +14,7 @@ from kacmix.chaos import (
     run_chaos_sweep,
 )
 from kacmix.laws import KacToy, MixtureSpec, SymmetricK
-from kacmix.observables import CosineFactor, TanhFactor
+from kacmix.observables import BoxFactor, CosineFactor, TanhFactor
 from kacmix.simulator import DeterministicInitial, GaussianInitial, UniformBoxInitial
 
 TOY = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.0, 1.0))
@@ -62,8 +62,11 @@ def test_sweep_produces_one_row_per_cell():
     assert len(report.rows) == 2 * 2 * 1  # N x s x (t * factors)
     assert {r.N for r in report.rows} == {8, 16}
     assert {r.s for r in report.rows} == {1, 2}
-    assert report.n_ref == 4 * 16
-    assert report.ref_replicas == 6
+    # tanh has the exact limit mean 0, so no mean-field reference runs
+    assert report.references == {"tanh[1]": "symmetry", "tanh[1]*tanh[1]": "symmetry"}
+    assert report.n_ref == report.ref_replicas == 0
+    assert set(report.engine) == {"kac"}
+    assert all(row.mf_mean == row.mf_stderr == 0.0 for row in report.rows)
     # one slope fit per (s, t, observable) combination
     assert len(report.slopes) == 2
     assert all(fit.n_points == 2 for fit in report.slopes)
@@ -85,21 +88,69 @@ def test_sweep_is_reproducible_and_seed_sensitive():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reference_of_pair_cells_is_unbiased(seed):
-    """tanh is odd and uniform data symmetric, so the limit's pair value is 0.
+    """The mean-field reference of a pair cell averages over distinct pairs.
 
-    A reference built from squared one-particle means over n_ref = 40
-    particles sits about Var/n_ref above 0, some 14 stderr at 400 replicas.
+    A box factor has no exact limit value, so it takes the mean-field
+    reference.  g = 1{v >= 0} is (1 + sign v) / 2, and the mean-field ensemble
+    is invariant under flipping one particle's sign, so E g(v_1) g(v_2) is
+    1/4 at every ensemble size.  A reference built from squared one-particle
+    means over n_ref = 8 particles sits Var(g) / n_ref = 1/32 above it, some
+    7.5 stderr at 2000 replicas.
     """
     report = small_sweep(
         seed=seed,
-        initial=UniformBoxInitial(),
         N_grid=[4],
         s_list=[2],
-        budget=ChaosBudget(samples_per_point=32, min_replicas=8, ref_factor=10, ref_replicas=400),
+        factors=[BoxFactor((0.0,), (10.0,))],
+        budget=ChaosBudget(samples_per_point=32, min_replicas=8, ref_factor=2, ref_replicas=2000),
     )
-    assert report.n_ref == 40
+    assert report.references == {"box[0:10]*box[0:10]": "meanfield"}
+    assert report.n_ref == 8 and report.ref_replicas == 2000
     (row,) = report.rows
-    assert abs(row.mf_mean) <= 4.0 * row.mf_stderr, (row.mf_mean, row.mf_stderr)
+    assert abs(row.mf_mean - 0.25) <= 4.0 * row.mf_stderr, (row.mf_mean, row.mf_stderr)
+
+
+def test_mean_field_reference_runs_only_for_cells_without_exact_value():
+    report = small_sweep(factors=[TanhFactor(), BoxFactor()], s_list=[1])
+    assert report.references == {"tanh[1]": "symmetry", "box[-1:1]": "meanfield"}
+    assert set(report.engine) == {"kac", "meanfield"}
+    assert report.n_ref == 4 * 16 and report.ref_replicas == 6
+    box = [row for row in report.rows if row.observable == "box[-1:1]"]
+    assert all(row.mf_stderr > 0.0 and row.mf_mean > 0.5 for row in box)
+    # a fallback cell keeps the two-sided 3-sigma verdict; an exact one adds 1/N
+    for row in report.rows:
+        if row.observable == "box[-1:1]":
+            bound = 3.0 * (row.kac_stderr + row.mf_stderr)
+        else:
+            bound = 3.0 * row.kac_stderr + 1.0 / row.N
+        assert row.pass_3sigma == (row.delta <= bound)
+
+
+# The benchmark's chaos config: the toy law from uniform data, whose cosine
+# cells take the Fourier reference.
+BENCH_SWEEP = dict(
+    mixture=TOY,
+    initial=UniformBoxInitial(3.0**0.5),
+    N_grid=[50, 200, 800],
+    s_list=[1, 2],
+    t_list=[0.5, 1.0],
+    factors=[TanhFactor(), CosineFactor((1.0,))],
+    budget=ChaosBudget(samples_per_point=40_000, min_replicas=8, ref_factor=2, ref_replicas=24),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_frozen_toy_law_fails_the_sweep(monkeypatch, seed):
+    """A `KacToy` that moves nothing leaves the marginals at t = 0, which the exact references see.
+
+    A mean-field reference run on the same engine froze with it, and every
+    cell passed.
+    """
+    assert run_chaos_sweep(seed=seed, **BENCH_SWEEP).pass_fraction >= 0.95
+    monkeypatch.setattr(KacToy, "apply", lambda self, angle, group: np.array(group, dtype=float))
+    report = run_chaos_sweep(seed=seed, **BENCH_SWEEP)
+    assert report.pass_fraction < 0.95
+    assert all(row.pass_3sigma for row in report.rows if row.observable.startswith("tanh"))
 
 
 # ---------------------------------------------------------------------------

@@ -380,19 +380,34 @@ def chaos_doc():
 
 
 def test_chaos_writes_report_and_summary(tmp_path):
-    cfg = write_config(tmp_path, chaos_doc())
+    doc = chaos_doc()
+    doc["chaos"]["factors"] = [
+        {"kind": "tanh", "a": 1.0},
+        {"kind": "cos", "xi": [1.0]},
+        {"kind": "box", "lower": [-1.0], "upper": [1.0]},
+    ]
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert run_cli(["chaos", "--config", cfg, "--output-dir", str(out)]) == 0
     lines = csv_lines(out / "chaos.csv")
-    # 2 sizes x default s {1,2} x 1 time x default factors {tanh, cos}
-    assert len(lines) - 1 == 8
+    # 2 sizes x default s {1,2} x 1 time x 3 factors
+    assert len(lines) - 1 == 12
     assert lines[0].startswith("N,s,t,observable,")
     summary = json.loads((out / "chaos_summary.json").read_text())
-    assert summary["n_rows"] == 8
+    assert summary["n_rows"] == 12
     assert summary["pass_fraction"] >= 0.75
+    # only the box cells, which have no exact limit value, take the mean-field run
     assert summary["n_ref"] == 32
+    assert summary["references"] == {
+        "tanh[1]": "symmetry",
+        "tanh[1]*tanh[1]": "symmetry",
+        "cos[1]": "gaussian",
+        "cos[1]*cos[1]": "gaussian",
+        "box[-1:1]": "meanfield",
+        "box[-1:1]*box[-1:1]": "meanfield",
+    }
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["row_counts"]["chaos.csv"] == 8
+    assert manifest["row_counts"]["chaos.csv"] == 12
     solvers = manifest["metrics"]["solvers"]
     assert set(solvers) == {"kac", "meanfield"}
     assert all(entry["events"] == entry["rounds"] == 0 for entry in solvers.values())  # t_end = 0

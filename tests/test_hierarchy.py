@@ -51,13 +51,15 @@ def test_coeff_vanishes_when_tuple_does_not_fit():
 
 
 def test_coeff_matches_brute_force_rational():
-    for N in (5, 9, 23, 50):
-        for s in (1, 2, 3):
-            for k in (0, 1, 2):
+    """Bit for bit: the float quotient and the rounded `Fraction` both round the exact rational once."""
+    sizes = list(range(1, 65)) + sorted({int(x) for x in np.geomspace(65, 10**6, 60)} | {10**6 - 1, 10**6})
+    for N in sizes:
+        for s in range(1, 8):
+            for k in range(8):
                 if s + k > N:
                     continue
                 exact = Fraction(N * math.comb(N - s, k), (k + 1) * math.comb(N, k + 1))
-                assert coeff_leading(N, s, k) == pytest.approx(float(exact), abs=1e-15)
+                assert coeff_leading(N, s, k) == float(exact), (N, s, k)
 
 
 def test_coeff_gap_scales_as_one_over_n():

@@ -1,20 +1,29 @@
-"""Exact fourth moments of the toy law (`kacmix.limit`).
+"""Exact references of the limit equation (`kacmix.limit`).
 
 The limit closed form is checked against the benchmark's own copy, which
 shares no code with kacmix.  The finite-N forms are checked for the
 properties their derivation implies: they tend to the limit at rate 1/N,
 Gaussian data are a fixed point, the pair gap starts at 0 and is O(1/N)
 with N times the gap tending to mu4 - m4(t), and together they solve the
-moment equation they were derived from.
+moment equation they were derived from.  The exact chaos means of
+`limit_mean` are checked against the closed forms they must agree with:
+the fourth moment through the xi^4 Taylor coefficient of phi_t, phi_0 at
+t = 0, a solve at doubled resolution and the benchmark's Fourier solver.
 """
 
 import importlib.util
 import itertools
+import math
 import pathlib
 
+import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
-from kacmix.limit import toy_m4, toy_m4_finite_n, toy_pair_v2v2
+from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK, SymmetricKMomentum
+from kacmix.limit import _toy_charfn, limit_mean, toy_m4, toy_m4_finite_n, toy_pair_v2v2
+from kacmix.observables import BoxFactor, CosineFactor, TanhFactor
+from kacmix.simulator import GaussianInitial, TwoPointInitial, UniformBoxInitial
 
 REFS_PATH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "refs.py"
 _spec = importlib.util.spec_from_file_location("benchmark_refs", REFS_PATH)
@@ -87,3 +96,98 @@ def test_finite_n_forms_solve_the_moment_equation(mu2, mu4):
 def test_finite_n_needs_two_particles():
     with pytest.raises(ValueError, match="N >= 2"):
         toy_m4_finite_n(1.0, 1, 1.0, 1.8)
+
+
+# ---------------------------------------------------------------------------
+# exact chaos means
+# ---------------------------------------------------------------------------
+
+A = math.sqrt(3.0)
+UNIFORM = UniformBoxInitial(A)
+COS1 = CosineFactor((1.0,))
+TOY = MixtureSpec((SymmetricK(k=1, d=1), KacToy()), (0.0, 1.0))
+
+
+def uniform_phi0(x):
+    return np.sinc(A * np.asarray(x) / math.pi)
+
+
+@pytest.mark.parametrize("beta2", [1.0, 0.5])
+def test_fourier_solution_has_the_limit_fourth_moment(beta2):
+    """phi = 1 - m2 xi^2 / 2 + m4 xi^4 / 24 - ..., read off the solved node values.
+
+    The nodes are Chebyshev-Lobatto points of w = 2 (xi / xi_max)^2 - 1, so
+    phi = g(w), and the xi^2 and xi^4 coefficients are 2 g'(-1) / xi_max^2
+    and 2 g''(-1) / xi_max^4.
+    """
+    times = [0.0, 0.5, 1.0, 3.0]
+    nodes, values = _toy_charfn(uniform_phi0, 2.0 * beta2, 1.0, times)
+    w = 2.0 * nodes**2 - 1.0
+    for t, row in zip(times, values):
+        coef = chebyshev.chebfit(w, row, len(w) - 1)
+        m2 = -2.0 * 2.0 * chebyshev.chebval(-1.0, chebyshev.chebder(coef))
+        m4 = 24.0 * 2.0 * chebyshev.chebval(-1.0, chebyshev.chebder(coef, 2))
+        assert m2 == pytest.approx(1.0, abs=1e-8), t
+        assert m4 == pytest.approx(toy_m4(t, 1.0, 9.0 / 5.0, beta2), abs=1e-6), t
+
+
+@pytest.mark.parametrize("initial", [UNIFORM, TwoPointInitial(1.0)], ids=["uniform", "two-point"])
+@pytest.mark.parametrize("xi", [1.0, 3.0, 6.0])
+def test_fourier_value_starts_at_phi0_and_is_resolved(initial, xi):
+    times = [0.0, 0.25, 1.0, 2.0]
+    kind, values = limit_mean(TOY, initial, CosineFactor((xi,)), times)
+    assert kind == "fourier"
+    a = initial.a
+    phi0 = math.sin(a * xi) / (a * xi) if initial is UNIFORM else math.cos(a * xi)
+    assert values[0] == pytest.approx(phi0, abs=1e-15)
+
+    def start(x):
+        return uniform_phi0(x) if initial is UNIFORM else np.cos(a * x)
+
+    spread = a * xi
+    n = 17 + 2 * math.ceil(spread)
+    _, fine = _toy_charfn(start, 2.0, xi, times, n_nodes=2 * n, step=0.05 / max(1.0, spread))
+    assert np.abs(values - fine[:, 0]).max() <= 1e-9
+
+
+def test_fourier_value_matches_the_benchmark_solver():
+    times = [0.5, 1.0]
+    _, values = limit_mean(TOY, UNIFORM, COS1, times)
+    oracle = refs.toy_charfn_values(A, times, xi=1.0)
+    assert np.abs(values - [oracle[t] for t in times]).max() <= 1e-9
+
+
+def test_fourier_rate_follows_the_toy_weight():
+    """Sign flips and the d = 1 exchange leave phi alone: KacToy at weight b runs the toy clock at b t."""
+    half = MixtureSpec((SymmetricK(k=1, d=1), KacToy("raised_cosine")), (0.5, 0.5))
+    _, slow = limit_mean(half, UNIFORM, COS1, [0.5, 1.0, 2.0])
+    _, fast = limit_mean(TOY, UNIFORM, COS1, [0.25, 0.5, 1.0])
+    assert np.abs(slow - fast).max() <= 1e-9
+    exchange = MixtureSpec((SymmetricK(k=1, d=1), BinaryMaxwell(d=1)), (0.3, 0.7))
+    assert limit_mean(exchange, UNIFORM, COS1, [0.0, 5.0]) == ("fourier", pytest.approx([math.sin(A) / A] * 2))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gaussian_and_symmetry_means(d):
+    mixture = MixtureSpec(
+        (SymmetricK(k=1, d=d), BinaryMaxwell(d=d), SymmetricKMomentum(k=3, d=d)), (0.2, 0.5, 0.3)
+    )
+    times = [0.0, 0.5, 1.0]
+    kind, values = limit_mean(mixture, GaussianInitial(), CosineFactor((0.5,)), times)
+    assert kind == "gaussian"
+    np.testing.assert_allclose(values, math.exp(-0.125 * d), rtol=1e-15)
+    kind, values = limit_mean(mixture, GaussianInitial(), CosineFactor(tuple(range(d))), times)
+    np.testing.assert_allclose(values, math.exp(-0.5 * sum(x * x for x in range(d))), rtol=1e-15)
+    for initial in (GaussianInitial(), UNIFORM, TwoPointInitial(2.0)):
+        assert limit_mean(mixture, initial, TanhFactor(0.7), times) == ("symmetry", pytest.approx([0.0] * 3))
+
+
+def test_no_exact_mean_where_none_is_known():
+    order3 = MixtureSpec((SymmetricK(k=1, d=1), KacToy(), SymmetricK(k=3, d=1)), (0.2, 0.5, 0.3))
+    d3 = MixtureSpec((SymmetricK(k=1, d=3), BinaryMaxwell(d=3)), (0.5, 0.5))
+    assert limit_mean(TOY, GaussianInitial(), BoxFactor(), [1.0]) is None
+    assert limit_mean(d3, UNIFORM, COS1, [1.0]) is None
+    assert limit_mean(order3, UNIFORM, COS1, [1.0]) is None
+    # an unweighted order-3 law changes nothing
+    idle3 = MixtureSpec(order3.laws, (0.0, 1.0, 0.0))
+    assert limit_mean(idle3, UNIFORM, COS1, [1.0])[0] == "fourier"
