@@ -17,7 +17,8 @@ The package covers five layers:
   identity.
 - `kacmix.chaos`: experiment harness comparing N-particle marginal
   observables against tensorized limit values across a grid of N: exact
-  ones from `kacmix.limit` where known, a mean-field run otherwise.
+  ones from `kacmix.limit` where known, its backward-tree samples of the
+  limit law otherwise.
 
 `kacmix.cli` exposes the same functionality as the `kacmix` console command.
 """

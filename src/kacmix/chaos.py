@@ -10,15 +10,15 @@ each product over the distinct s-tuples of a replica's particles.
 
 The limit value is exact wherever `limit.limit_mean` knows it: 0 for tanh
 factors, the Gaussian value for cosine factors from Gaussian data, and the
-Fourier solution of the toy equation for cosine factors in d = 1.  These
-references use none of the engine, so a fault in the engine shows as a gap
-in the cells.  A cell passes when its gap is at most 3 kac_stderr + 1/N: the
-N-particle marginal differs from the limit by O(1/N).  Every other cell is
-compared with one large mean-field run, averaged over distinct s-tuples in
-the same way, and passes when its gap is within 3 sigma of the two standard
-errors combined.  That reference is not independent of the code under test:
-it shares the event engine, the replica driver and the observers with it, so
-a fault in that shared code can cancel in those cells.
+Fourier solution of the toy equation for cosine factors in d = 1.  Every
+other cell is compared with exact iid samples of the limit law, drawn from
+the backward collision tree of `limit.limit_samples` and averaged over the
+distinct s-tuples of each of ref_replicas ensembles of n_ref samples, as
+the N-particle side is.  No reference runs the engine, so a fault in the
+engine shows as a gap in the cells.  Every cell passes by one rule: its gap
+is at most 3 (kac_stderr + mf_stderr) + 1/N, where mf_stderr is 0 for an
+exact value and the 1/N allows for the O(1/N) gap between the N-particle
+marginal and the limit.
 
 No convergence rate is proven for the general mixture, so acceptance is
 qualitative: agreement at the largest N within statistical error and a
@@ -30,14 +30,14 @@ noise the fitted slope flattens.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .laws import MixtureSpec
-from .limit import limit_mean
-from .meanfield import meanfield_run
+from .limit import MAX_LEAVES, exact_kind, leaves_per_sample, limit_mean, limit_samples
 from .observables import ObservableSpec
 from .simulator import (
     DeterministicInitial,
@@ -45,6 +45,7 @@ from .simulator import (
     ObservableObserver,
     SimConfig,
     _check_observers,
+    _replica_mean_stderr,
     engine_metrics,
     run,
 )
@@ -69,14 +70,25 @@ class ChaosBudget:
     `samples_per_point` is the target particle-sample count N * replicas at
     each grid point, so smaller systems get proportionally more replicas.
     `ref_factor` (ensemble size relative to the largest N) and `ref_replicas`
-    size the mean-field reference run, which runs only for cells without an
-    exact limit value.
+    (ensembles) size the sampled reference, which is drawn only for cells
+    without an exact limit value.  Every field is an integer; at least two
+    replicas and two reference ensembles give each cell a standard error.
     """
 
     samples_per_point: int = 250_000
     min_replicas: int = 8
     ref_factor: int = 10
     ref_replicas: int = 16
+
+    def __post_init__(self):
+        for name, least in (
+            ("samples_per_point", 1), ("min_replicas", 2), ("ref_factor", 1), ("ref_replicas", 2)
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"chaos budget: {name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"chaos budget: {name} must be >= {least}, got {value}")
 
     def replicas_for(self, n: int) -> int:
         return max(self.min_replicas, -(-self.samples_per_point // n))
@@ -111,9 +123,9 @@ class SlopeFit:
     n_points: int
 
 
-def _pass_bound(n: int, kac_stderr: float, mf_stderr: float, exact: bool) -> float:
-    """The largest gap a cell passes with: 3 sigma, plus 1/N against an exact limit value."""
-    return 3.0 * kac_stderr + 1.0 / n if exact else 3.0 * (kac_stderr + mf_stderr)
+def _pass_bound(n: int, kac_stderr: float, mf_stderr: float) -> float:
+    """The largest gap a cell passes with: 3 sigma of the two errors, plus 1/N."""
+    return 3.0 * (kac_stderr + mf_stderr) + 1.0 / n
 
 
 @dataclass
@@ -122,8 +134,9 @@ class ChaosReport:
 
     `references` maps each observable to its reference kind ("symmetry",
     "gaussian" or "fourier" for the exact limit values of
-    `limit.limit_mean`, else "meanfield").  `n_ref` and `ref_replicas` size
-    the mean-field reference run, and are 0 when it did not run.
+    `limit.limit_mean`, else "sampler").  `n_ref` and `ref_replicas` size
+    the sampled reference, and are 0 when it was not drawn; `engine` then
+    holds its samples, leaves and seconds under "sampler".
     """
 
     rows: Tuple[ChaosRow, ...]
@@ -145,13 +158,7 @@ class ChaosReport:
         """The row with the largest gap relative to the gap it may pass with."""
         if not self.rows:
             return None
-
-        def ratio(row: ChaosRow) -> float:
-            exact = self.references.get(row.observable, "meanfield") != "meanfield"
-            denom = _pass_bound(row.N, row.kac_stderr, row.mf_stderr, exact)
-            return row.delta / denom if denom > 0 else (math.inf if row.delta > 0 else 0.0)
-
-        return max(self.rows, key=ratio)
+        return max(self.rows, key=lambda r: r.delta / _pass_bound(r.N, r.kac_stderr, r.mf_stderr))
 
 
 def _derive_seeds(seed: int, n: int) -> List[int]:
@@ -180,11 +187,12 @@ def _fit_slope(n_values: Sequence[int], deltas: Sequence[float]) -> Tuple[float,
     return slope, se
 
 
-def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> ObservableObserver:
+def _check_sweep(mixture, initial, n_grid, s_vals, times, factors, budget) -> ObservableObserver:
     """The sweep's checks of its inputs, made before any run starts; returns its runs' observer.
 
     The sweep checks its own rules; the checks of a run (orders, times and
-    factors against the mixture) are those of the run at the smallest N.
+    factors against the mixture) are those of the run at the smallest N.  A
+    sampled reference must expect at most MAX_LEAVES tree leaves.
     """
     if not n_grid or not s_vals or not times or not list(factors):
         raise ValueError("chaos sweep: N_grid, s_list, t_list and factors must be nonempty")
@@ -198,6 +206,15 @@ def _check_sweep(mixture, initial, n_grid, s_vals, times, factors) -> Observable
         raise ValueError(f"chaos sweep: factor labels must be distinct, got {labels}")
     observer = ObservableObserver(times, [ObservableSpec((f,) * s) for f in factors for s in s_vals])
     _check_observers([observer], SimConfig(min(n_grid), mixture, times[-1], 0, 1, initial))
+    sampled = [f.label for f in factors if exact_kind(mixture, initial, f) is None]
+    per_sample = sum(leaves_per_sample(mixture, t) for t in times)
+    leaves = budget.ref_replicas * budget.ref_factor * max(n_grid) * per_sample
+    if sampled and leaves > MAX_LEAVES:
+        raise ValueError(
+            f"chaos sweep: the sampled reference of {', '.join(sampled)} expects {leaves:.3g} "
+            f"tree leaves, above the cap of {MAX_LEAVES:.3g}; lower budget.ref_replicas, "
+            "budget.ref_factor, the largest N or the latest time"
+        )
     return observer
 
 
@@ -218,38 +235,50 @@ def run_chaos_sweep(
     averages it over the distinct s-tuples of each N-particle replica, and
     compares it with the s-th power of g's exact limit mean where
     `limit.limit_mean` has one.  The other observables are compared with the
-    same average over a single large mean-field run (n = ref_factor * max N).
-    Every run draws its seed from one spawning sequence, the reference run
-    the first, so the whole report is reproducible from (inputs, seed).
+    same average over ref_replicas ensembles of n_ref = ref_factor * max N
+    samples of the limit law at each time.  Every run draws its seed from
+    one spawning sequence, the sampled reference the first, so the whole
+    report is reproducible from (inputs, seed).
     """
     n_grid = [int(n) for n in N_grid]
     times = [float(t) for t in t_list]
-    observer = _check_sweep(mixture, initial, n_grid, [int(s) for s in s_list], times, factors)
-    t_end = times[-1]
+    observer = _check_sweep(mixture, initial, n_grid, [int(s) for s in s_list], times, factors, budget)
     seeds = _derive_seeds(seed, 1 + len(n_grid))
     runs = [
-        run(SimConfig(n, mixture, t_end, seeds[1 + gi], budget.replicas_for(n), initial), [observer])
+        run(SimConfig(n, mixture, times[-1], seeds[1 + gi], budget.replicas_for(n), initial), [observer])
         for gi, n in enumerate(n_grid)
     ]
 
+    engine = engine_metrics(runs)
+
     # Exact limit values, computed after the runs, at whose start set-up ends;
-    # one mean-field run covers the observables that have none.
+    # samples of the limit law cover the observables that have none.
     exact = {f.label: limit_mean(mixture, initial, f, times) for f in factors}
     kinds, ref_values = {}, {}
     for spec in observer.specs:
         found = exact[spec.factors[0].label]
-        kinds[spec.name] = "meanfield" if found is None else found[0]
+        kinds[spec.name] = "sampler" if found is None else found[0]
         if found is not None:
             ref_values[spec.name] = (found[1] ** spec.s, np.zeros(len(times)))
-    fallback = [spec for spec in observer.specs if spec.name not in ref_values]
     n_ref = ref_replicas = 0
-    if fallback:
+    if len(ref_values) < len(observer.specs):
         n_ref, ref_replicas = budget.ref_factor * max(n_grid), budget.ref_replicas
-        ref_config = SimConfig(n_ref, mixture, t_end, seeds[0], ref_replicas, initial)
-        ref = meanfield_run(ref_config, [ObservableObserver(times, fallback)])
-        runs.append(ref)
-        for spec in fallback:
-            ref_values[spec.name] = (ref.series[0].mean(spec.name), ref.series[0].stderr(spec.name))
+        rng = np.random.default_rng(seeds[0])
+        readings = np.empty((ref_replicas, len(times), len(observer.specs)))
+        leaves = 0
+        start = time.perf_counter()
+        for ti, t in enumerate(times):
+            samples, drawn = limit_samples(mixture, initial, t, ref_replicas * n_ref, rng)
+            readings[:, ti] = observer.collect(samples.reshape(ref_replicas, n_ref, -1), None)
+            leaves += drawn
+        engine["sampler"] = {
+            "samples": ref_replicas * n_ref * len(times),
+            "leaves": leaves,
+            "engine_s": time.perf_counter() - start,
+        }
+        means, stderrs = _replica_mean_stderr(readings)
+        for c, spec in enumerate(observer.specs):
+            ref_values.setdefault(spec.name, (means[:, c], stderrs[:, c]))
 
     rows: List[ChaosRow] = []
     deltas: dict = {}
@@ -260,7 +289,6 @@ def run_chaos_sweep(
             kac_mean = ser.mean(name)
             kac_se = ser.stderr(name)
             ref_mean, ref_se = ref_values[name]
-            exact_ref = kinds[name] != "meanfield"
             for ti, t in enumerate(times):
                 mean, se = float(kac_mean[ti]), float(kac_se[ti])
                 mf_mean, mf_se = float(ref_mean[ti]), float(ref_se[ti])
@@ -276,7 +304,7 @@ def run_chaos_sweep(
                         mf_mean=mf_mean,
                         mf_stderr=mf_se,
                         delta=delta,
-                        pass_3sigma=delta <= _pass_bound(n, se, mf_se, exact_ref),
+                        pass_3sigma=delta <= _pass_bound(n, se, mf_se),
                         underpowered=se + mf_se > STDERR_TARGET,
                     )
                 )
@@ -293,6 +321,6 @@ def run_chaos_sweep(
         seed=seed,
         n_ref=n_ref,
         ref_replicas=ref_replicas,
-        engine=engine_metrics(runs),
+        engine=engine,
         references=kinds,
     )

@@ -307,7 +307,7 @@ _EPILOG = """commands:
   simulate    run N-particle collision ensembles
   boltzmann   run the mean-field sampler and/or the toy grid solver
   hierarchy   emit marginal-hierarchy constants, horizons, and coefficient sweeps
-  chaos       sweep system sizes against exact or mean-field limit references
+  chaos       sweep system sizes against exact or sampled limit references
   laws-check  validate collision laws (energy, involution, slot symmetry)
 """
 

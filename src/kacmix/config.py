@@ -551,7 +551,9 @@ def _check_runs(o: _Obj, cfg: RunConfig, mixture: MixtureSpec) -> None:
             _check_observers([Observer(mf.times)], config)
         if chaos is not None:
             section = "chaos"
-            _check_sweep(mixture, cfg.initial, chaos.N_grid, chaos.s_list, chaos.t_list, chaos.factors)
+            _check_sweep(
+                mixture, cfg.initial, chaos.N_grid, chaos.s_list, chaos.t_list, chaos.factors, chaos.budget
+            )
     except ValueError as exc:
         raise o.fail(str(exc), section) from None
 

@@ -10,6 +10,11 @@ engines and the Picard solver against.  Nothing here calls a simulator.
 `limit_mean` gives the exact limit mean of a chaos factor where one is
 known: by symmetry, at the Gaussian equilibrium, or from the Fourier form of
 the d = 1 toy equation (Bobylev 1975), solved here on a frequency grid.
+Where none is known, `limit_samples` draws exact iid samples of f_t from
+Wild's backward collision tree (Wild 1951), for any mixture, initial law and
+d.  It uses only the initial law, the size-biased order draw,
+`sample_angle` and `law.apply`, so it shares no event tape, replica loop or
+observer with the engines it checks.
 """
 
 from __future__ import annotations
@@ -66,10 +71,8 @@ _BUILTIN_LAWS = (BinaryMaxwell, KacToy, SymmetricK)
 _NEUTRAL_1D = (SymmetricK(k=1, d=1), BinaryMaxwell(d=1))
 
 
-def limit_mean(
-    mixture: MixtureSpec, initial: InitialLaw, factor, times: Sequence[float]
-) -> Optional[Tuple[str, np.ndarray]]:
-    """Exact mean of `factor` under the limit law f_t at each of `times`, with its kind, or None.
+def exact_kind(mixture: MixtureSpec, initial: InitialLaw, factor) -> Optional[str]:
+    """The kind of exact limit mean `limit_mean` gives for `factor`, or None; nothing is solved.
 
     The kinds are:
 
@@ -83,24 +86,40 @@ def limit_mean(
       when every weighted law is `KacToy`, `SymmetricK(1, 1)` or
       `BinaryMaxwell(1)`.  The mean is phi_t(xi), from `_toy_charfn`.
 
-    Any other factor, law or initial law gives None.  The limit is chaotic,
-    so a chaos cell of order s has the s-th power of this mean as its
-    N = infinity value.
+    Any other factor, law or initial law gives None.
     """
-    times = np.asarray(times, dtype=float)
     weighted = [law for law, beta in zip(mixture.laws, mixture.beta) if beta > 0.0]
     known_initial = isinstance(initial, (GaussianInitial, UniformBoxInitial, TwoPointInitial))
     if not known_initial or not all(isinstance(law, _BUILTIN_LAWS) for law in weighted):
         return None
     if isinstance(factor, TanhFactor):
-        return "symmetry", np.zeros_like(times)
+        return "symmetry"
     if not isinstance(factor, CosineFactor):
         return None
-    xi = np.broadcast_to(factor.xi, (mixture.dim,))  # one entry is shared by all coordinates
     if isinstance(initial, GaussianInitial):
-        return "gaussian", np.full_like(times, math.exp(-0.5 * float(xi @ xi)))
-    if mixture.dim != 1 or not all(isinstance(law, KacToy) or law in _NEUTRAL_1D for law in weighted):
+        return "gaussian"
+    if mixture.dim == 1 and all(isinstance(law, KacToy) or law in _NEUTRAL_1D for law in weighted):
+        return "fourier"
+    return None
+
+
+def limit_mean(
+    mixture: MixtureSpec, initial: InitialLaw, factor, times: Sequence[float]
+) -> Optional[Tuple[str, np.ndarray]]:
+    """Exact mean of `factor` under the limit law f_t at each of `times`, with its kind, or None.
+
+    The kind is that of `exact_kind`.  The limit is chaotic, so a chaos cell
+    of order s has the s-th power of this mean as its N = infinity value.
+    """
+    times = np.asarray(times, dtype=float)
+    kind = exact_kind(mixture, initial, factor)
+    if kind is None:
         return None
+    if kind == "symmetry":
+        return kind, np.zeros_like(times)
+    xi = np.broadcast_to(factor.xi, (mixture.dim,))  # one entry is shared by all coordinates
+    if kind == "gaussian":
+        return kind, np.full_like(times, math.exp(-0.5 * float(xi @ xi)))
     rate = sum(2.0 * b for law, b in zip(mixture.laws, mixture.beta) if isinstance(law, KacToy))
     a, xi_max = initial.a, abs(float(xi[0]))
 
@@ -114,7 +133,81 @@ def limit_mean(
     _, values = _toy_charfn(
         phi0, rate, xi_max, times, n_nodes=17 + 2 * math.ceil(spread), step=0.1 / max(1.0, spread)
     )
-    return "fourier", values[:, 0]
+    return kind, values[:, 0]
+
+
+# The most leaves one `limit_samples` call may expect to draw.  A sample at
+# time t expects exp(gamma t) of them (`leaves_per_sample`).  A leaf costs
+# 0.2-0.5 us on a 2-core VM (the toy law; a d = 3 mixture of orders 1-3), so
+# a call stays under about 10 s.
+MAX_LEAVES = 2e7
+# Each chunk of samples expects about this many leaves, which bounds the
+# memory of a call whatever its size.
+_CHUNK_LEAVES = 2**18
+
+
+def leaves_per_sample(mixture: MixtureSpec, t: float) -> float:
+    """Expected leaf count of one backward tree to time t, exp(gamma t).
+
+    A node splits at rate alpha = sum_K beta_K K into K children with
+    probability beta_K K / alpha, so the leaf count grows at rate
+    gamma = sum_K beta_K K (K - 1).
+    """
+    return math.exp(t * sum(b * k * (k - 1) for k, b in enumerate(mixture.beta, start=1)))
+
+
+def limit_samples(
+    mixture: MixtureSpec, initial: InitialLaw, t: float, size: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, int]:
+    """`size` iid samples (size, d) of the limit law f_t, and the number of leaves drawn.
+
+    Each sample is the root of Wild's backward tree.  A node with remaining
+    time tau waits Exp(alpha); if the wait passes tau it is a leaf, drawn
+    from the initial law.  Otherwise it draws an order K size-biased, K
+    independent children at tau minus the wait, and one angle, and takes
+    slot 0 of `law.apply` on its children: the gain term of the limit
+    equation takes f (x) ... (x) f, and the node's own past is one of the K
+    children.  The tree is drawn level by level over a chunk of samples,
+    then reduced from the deepest level up.  Raises ValueError, before any
+    draw, when the expected leaf count passes MAX_LEAVES.
+    """
+    per_sample = leaves_per_sample(mixture, t)
+    if size * per_sample > MAX_LEAVES:
+        raise ValueError(
+            f"limit samples: {size} samples at t={t} expect {size * per_sample:.3g} tree leaves, "
+            f"above the cap of {MAX_LEAVES:.3g}"
+        )
+    out = np.empty((size, mixture.dim))
+    leaves = 0
+    chunk = max(1, int(_CHUNK_LEAVES / per_sample))
+    for lo in range(0, size, chunk):
+        # Level l + 1 holds the children of level l's inner nodes in node
+        # order, so those of inner node j start at the sum of the orders before j.
+        levels = []  # per level: its node count, its inner nodes and their orders
+        tau = np.full(min(chunk, size - lo), float(t))
+        while tau.size:
+            wait = rng.exponential(1.0 / mixture.alpha, size=tau.size)
+            inner = np.flatnonzero(wait < tau)
+            order = mixture.order_from_uniform_sizebiased(rng.random(inner.size))
+            levels.append((tau.size, inner, order))
+            tau = np.repeat(tau.take(inner) - wait.take(inner), order)
+        below = np.empty((0, mixture.dim))
+        for count, inner, order in reversed(levels):
+            values = np.empty((count, mixture.dim))
+            leaf = np.ones(count, dtype=bool)
+            leaf[inner] = False
+            values[leaf] = initial.sample(rng, count - inner.size, mixture.dim)
+            leaves += count - inner.size
+            first = np.cumsum(order) - order
+            for k in range(1, mixture.m + 1):
+                sel = np.flatnonzero(order == k)
+                if sel.size:
+                    law = mixture.laws[k - 1]
+                    group = below[first[sel, None] + np.arange(k)]
+                    values[inner[sel]] = law.apply(law.sample_angle(rng, size=sel.size), group)[:, 0]
+            below = values
+        out[lo : lo + chunk] = below
+    return out, leaves
 
 
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:

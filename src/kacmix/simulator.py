@@ -289,7 +289,8 @@ def _draw_tape(rng, counts, mixture: MixtureSpec, n: int, meanfield: bool, first
     else:
         order_of = mixture.order_from_uniform_sizebiased if meanfield else mixture.order_from_uniform
         order = order_of(rng.random(offset.size))
-        by_order = order.argsort(kind="stable")
+        # a stable sort of the smallest unsigned keys is a radix sort, with the same permutation
+        by_order = order.astype(np.min_scalar_type(mixture.m)).argsort(kind="stable")
         ends = order.take(by_order).searchsorted(np.arange(mixture.m + 1), side="right").tolist()
         positions = {k: by_order[ends[k - 1] : ends[k]] for k in range(1, mixture.m + 1)}
     tape = []

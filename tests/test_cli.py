@@ -396,22 +396,24 @@ def test_chaos_writes_report_and_summary(tmp_path):
     summary = json.loads((out / "chaos_summary.json").read_text())
     assert summary["n_rows"] == 12
     assert summary["pass_fraction"] >= 0.75
-    # only the box cells, which have no exact limit value, take the mean-field run
+    # only the box cells, which have no exact limit value, take the sampled reference
     assert summary["n_ref"] == 32
     assert summary["references"] == {
         "tanh[1]": "symmetry",
         "tanh[1]*tanh[1]": "symmetry",
         "cos[1]": "gaussian",
         "cos[1]*cos[1]": "gaussian",
-        "box[-1:1]": "meanfield",
-        "box[-1:1]*box[-1:1]": "meanfield",
+        "box[-1:1]": "sampler",
+        "box[-1:1]*box[-1:1]": "sampler",
     }
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["row_counts"]["chaos.csv"] == 12
     solvers = manifest["metrics"]["solvers"]
-    assert set(solvers) == {"kac", "meanfield"}
-    assert all(entry["events"] == entry["rounds"] == 0 for entry in solvers.values())  # t_end = 0
+    assert set(solvers) == {"kac", "sampler"}
+    assert solvers["kac"]["events"] == solvers["kac"]["rounds"] == 0  # t_end = 0
     assert solvers["kac"]["replica_group"] == {"8": 2048, "16": 1024}
+    # 4 ensembles of 32 samples at t = 0, each a leaf drawn from the initial law
+    assert solvers["sampler"]["samples"] == solvers["sampler"]["leaves"] == 128
     assert_phases(manifest["metrics"])
 
 

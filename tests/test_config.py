@@ -324,6 +324,12 @@ def test_chaos_section_errors():
     text = '{"chaos": {"N_grid": [8], "t_list": [0.5], "factors": [{"kind": "tanh", "s": 2}]}}'
     with pytest.raises(ConfigError, match="factors are one-particle"):
         parse_config(text)
+    # a box factor takes the sampled reference, whose tree leaves grow like e^(2 t) for the toy law
+    toy = '{"laws": [{"kind": "symmetric_k", "k": 1, "d": 1}, {"kind": "kac_toy"}], "beta": [0, 1]}'
+    chaos = '{"N_grid": [8], "t_list": [%s], "factors": [{"kind": "box"}]}'
+    parse_config('{"mixture": %s, "chaos": %s}' % (toy, chaos % "1.0"))
+    with pytest.raises(ConfigError, match=r"chaos: .* tree leaves, .* lower budget.ref_replicas"):
+        parse_config('{"mixture": %s, "chaos": %s}' % (toy, chaos % "8.0"))
 
 
 def test_hierarchy_epsilon_domain():

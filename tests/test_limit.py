@@ -9,6 +9,9 @@ moment equation they were derived from.  The exact chaos means of
 `limit_mean` are checked against the closed forms they must agree with:
 the fourth moment through the xi^4 Taylor coefficient of phi_t, phi_0 at
 t = 0, a solve at doubled resolution and the benchmark's Fourier solver.
+The backward-tree sampler is checked at fixed seeds, within 4 standard
+errors, against the benchmark's closed forms and against every kind of
+exact mean.
 """
 
 import importlib.util
@@ -21,7 +24,16 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from kacmix.laws import BinaryMaxwell, KacToy, MixtureSpec, SymmetricK, SymmetricKMomentum
-from kacmix.limit import _toy_charfn, limit_mean, toy_m4, toy_m4_finite_n, toy_pair_v2v2
+from kacmix.limit import (
+    MAX_LEAVES,
+    _toy_charfn,
+    leaves_per_sample,
+    limit_mean,
+    limit_samples,
+    toy_m4,
+    toy_m4_finite_n,
+    toy_pair_v2v2,
+)
 from kacmix.observables import BoxFactor, CosineFactor, TanhFactor
 from kacmix.simulator import GaussianInitial, TwoPointInitial, UniformBoxInitial
 
@@ -191,3 +203,59 @@ def test_no_exact_mean_where_none_is_known():
     # an unweighted order-3 law changes nothing
     idle3 = MixtureSpec(order3.laws, (0.0, 1.0, 0.0))
     assert limit_mean(idle3, UNIFORM, COS1, [1.0])[0] == "fourier"
+
+
+# ---------------------------------------------------------------------------
+# backward-tree samples of the limit law
+# ---------------------------------------------------------------------------
+
+SAMPLES = 200_000
+MIXED_3D = MixtureSpec(
+    (SymmetricK(k=1, d=3), BinaryMaxwell(d=3), SymmetricKMomentum(k=3, d=3)), (0.2, 0.5, 0.3)
+)
+
+
+def z_score(values, target):
+    return (values.mean() - target) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_tree_samples_match_the_benchmark_references(t):
+    samples, leaves = limit_samples(TOY, UNIFORM, t, SAMPLES, np.random.default_rng(28))
+    assert samples.shape == (SAMPLES, 1)
+    v = samples[:, 0]
+    assert abs(z_score(np.cos(v), refs.toy_charfn_values(A, [t], xi=1.0)[t])) <= 4.0
+    assert abs(z_score(v**4, refs.toy_m4(t, 1.0, 9.0 / 5.0))) <= 4.0
+    assert abs(z_score(np.tanh(v), 0.0)) <= 4.0
+    # exp(2 t) leaves per sample; the count's stderr is under 0.3% at t = 1
+    assert leaves / SAMPLES == pytest.approx(leaves_per_sample(TOY, t), rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "kind, mixture, initial, factor",
+    [
+        ("fourier", TOY, UNIFORM, COS1),
+        ("fourier", TOY, TwoPointInitial(math.sqrt(2.0)), COS1),
+        ("gaussian", MIXED_3D, GaussianInitial(), CosineFactor((0.5, 0.5, 0.5))),
+        ("symmetry", MIXED_3D, UNIFORM, TanhFactor()),
+    ],
+    ids=["fourier-uniform", "fourier-two-point", "gaussian-d3", "symmetry-d3"],
+)
+def test_tree_samples_agree_with_exact_means(kind, mixture, initial, factor):
+    """Where both references apply, the sampler's mean and `limit_mean` agree."""
+    times = [0.5, 1.0]
+    found, means = limit_mean(mixture, initial, factor, times)
+    assert found == kind
+    rng = np.random.default_rng(29)
+    for t, mean in zip(times, means):
+        samples, _ = limit_samples(mixture, initial, t, SAMPLES, rng)
+        assert abs(z_score(factor.evaluate(samples), mean)) <= 4.0, (t, mean)
+
+
+def test_leaf_cap_raises_before_any_draw():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    size = int(MAX_LEAVES / leaves_per_sample(TOY, 2.0)) + 1
+    with pytest.raises(ValueError, match="above the cap"):
+        limit_samples(TOY, UNIFORM, 2.0, size, rng)
+    assert rng.bit_generator.state == state
