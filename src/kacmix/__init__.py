@@ -25,13 +25,9 @@ The package covers five layers:
 
 from kacmix.chaos import (
     ChaosBudget,
-    ChaosReport,
-    ChaosRow,
     run_chaos_sweep,
 )
 from kacmix.hierarchy import (
-    HierarchyConstants,
-    TraceIdentityReport,
     coeff_leading,
     duhamel_remainder_factor,
     hierarchy_constants,
@@ -58,7 +54,6 @@ from kacmix.observables import (
 )
 from kacmix.picard import (
     GridDensity,
-    PicardResult,
     gaussian_grid_density,
     picard_solve_toy,
     uniform_grid_density,
@@ -69,7 +64,6 @@ from kacmix.simulator import (
     MasterState,
     MomentObserver,
     ObservableObserver,
-    RunResult,
     SimConfig,
     TwoPointInitial,
     UniformBoxInitial,

@@ -35,8 +35,7 @@ from .laws import (
     h1_max_error,
 )
 from .meanfield import meanfield_run
-from .picard import angular_nodes, check_angular_resolution, gaussian_grid_density
-from .picard import picard_solve_toy, uniform_grid_density
+from .picard import angular_nodes, check_angular_resolution, grid_initial, picard_solve_toy, toy_kernel
 from .runio import (
     chaos_summary,
     run_result_header,
@@ -51,11 +50,9 @@ from .runio import (
     write_manifest,
 )
 from .simulator import (
-    GaussianInitial,
     MomentObserver,
     ObservableObserver,
     SimConfig,
-    UniformBoxInitial,
     engine_metrics,
     replica_rng,
     run,
@@ -138,30 +135,6 @@ def cmd_simulate(cfg: RunConfig) -> Tuple[dict, dict, int]:
     return outputs, {"solvers": engine_metrics([result])}, 0
 
 
-def _pure_toy_kernel(cfg: RunConfig) -> str:
-    """The toy grid solver covers exactly the single-law order-2 toy mixture."""
-    mixture = cfg.require("mixture")
-    for i, (law, beta) in enumerate(zip(mixture.laws, mixture.beta)):
-        if isinstance(law, KacToy) and beta == 1.0:
-            return law.kernel
-        if beta != 0.0:
-            break
-    raise ConfigError(
-        "picard solver requires a mixture with all weight on one toy rotation law"
-    )
-
-
-def _picard_initial(initial, grid) -> "object":
-    if isinstance(initial, GaussianInitial):
-        return gaussian_grid_density(L=grid.L, n_v=grid.n_v)
-    if isinstance(initial, UniformBoxInitial):
-        return uniform_grid_density(initial.a, L=grid.L, n_v=grid.n_v)
-    raise ConfigError(
-        "picard solver supports gaussian or uniform initial data, "
-        f"got {getattr(initial, 'tag', type(initial).__name__)!r}"
-    )
-
-
 def cmd_boltzmann(cfg: RunConfig) -> Tuple[dict, dict, int]:
     mixture = cfg.require("mixture")
     mf = cfg.require("meanfield")
@@ -169,10 +142,10 @@ def cmd_boltzmann(cfg: RunConfig) -> Tuple[dict, dict, int]:
     density = None
     solvers: dict = {}
     if mf.solver in ("picard", "both"):
-        kernel = _pure_toy_kernel(cfg)
-        try:  # the grid solver's checks, before any engine starts
+        try:  # the grid solver's contract, checked before any engine starts
+            kernel = toy_kernel(mixture)
             check_angular_resolution(kernel, mf.grid.n_theta)
-            f0 = _picard_initial(cfg.initial, mf.grid)
+            f0 = grid_initial(cfg.initial, mf.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

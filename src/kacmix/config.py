@@ -36,6 +36,7 @@ from .laws import (
     SymmetricKMomentum,
 )
 from .observables import BoxFactor, CosineFactor, ObservableSpec, TanhFactor
+from .picard import PicardGrid
 from .simulator import (
     DeterministicInitial,
     GaussianInitial,
@@ -366,15 +367,6 @@ def _build_sim(o: _Obj) -> SimSection:
     ensemble = _ensemble(o, "N")
     # `estimator` accepts only "all"; benchmarks/child.py is its last reader.
     return o.build(SimSection, *ensemble, o.text("estimator", "all", choices=("all",)))
-
-
-@dataclass(frozen=True)
-class PicardGrid:
-    L: float = 8.0
-    n_v: int = 513
-    n_theta: int = 64
-    n_time: int = 32
-    n_iter: int = 8
 
 
 def _build_grid(o: _Obj) -> PicardGrid:

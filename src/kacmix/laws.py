@@ -44,8 +44,6 @@ __all__ = [
 # sphere; the event has probability ~0 but would otherwise divide by zero.
 _SPHERE_REDRAW_EPS = 1e-12
 
-_KACTOY_KERNELS = ("uniform", "raised_cosine")
-
 
 def _unit_vectors(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """Sample `size` uniform points on the unit sphere of R^n as normalized Gaussians.
@@ -173,15 +171,23 @@ class BinaryMaxwell(CollisionLaw):
         return out
 
 
+# KacToy's angle kernels, name: (density b(theta) on (-pi, pi), highest angular
+# harmonic of b).  Both are even in theta; `KacToy.sample_angle` draws from each.
+_KACTOY_KERNELS = {
+    "uniform": (lambda theta: np.full_like(theta, 1.0 / (2.0 * math.pi)), 0),
+    "raised_cosine": (lambda theta: (1.0 + np.cos(theta)) / (2.0 * math.pi), 1),
+}
+
+
 @dataclass(frozen=True)
 class KacToy(CollisionLaw):
     """One-dimensional pair rotation (v1, v2) -> R(theta)(v1, v2).
 
     The rotation matrix is [[cos t, sin t], [-sin t, cos t]] with t drawn
-    from an even angle density on (-pi, pi): "uniform" or "raised_cosine"
-    (1 + cos t)/(2 pi).  Defined for d = 1 only; conserves v1^2 + v2^2
-    exactly but not momentum.  The inverse is the rotation by -t, which has
-    the same law as t because the density is even.
+    from an even angle density on (-pi, pi) (`angle_kernel`): "uniform" or
+    "raised_cosine" (1 + cos t)/(2 pi).  Defined for d = 1 only; conserves
+    v1^2 + v2^2 exactly but not momentum.  The inverse is the rotation by
+    -t, which has the same law as t because the density is even.
     """
 
     kernel: str = "uniform"
@@ -191,7 +197,7 @@ class KacToy(CollisionLaw):
     def __post_init__(self):
         if self.kernel not in _KACTOY_KERNELS:
             raise ValueError(
-                f"kac_toy: unknown kernel {self.kernel!r}; expected one of {_KACTOY_KERNELS}"
+                f"kac_toy: unknown kernel {self.kernel!r}; expected one of {tuple(_KACTOY_KERNELS)}"
             )
 
     @property
@@ -201,6 +207,11 @@ class KacToy(CollisionLaw):
     @property
     def dim(self) -> int:
         return 1
+
+    @property
+    def angle_kernel(self):
+        """(density b(theta) on (-pi, pi), highest angular harmonic of b) of this law's kernel."""
+        return _KACTOY_KERNELS[self.kernel]
 
     def sample_angle(self, rng, size):
         if self.kernel == "uniform":

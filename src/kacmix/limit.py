@@ -210,14 +210,6 @@ def limit_samples(
     return out, leaves
 
 
-def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch)."""
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 * vectors[0] ** 2
-
-
 def _toy_charfn(
     phi0, rate: float, xi_max: float, times, n_nodes: int = 17, step: float = 0.1
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -244,7 +236,7 @@ def _toy_charfn(
     edge[[0, -1]] = 0.5
     k = np.arange(n_nodes)
     to_coef = (2.0 / m) * edge[:, None] * np.cos(np.outer(k, np.arccos(w))) * edge
-    x, gl_weights = _gauss_legendre(n_theta)
+    x, gl_weights = np.polynomial.legendre.leggauss(n_theta)
     cos2 = np.cos(0.25 * math.pi * (x + 1.0)) ** 2
     target = np.clip(np.outer(1.0 + w, cos2).ravel() - 1.0, -1.0, 1.0)
     interp = np.cos(np.outer(np.arccos(target), k)) @ to_coef

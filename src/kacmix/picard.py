@@ -68,8 +68,14 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .laws import KacToy, MixtureSpec
+from .simulator import GaussianInitial, InitialLaw, UniformBoxInitial
+
 __all__ = [
     "ALPHA_TOY",
+    "PicardGrid",
+    "toy_kernel",
+    "grid_initial",
     "GridDensity",
     "gaussian_grid_density",
     "uniform_grid_density",
@@ -79,17 +85,24 @@ __all__ = [
     "check_angular_resolution",
 ]
 
+# The loss rate of the one problem the solver covers: all weight on one
+# order-2 `KacToy` (`toy_kernel`), from Gaussian or uniform data (`grid_initial`).
 ALPHA_TOY = 2.0
 # Horizon below which the Picard sweep is trusted to contract.
 T_GUARD_TOY = 0.25 / ALPHA_TOY
 # Largest drift of the discrete mass from 1 that a solve accepts.
 MASS_TOL_TOY = 1e-4
 
-# name: (angle density b(theta), highest angular harmonic of b)
-_KERNELS = {
-    "uniform": (lambda theta: np.full_like(theta, 1.0 / (2.0 * math.pi)), 0),
-    "raised_cosine": (lambda theta: (1.0 + np.cos(theta)) / (2.0 * math.pi), 1),
-}
+
+@dataclass(frozen=True)
+class PicardGrid:
+    """The solver's resolution; its defaults are the defaults of every grid and solve here."""
+
+    L: float = 8.0
+    n_v: int = 513
+    n_theta: int = 64
+    n_time: int = 32
+    n_iter: int = 8
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ class GridDensity:
         return self.h * float(np.sum(v**p * self.value_array()))
 
 
-def gaussian_grid_density(L: float = 8.0, n_v: int = 513) -> GridDensity:
+def gaussian_grid_density(L: float = PicardGrid.L, n_v: int = PicardGrid.n_v) -> GridDensity:
     """The standard Gaussian on the grid, normalized to mass 1."""
     v = np.linspace(-L, L, n_v)
     vals = np.exp(-0.5 * v**2)
@@ -149,7 +162,7 @@ def gaussian_grid_density(L: float = 8.0, n_v: int = 513) -> GridDensity:
     return GridDensity(L=L, values=tuple(vals))
 
 
-def uniform_grid_density(a: float, L: float = 8.0, n_v: int = 513) -> GridDensity:
+def uniform_grid_density(a: float, L: float = PicardGrid.L, n_v: int = PicardGrid.n_v) -> GridDensity:
     """The uniform density on [-a, a] sampled on the grid, normalized to mass 1.
 
     Grid points straddling the jump get the half value, which is what linear
@@ -166,6 +179,23 @@ def uniform_grid_density(a: float, L: float = 8.0, n_v: int = 513) -> GridDensit
     return GridDensity(L=L, values=tuple(vals))
 
 
+def toy_kernel(mixture: MixtureSpec) -> str:
+    """The kernel of a mixture with all weight on one `KacToy`; raises ValueError for any other."""
+    law, beta = next((law, beta) for law, beta in zip(mixture.laws, mixture.beta) if beta != 0.0)
+    if not (isinstance(law, KacToy) and beta == 1.0):
+        raise ValueError("picard solver requires a mixture with all weight on one toy rotation law")
+    return law.kernel
+
+
+def grid_initial(initial: InitialLaw, grid: PicardGrid) -> GridDensity:
+    """f0 on the grid for Gaussian or uniform initial data; raises ValueError for any other."""
+    if isinstance(initial, GaussianInitial):
+        return gaussian_grid_density(L=grid.L, n_v=grid.n_v)
+    if isinstance(initial, UniformBoxInitial):
+        return uniform_grid_density(initial.a, L=grid.L, n_v=grid.n_v)
+    raise ValueError(f"picard solver supports gaussian or uniform initial data, got {initial.tag!r}")
+
+
 def angular_nodes(n_theta: int) -> int:
     """Angles per circle of the gain operator: more than four per period of each harmonic."""
     return 4 * n_theta
@@ -173,9 +203,7 @@ def angular_nodes(n_theta: int) -> int:
 
 def check_angular_resolution(kernel: str, n_theta: int):
     """(angle density, highest harmonic) of a named kernel; raises unless the harmonic is below n_theta."""
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown scattering kernel {kernel!r}; expected one of {sorted(_KERNELS)}")
-    density, k_max = _KERNELS[kernel]
+    density, k_max = KacToy(kernel).angle_kernel
     if k_max >= n_theta:
         raise ValueError(
             f"picard solve: n_theta={n_theta} cannot carry the {kernel!r} kernel's angular "
@@ -310,9 +338,9 @@ def picard_solve_toy(
     kernel: str,
     f0: GridDensity,
     t_end: float,
-    n_iter: int = 8,
-    n_theta: int = 64,
-    n_time: int = 32,
+    n_iter: int = PicardGrid.n_iter,
+    n_theta: int = PicardGrid.n_theta,
+    n_time: int = PicardGrid.n_time,
 ) -> PicardResult:
     """Iterate the mild equation to the horizon t_end on the grid of f0.
 

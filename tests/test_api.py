@@ -33,29 +33,23 @@ PUBLIC = {
     "SimConfig",
     "MomentObserver",
     "ObservableObserver",
-    "RunResult",
     "replica_rng",
     "run",
     "step",
     # mean-field sampler and grid solver
     "meanfield_run",
     "GridDensity",
-    "PicardResult",
     "gaussian_grid_density",
     "uniform_grid_density",
     "picard_solve_toy",
     # hierarchy
-    "HierarchyConstants",
     "hierarchy_constants",
     "coeff_leading",
     "remainder_bound",
     "duhamel_remainder_factor",
-    "TraceIdentityReport",
     "verify_trace_identity",
     # chaos
     "ChaosBudget",
-    "ChaosReport",
-    "ChaosRow",
     "run_chaos_sweep",
 }
 
@@ -66,7 +60,7 @@ def test_public_names_are_pinned():
         for name in dir(kacmix)
         if not name.startswith("_") and not inspect.ismodule(getattr(kacmix, name))
     }
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 36
     assert exported == PUBLIC, (sorted(exported - PUBLIC), sorted(PUBLIC - exported))
 
 

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from kacmix.chaos import ChaosBudget
 from kacmix.config import (
     ConfigError,
-    PicardGrid,
     apply_overrides,
     load_config,
     parse_config,
     parse_with_positions,
 )
 from kacmix.laws import BinaryMaxwell, KacToy, SymmetricK
+from kacmix.picard import PicardGrid
 from kacmix.simulator import DeterministicInitial, GaussianInitial, TwoPointInitial
 
 FULL_TEXT = """{

@@ -290,6 +290,63 @@ def test_mean_of_each_law_is_exact():
         assert np.all(gap <= 5.0 * stderr + 1e-12), (law.describe, gap, stderr)
 
 
+REFLECTION_LAWS = [law for law in BUILTIN_LAWS if not isinstance(law, KacToy)]
+
+
+def _direction_projector(law):
+    """Projector of R^{Kd} onto the span of the law's reflection directions.
+
+    BinaryMaxwell(d) reflects along (omega, -omega) / sqrt 2, a unit vector
+    with zero slot sum, as SymmetricKMomentum(2, d) does.
+    """
+    k, d = law.order, law.dim
+    if isinstance(law, (SymmetricKMomentum, BinaryMaxwell)):
+        return np.eye(k * d) - np.kron(np.full((k, k), 1.0 / k), np.eye(d))
+    return np.eye(k * d)
+
+
+def _exact_square_mean(law, v):
+    """E_omega[(T^omega V)_11^2] in closed form, from the sphere moments of the angle law.
+
+    omega is uniform on the unit sphere of a subspace of dimension m with
+    projector P, so E omega_a omega_b = P_ab / m and
+    E omega_a omega_b omega_c omega_e = (P_ab P_ce + P_ac P_be + P_ae P_bc) / (m (m + 2)).
+    With x = V_11, u = P V and (T^omega V)_11 = x - 2 <omega, V> omega_1 this gives
+    x^2 - 4 x u_1 / m + 4 (P_11 |u|^2 + 2 u_1^2) / (m (m + 2)); for SymmetricK
+    (P = I, m = n = kd) that is x^2 (1 - 4/n) + 4 (2 x^2 + |V|^2) / (n (n + 2)).
+    """
+    p = _direction_projector(law)
+    m = round(np.trace(p))
+    x, u = v[0, 0], p @ v.ravel()
+    return x * x - 4.0 * x * u[0] / m + 4.0 * (p[0, 0] * (u @ u) + 2.0 * u[0] ** 2) / (m * (m + 2))
+
+
+@pytest.mark.parametrize("law", REFLECTION_LAWS, ids=lambda l: l.describe)
+def test_square_mean_of_each_reflection_law_is_exact(law):
+    """E_omega[(T^omega V)_11^2] over 1e5 angles is within 4 standard errors of its sphere moment.
+
+    The companion of criterion 05, whose two sides apply the same law: this
+    side's mean is checked against the exact value.
+    """
+    n = 10**5
+    v = _fixed_group(law)
+    out = law.apply(law.sample_angle(np.random.default_rng(2025), n), np.broadcast_to(v, (n,) + v.shape))
+    dev = out[:, 0, 0] ** 2 - _exact_square_mean(law, v)  # centred, as in the first-moment test
+    gap, stderr = abs(dev.mean()), dev.std(ddof=1) / math.sqrt(n)
+    assert gap <= 4.0 * stderr + 1e-12, (gap, stderr)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_binary_maxwell_is_the_pair_momentum_reflection(d):
+    """BinaryMaxwell(d) at omega is SymmetricKMomentum(2, d) at (omega, -omega) / sqrt 2."""
+    rng = np.random.default_rng(d)
+    omega = BinaryMaxwell(d).sample_angle(rng, 1000)
+    groups = rng.standard_normal((1000, 2, d))
+    matched = np.stack([omega, -omega], axis=1) / math.sqrt(2.0)
+    reflected = SymmetricKMomentum(2, d).apply(matched, groups)
+    assert np.abs(reflected - BinaryMaxwell(d).apply(omega, groups)).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 # ---------------------------------------------------------------------------

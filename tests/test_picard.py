@@ -18,14 +18,19 @@ import numpy as np
 import pytest
 
 from kacmix import picard
+from kacmix.laws import KacToy, MixtureSpec, SymmetricK
 from kacmix.limit import toy_m4
 from kacmix.picard import (
     ALPHA_TOY,
     GridDensity,
+    PicardGrid,
     gaussian_grid_density,
+    grid_initial,
     picard_solve_toy,
+    toy_kernel,
     uniform_grid_density,
 )
+from kacmix.simulator import GaussianInitial, TwoPointInitial, UniformBoxInitial
 
 SMALL = dict(n_theta=24, n_time=12)
 
@@ -478,6 +483,20 @@ def test_t_end_zero_returns_initial_density():
 def test_unknown_kernel_rejected():
     with pytest.raises(ValueError, match="kernel"):
         picard_solve_toy("hard_sphere", small_gaussian(), t_end=0.05)
+
+
+def test_toy_contract_raises_value_errors():
+    """Only all weight on one KacToy, and Gaussian or uniform data, are the solver's problem."""
+    toy = MixtureSpec((SymmetricK(k=1, d=1), KacToy("raised_cosine")), (0.0, 1.0))
+    assert toy_kernel(toy) == "raised_cosine"
+    for beta in [(0.5, 0.5), (1.0, 0.0)]:
+        with pytest.raises(ValueError, match="all weight on one toy rotation law"):
+            toy_kernel(MixtureSpec(toy.laws, beta))
+    grid = PicardGrid(n_v=33)
+    assert grid_initial(GaussianInitial(), grid) == gaussian_grid_density(n_v=33)
+    assert grid_initial(UniformBoxInitial(a=2.0), grid) == uniform_grid_density(2.0, n_v=33)
+    with pytest.raises(ValueError, match="gaussian or uniform initial data, got 'two_point'"):
+        grid_initial(TwoPointInitial(a=1.0), grid)
 
 
 def test_mass_tolerance_violation_raises(monkeypatch):
